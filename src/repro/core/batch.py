@@ -17,13 +17,13 @@ import numpy as np
 
 from .. import telemetry
 from ..api import SendResult, bits_digest
+from ..device.catalog import make_varied_device
 from ..errors import ConfigurationError, DeviceError, SlotError
 from ..faults import FaultInjector, FaultPlan, RetryPolicy
 from ..harness.controlboard import ControlBoard
 from ..rng import make_rng, spawn
 from .fleetcapture import capture_fleet
 from .planner import plan_scheme
-from ..experiments.common import make_varied_device
 
 
 @dataclass(frozen=True)

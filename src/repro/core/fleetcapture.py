@@ -1,23 +1,25 @@
-"""Fleet-vectorized power-on capture: one broadcast for a whole tray.
+"""Fleet-vectorized power-on capture: one stacked pass for a whole tray.
 
 The paper's §5.3 fleet workflow measures every device with the same
 protocol — N drained power cycles, majority vote, channel error against
-the staged payload.  Measuring a tray device-by-device leaves throughput
-bounded by single-device kernel launches; this module evaluates the whole
-tray as **one** numpy broadcast over ``devices x band-cells x captures``
-instead:
+the staged payload.  Measuring a tray capture-by-capture leaves
+throughput bounded by per-capture kernel launches; this module evaluates
+each device's whole burst as **one** numpy broadcast over
+``band-cells x captures`` instead:
 
 - Each eligible array stages a *stacking record*
   (:meth:`~repro.sram.array.SRAMArray.plan_fleet_capture`): its cached
   noise-band arrays, noise sigma, and both inverters' per-capture
-  ``pending_relax`` trajectories.  Per-device noise bands are ragged, so
-  the kernel concatenates them into one flat gather; per-capture pending
-  relax and per-device sigma broadcast over the flat axis.
-- Band noise is drawn from **each device's own generator** — one
-  ``(n_captures, band)`` block per device, which consumes the stream
-  exactly like the per-capture loop's successive draws — so results are
-  bit-identical to :meth:`ControlBoard.capture_power_on_states` for any
-  worker count, device order, or tray composition.
+  ``pending_relax`` trajectories.
+- :meth:`~repro.sram.array.SRAMArray.burst_decisions` evaluates a slot's
+  whole burst in one broadcast — the same kernel a single array's
+  ``capture_power_on_states`` runs — with band noise drawn from **each
+  device's own generator**: one ``(n_captures, band)`` block, which
+  consumes the stream exactly like the per-capture loop's successive
+  draws.  Results are bit-identical to
+  :meth:`ControlBoard.capture_power_on_states` for any worker count,
+  device order, or tray composition.  This module only orchestrates the
+  tray: planning, fallback, voting, per-slot ones counts, metrics.
 - Slots the kernel cannot take — a fault injector is attached, remanence
   could reach the first capture, or the drift bound cannot guarantee a
   refresh-free burst — fall back to the exact per-capture loop, which is
@@ -60,17 +62,21 @@ __all__ = ["FleetCapture", "capture_fleet"]
 class FleetCapture:
     """Per-slot results of one tray-wide capture burst.
 
-    ``states`` holds each slot's majority-voted power-on state;
-    ``errors`` the channel error against the staged payloads (``None``
-    when no payloads were given); ``frames`` the full
-    ``(n_captures, n_bits)`` capture stacks (on request only — the
-    measurement path never materializes them).  ``vectorized[i]`` says
-    whether slot ``i`` took the stacked kernel or the exact per-capture
-    loop; in resilient mode a failed slot carries its exception in
-    ``slot_errors[i]`` with ``states``/``errors`` entries of ``None``.
+    ``states`` holds each slot's majority-voted power-on state and
+    ``ones`` its per-cell count of captures that read 1 (the vote
+    margins soft decoding consumes; cells outside the noise band count
+    ``n_captures`` times their noise-free decision); ``errors`` the
+    channel error against the staged payloads (``None`` when no payloads
+    were given); ``frames`` the full ``(n_captures, n_bits)`` capture
+    stacks (on request only — the measurement path never materializes
+    them).  ``vectorized[i]`` says whether slot ``i`` took the stacked
+    kernel or the exact per-capture loop; in resilient mode a failed
+    slot carries its exception in ``slot_errors[i]`` with
+    ``states``/``ones``/``errors`` entries of ``None``.
     """
 
     states: "list[np.ndarray | None]"
+    ones: "list[np.ndarray | None]"
     errors: "list[float | None] | None"
     frames: "list[np.ndarray] | None"
     vectorized: "tuple[bool, ...]"
@@ -85,83 +91,6 @@ class FleetCapture:
     @property
     def fallback_slots(self) -> int:
         return len(self.vectorized) - self.kernel_slots
-
-
-def _plan_slot(board, n_captures: int, off_seconds: float) -> "dict | None":
-    """Stage one slot's stacking record (see
-    :meth:`ControlBoard.plan_fleet_capture`)."""
-    return board.plan_fleet_capture(n_captures, off_seconds)
-
-
-def _loop_slot(board, n_captures: int, off_seconds: float) -> np.ndarray:
-    """The exact per-capture fallback for one slot.
-
-    Reads retry under the board's own policy, exactly as a direct
-    :meth:`ControlBoard.capture_power_on_states` call would.
-    """
-    return board.capture_power_on_states(n_captures, off_seconds=off_seconds)
-
-
-def _segment_recs(plan: dict, pend_key: str, r_key: str) -> np.ndarray:
-    """One device's ``(n_captures, band)`` recovered fractions.
-
-    Relax clocks take few distinct values on a tray (a shared stress
-    period leaves two: stressed-at-0 and never-stressed), so the
-    ``log1p`` is evaluated once per *unique* relax value per capture and
-    the per-cell array is assembled by selection — the selected doubles
-    are the exact ones elementwise evaluation would produce, so
-    bit-identity with :meth:`SRAMArray._band_decisions` is preserved.
-    The unique decomposition is memoised on the capture cache (computed
-    once per refresh).
-    """
-    cache = plan["cache"]
-    r = cache[r_key]
-    pends = np.array(plan[pend_key])
-    tau, coeff, ceiling = plan["tau"], plan["coeff"], plan["ceiling"]
-    u = cache.get(r_key + "_u")
-    if u is None:
-        u, inverse = np.unique(r, return_inverse=True)
-        cache[r_key + "_u"] = u
-        cache[r_key + "_inv"] = inverse
-    inverse = cache[r_key + "_inv"]
-    if u.size <= max(64, r.size // 8):
-        vals = np.minimum(
-            coeff * np.log1p((u[None, :] + pends[:, None]) / tau), ceiling
-        )
-        return np.take(vals, inverse, axis=1)
-    rp = r[None, :] + pends[:, None]
-    return np.minimum(coeff * np.log1p(rp / tau), ceiling)
-
-
-def _stacked_decisions(plans: "list[dict]", noise: np.ndarray) -> np.ndarray:
-    """Evaluate every planned slot's band decisions over one flat axis.
-
-    ``noise`` is the concatenated ``(n_captures, total_band)`` gather of
-    every device's own draws; each device's segment of the output is
-    evaluated with :meth:`SRAMArray._band_decisions`'s exact operation
-    tree (per-device scalars broadcast over the segment — elementwise
-    the same IEEE doubles as the per-capture loop's), with the recovery
-    ``log1p`` compressed over unique relax values by :func:`_segment_recs`.
-    """
-    n_captures = noise.shape[0]
-    decisions = np.empty(noise.shape, dtype=np.uint8)
-    column = 0
-    for plan in plans:
-        cache = plan["cache"]
-        size = cache["band"].size
-        segment = noise[:, column : column + size]
-        rec1 = _segment_recs(plan, "pend1", "r1_b")
-        rec0 = _segment_recs(plan, "pend0", "r0_b")
-        offs = (
-            cache["mismatch_b"]
-            + cache["full0_b"] * (1.0 - rec0)
-            - cache["full1_b"] * (1.0 - rec1)
-        )
-        decisions[:, column : column + size] = (
-            offs + plan["sigma"] * segment > 0.0
-        )
-        column += size
-    return decisions
 
 
 def capture_fleet(
@@ -208,6 +137,7 @@ def capture_fleet(
 
     n_slots = len(boards)
     states: "list[np.ndarray | None]" = [None] * n_slots
+    ones: "list[np.ndarray | None]" = [None] * n_slots
     frames: "list[np.ndarray | None]" = [None] * n_slots
     errors: "list[float | None]" = [None] * n_slots
     plans: "list[dict | None]" = [None] * n_slots
@@ -233,54 +163,28 @@ def capture_fleet(
     ) as span:
         for index, board in enumerate(boards):
             try:
-                plans[index] = _plan_slot(board, n_captures, off_seconds)
+                plans[index] = board.plan_fleet_capture(n_captures, off_seconds)
             except Exception as exc:
                 record_failure(index, exc)
 
-        kernel = [i for i in range(n_slots) if plans[i] is not None]
-        if kernel:
-            kernel_plans = [plans[i] for i in kernel]
-            # Per-device noise from each device's own generator: one
-            # (n_captures, band) block per device consumes the stream
-            # exactly like the loop's successive per-capture draws.
-            blocks = [
-                boards[i].device.sram._rng.standard_normal(
-                    (n_captures, plans[i]["cache"]["band"].size)
-                )
-                for i in kernel
-                if plans[i]["cache"]["band"].size
-            ]
-            if blocks:
-                noise = np.concatenate(blocks, axis=1)
-                decisions = _stacked_decisions(
-                    [p for p in kernel_plans if p["cache"]["band"].size],
-                    noise,
-                )
-            else:
-                decisions = np.empty((n_captures, 0), dtype=np.uint8)
-            column = 0
-            for i in kernel:
-                plan = plans[i]
-                cache = plan["cache"]
-                band = cache["band"]
-                dev_dec = decisions[:, column : column + band.size]
-                column += band.size
-                state = cache["decision_base"].copy()
-                if band.size:
-                    votes = dev_dec.sum(axis=0, dtype=np.int64)
-                    state[band] = (2 * votes >= n_captures).astype(np.uint8)
-                states[i] = state
-                if return_frames:
-                    stack = np.broadcast_to(
-                        cache["decision_base"],
-                        (n_captures, cache["decision_base"].size),
-                    ).copy()
-                    if band.size:
-                        stack[:, band] = dev_dec
-                    frames[i] = stack
-                sram = boards[i].device.sram
-                sram.commit_fleet_capture(n_captures, off_seconds, band.size)
-                vectorized[i] = True
+        for i, plan in enumerate(plans):
+            if plan is None:
+                continue
+            sram = boards[i].device.sram
+            base = plan["cache"]["decision_base"]
+            band = plan["cache"]["band"]
+            decisions = sram.burst_decisions(plan)
+            votes = decisions.sum(axis=0, dtype=np.int32)
+            ones[i] = np.multiply(base, n_captures, dtype=np.int32)
+            ones[i][band] = votes
+            states[i] = base.copy()
+            states[i][band] = 2 * votes >= n_captures
+            if return_frames:
+                stack = np.broadcast_to(base, (n_captures, base.size)).copy()
+                stack[:, band] = decisions
+                frames[i] = stack
+            sram.commit_fleet_capture(n_captures, off_seconds, band.size)
+            vectorized[i] = True
 
         for i in range(n_slots):
             if vectorized[i] or slot_errors[i] is not None:
@@ -289,7 +193,9 @@ def capture_fleet(
 
             def one_loop(board=boards[i]):
                 count[0] += 1
-                return _loop_slot(board, n_captures, off_seconds)
+                return board.capture_power_on_states(
+                    n_captures, off_seconds=off_seconds
+                )
 
             try:
                 if retry is not None and retry.max_attempts > 1:
@@ -302,6 +208,7 @@ def capture_fleet(
                 continue
             attempts[i] = count[0]
             states[i] = majority_vote(stack)
+            ones[i] = stack.sum(axis=0, dtype=np.int32)
             if return_frames:
                 frames[i] = stack
 
@@ -342,6 +249,7 @@ def capture_fleet(
 
     return FleetCapture(
         states=states,
+        ones=ones,
         errors=errors if payloads is not None else None,
         frames=frames if return_frames else None,
         vectorized=tuple(vectorized),

@@ -10,9 +10,7 @@ control-board automation:
 
 Both ends must construct the scheme from the same pre-shared parameters —
 exactly the paper's assumption (footnote 3).  The pre-shared bundle is a
-:class:`~repro.core.scheme.CodingScheme`; the loose ``key=``/``ecc=``/
-``frame=``/``n_captures=`` keyword arguments survive as deprecated
-aliases.
+:class:`~repro.core.scheme.CodingScheme`.
 
 Every ``send``/``receive`` runs inside a (forced) telemetry span, so
 decode provenance — per-capture BER, vote-margin histogram, ECC
@@ -23,7 +21,6 @@ records.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 
 import numpy as np
@@ -62,8 +59,6 @@ from .message import (
 )
 from .scheme import CodingScheme
 
-_UNSET = object()
-
 #: Direct hot-path instrument: one attribute test while metrics stay
 #: disabled (same contract as the telemetry null-span, docs/metrics.md).
 _MESSAGES_TOTAL = metrics.counter(
@@ -71,6 +66,24 @@ _MESSAGES_TOTAL = metrics.counter(
     "Messages pushed through the channel, by phase and device",
     labelnames=("phase", "device"),
 )
+
+
+def _vote_stats(
+    samples: np.ndarray, vote_idx: "list[int]", state: np.ndarray
+) -> "tuple[np.ndarray, tuple[int, ...], tuple[float, ...]]":
+    """A vote's channel statistics: per-cell ones over the voting rows,
+    the vote-margin histogram ``|2 * ones - n_votes|`` (index = margin),
+    and every capture's flip rate against the voted ``state``."""
+    n_votes = len(vote_idx)
+    ones = samples[vote_idx].sum(axis=0, dtype=np.int64)
+    margin_hist = tuple(
+        int(v)
+        for v in np.bincount(np.abs(2 * ones - n_votes), minlength=n_votes + 1)
+    )
+    flip_rate = tuple(
+        float(np.count_nonzero(row != state)) / state.size for row in samples
+    )
+    return ones, margin_hist, flip_rate
 
 
 @dataclass(frozen=True)
@@ -186,11 +199,9 @@ class DecodeResult:
 class InvisibleBits:
     """One party's view of the covert channel for a specific device.
 
-    ``InvisibleBits(board, scheme=CodingScheme(...))`` is the primary
-    constructor; both ends build the same scheme from the pre-shared
-    parameters.  The legacy ``key=``/``ecc=``/``frame=``/``n_captures=``
-    keywords still work but emit :class:`DeprecationWarning` — they
-    produce bit-identical results to the equivalent scheme.
+    ``InvisibleBits(board, scheme=CodingScheme(...))``: both ends build
+    the same scheme from the pre-shared parameters (the default scheme is
+    a plaintext, uncoded, framed, five-capture channel).
     """
 
     def __init__(
@@ -198,46 +209,10 @@ class InvisibleBits:
         board: ControlBoard,
         *,
         scheme: "CodingScheme | None" = None,
-        key=_UNSET,
-        ecc=_UNSET,
-        frame=_UNSET,
-        n_captures=_UNSET,
         use_firmware: bool = True,
     ):
-        legacy = {
-            name: value
-            for name, value in (
-                ("key", key),
-                ("ecc", ecc),
-                ("frame", frame),
-                ("n_captures", n_captures),
-            )
-            if value is not _UNSET
-        }
-        if legacy and scheme is not None:
-            raise ConfigurationError(
-                "pass either scheme=CodingScheme(...) or the legacy keyword "
-                f"arguments, not both (got scheme and {sorted(legacy)})"
-            )
-        if legacy:
-            warnings.warn(
-                "InvisibleBits(key=, ecc=, frame=, n_captures=) is deprecated "
-                "and will be removed in repro 2.0; build a repro.CodingScheme "
-                "once and pass scheme=... on both ends",
-                DeprecationWarning,
-                stacklevel=2,
-            )
-            frame_value = legacy.get("frame")
-            scheme = CodingScheme(
-                key=legacy.get("key"),
-                ecc=legacy.get("ecc"),
-                frame=frame_value if frame_value is not None else FrameFormat(),
-                n_captures=legacy.get("n_captures", 5),
-            )
-        elif scheme is None:
-            scheme = CodingScheme()
         self.board = board
-        self.scheme = scheme
+        self.scheme = scheme if scheme is not None else CodingScheme()
         self.use_firmware = use_firmware
 
     # -- scheme views (kept for backward compatibility) ---------------------------
@@ -409,41 +384,20 @@ class InvisibleBits:
             suspects.extend(fresh)
 
     def _attempt_decode(
-        self, state: np.ndarray, message_len: "int | None"
-    ) -> "tuple[bytes, np.ndarray, int]":
-        """Invert, decrypt and ECC-decode one voted state."""
-        recovered = invert_bits(state)
-        cipher = self._cipher()
-        with telemetry.trace("channel.decrypt", encrypted=cipher is not None):
-            plain = cipher.process_bits(recovered) if cipher else recovered
-        with telemetry.trace(
-            "channel.ecc_decode",
-            code=self.ecc.name if self.ecc is not None else "identity",
-        ) as ecc_span:
-            message = extract_message(
-                plain, ecc=self.ecc, frame=self.frame, message_len=message_len
-            )
-            corrections = int(
-                sum(
-                    count
-                    for name, count in ecc_span.counters.items()
-                    if name.endswith(".corrections")
-                )
-            )
-        return message, recovered, corrections
-
-    def _attempt_decode_soft(
         self,
         state: np.ndarray,
-        ones: np.ndarray,
-        n_votes: int,
-        p_flip: float,
         message_len: "int | None",
+        *,
+        ones: "np.ndarray | None" = None,
+        n_votes: int = 0,
+        p_flip: "float | None" = None,
     ) -> "tuple[bytes, np.ndarray, int]":
-        """Soft-decision twin of :meth:`_attempt_decode`.
+        """Invert, decrypt and ECC-decode one voted state.
 
-        Works on per-cell LLRs derived from the vote counts instead of the
-        voted bits.  The stages map cleanly into the LLR domain:
+        Hard decisions (``ones=None``) decode the voted bits.  Soft
+        decisions decode per-cell LLRs derived from the vote counts
+        ``ones`` over ``n_votes`` captures instead, and the stages map
+        cleanly into the LLR domain:
 
         - **invert** (§4.3's photographic negative) negates every LLR;
         - **decrypt**: AES-CTR XORs a keystream bit into each payload bit,
@@ -453,26 +407,27 @@ class InvisibleBits:
         - **ECC-decode** runs the soft-combining stack
           (:func:`repro.ecc.soft.soft_decode`) over the payload LLRs.
 
-        ``recovered`` stays the *hard* inverted state so raw-BER
-        diagnostics are mode-independent.
+        ``recovered`` is the *hard* inverted state in both modes, so
+        raw-BER diagnostics are mode-independent.
         """
         recovered = invert_bits(state)
-        payload_llrs = -votes_to_llrs(ones, n_votes, p_flip)
+        soft = ones is not None
+        payload = -votes_to_llrs(ones, n_votes, p_flip) if soft else recovered
         cipher = self._cipher()
         with telemetry.trace("channel.decrypt", encrypted=cipher is not None):
-            if cipher is not None:
-                ks_bits = np.unpackbits(cipher.keystream(payload_llrs.size // 8))
-                payload_llrs = payload_llrs * (1.0 - 2.0 * ks_bits)
+            if cipher is not None and soft:
+                ks_bits = np.unpackbits(cipher.keystream(payload.size // 8))
+                payload = payload * (1.0 - 2.0 * ks_bits)
+            elif cipher is not None:
+                payload = cipher.process_bits(payload)
         with telemetry.trace(
             "channel.ecc_decode",
             code=self.ecc.name if self.ecc is not None else "identity",
-            decision="soft",
+            decision="soft" if soft else "hard",
         ) as ecc_span:
-            message = extract_message_soft(
-                payload_llrs,
-                ecc=self.ecc,
-                frame=self.frame,
-                message_len=message_len,
+            extract = extract_message_soft if soft else extract_message
+            message = extract(
+                payload, ecc=self.ecc, frame=self.frame, message_len=message_len
             )
             corrections = int(
                 sum(
@@ -482,6 +437,27 @@ class InvisibleBits:
                 )
             )
         return message, recovered, corrections
+
+    def _decoded(
+        self, span, expected_payload: "np.ndarray | None", **fields
+    ) -> DecodeResult:
+        """Finish a decode: the truth-referenced raw BER, the span fields,
+        the ``repro_messages_total`` tick and the :class:`DecodeResult`."""
+        raw_error = None
+        if expected_payload is not None:
+            raw_error = bit_error_rate(expected_payload, fields["recovered_payload"])
+        result = DecodeResult(raw_error_vs=raw_error, **fields)
+        span.set(
+            n_captures=result.n_captures,
+            raw_error_vs=raw_error,
+            ecc_corrections=result.ecc_corrections,
+            message_bytes=len(result.message),
+            decision=result.decision,
+        )
+        if result.vote_margin_hist is not None:
+            span.set(vote_margin_hist=list(result.vote_margin_hist))
+        _MESSAGES_TOTAL.inc(phase="receive", device=self.board.device.spec.name)
+        return result
 
     def decode_state(
         self,
@@ -506,51 +482,44 @@ class InvisibleBits:
         :class:`~repro.errors.ExtractionError` for the caller to fall
         back to the full :meth:`receive`.
 
-        On a ``decision="soft"`` scheme, pass ``ones`` (the per-cell
-        count of captures that read 1, as the vote computed it) to decode
-        from vote-margin LLRs; ``p_flip`` sets the LLR scale (decode
-        decisions are scale-invariant, so omitting it is safe — a
-        conservative floor is used).  Without ``ones`` the margins are
-        unknowable from a voted state alone, so the decode falls back to
-        hard decisions — exactly the soft decode of saturated LLRs.
+        A ``decision="soft"`` scheme requires ``ones`` (the per-cell
+        count of captures that read 1, as the vote computed it —
+        :attr:`FleetCapture.ones`) and decodes from vote-margin LLRs;
+        without it a :class:`~repro.errors.ConfigurationError` is raised,
+        because a voted state alone carries no margins.  ``p_flip`` sets
+        the LLR scale (decode decisions are scale-invariant, so omitting
+        it is safe — a conservative floor is used).  Hard schemes ignore
+        ``ones``.
         """
         votes = self.n_captures if n_captures is None else int(n_captures)
-        soft = self.scheme.decision == "soft" and ones is not None
+        soft = self.scheme.decision == "soft"
+        if soft and ones is None:
+            raise ConfigurationError(
+                "a soft-decision scheme decodes vote margins: pass ones= "
+                "(per-cell count of captures that read 1) to decode_state"
+            )
         p_flip_est = (
             estimate_p_flip(() if p_flip is None else (p_flip,)) if soft else None
         )
         with telemetry.trace(
             "channel.decode_state", force=True, **self._span_attrs()
         ) as span:
-            if soft:
-                message, recovered, corrections = self._attempt_decode_soft(
-                    state, ones, votes, p_flip_est, message_len
-                )
-            else:
-                message, recovered, corrections = self._attempt_decode(
-                    state, message_len
-                )
-            raw_error = None
-            if expected_payload is not None:
-                raw_error = bit_error_rate(expected_payload, recovered)
-            span.set(
-                n_captures=votes,
-                raw_error_vs=raw_error,
-                ecc_corrections=corrections,
-                message_bytes=len(message),
-                decision="soft" if soft else "hard",
+            message, recovered, corrections = self._attempt_decode(
+                state,
+                message_len,
+                ones=ones if soft else None,
+                n_votes=votes,
+                p_flip=p_flip_est,
             )
-            _MESSAGES_TOTAL.inc(
-                phase="receive", device=self.board.device.spec.name
-            )
-            return DecodeResult(
+            return self._decoded(
+                span,
+                expected_payload,
                 message=message,
                 power_on_state=state,
                 recovered_payload=recovered,
                 n_captures=votes,
-                raw_error_vs=raw_error,
                 ecc_corrections=corrections,
-                decision="soft" if soft else "hard",
+                decision=self.scheme.decision,
                 p_flip_estimate=p_flip_est,
                 total_captures=votes,
             )
@@ -586,51 +555,27 @@ class InvisibleBits:
             "channel.decode_captures", force=True, **self._span_attrs()
         ) as span:
             vote_idx, state = self._vote_rows(samples, [])
-            voting = samples[vote_idx]
-            ones = voting.sum(axis=0, dtype=np.int64)
-            margins = np.abs(2 * ones - len(vote_idx))
-            margin_hist = tuple(
-                int(v)
-                for v in np.bincount(margins, minlength=len(vote_idx) + 1)
-            )
-            flip_rate = tuple(
-                float(np.count_nonzero(row != state)) / state.size
-                for row in samples
-            )
+            ones, margin_hist, flip_rate = _vote_stats(samples, vote_idx, state)
             soft = self.scheme.decision == "soft"
             p_flip_est = (
                 estimate_p_flip([flip_rate[i] for i in vote_idx])
                 if soft
                 else None
             )
-            if soft:
-                message, recovered, corrections = self._attempt_decode_soft(
-                    state, ones, len(vote_idx), p_flip_est, message_len
-                )
-            else:
-                message, recovered, corrections = self._attempt_decode(
-                    state, message_len
-                )
-            raw_error = None
-            if expected_payload is not None:
-                raw_error = bit_error_rate(expected_payload, recovered)
-            span.set(
-                n_captures=len(vote_idx),
-                raw_error_vs=raw_error,
-                ecc_corrections=corrections,
-                message_bytes=len(message),
-                decision=self.scheme.decision,
-                vote_margin_hist=list(margin_hist),
+            message, recovered, corrections = self._attempt_decode(
+                state,
+                message_len,
+                ones=ones if soft else None,
+                n_votes=len(vote_idx),
+                p_flip=p_flip_est,
             )
-            _MESSAGES_TOTAL.inc(
-                phase="receive", device=self.board.device.spec.name
-            )
-            return DecodeResult(
+            return self._decoded(
+                span,
+                expected_payload,
                 message=message,
                 power_on_state=state,
                 recovered_payload=recovered,
                 n_captures=len(vote_idx),
-                raw_error_vs=raw_error,
                 captures=samples,
                 per_capture_flip_rate=flip_rate,
                 vote_margin_hist=margin_hist,
@@ -683,41 +628,25 @@ class InvisibleBits:
                     samples, suspects
                 )
                 with telemetry.trace("channel.vote", n_captures=len(vote_idx)):
-                    voting = samples[vote_idx]
                     # Escalation accumulates: every round re-votes (and, in
                     # soft mode, re-counts margins) over *all* clean rows
                     # captured so far, not just the newest batch.
-                    ones = voting.sum(axis=0, dtype=np.int64)
-                    margins = np.abs(2 * ones - len(vote_idx))
-                    margin_hist = tuple(
-                        int(v)
-                        for v in np.bincount(margins, minlength=len(vote_idx) + 1)
+                    ones, margin_hist, flip_rate = _vote_stats(
+                        samples, vote_idx, state
                     )
                     round_hists.append(margin_hist)
-                    flip_rate = tuple(
-                        float(np.count_nonzero(row != state)) / state.size
-                        for row in samples
-                    )
+                if soft:
+                    p_flip_est = estimate_p_flip([flip_rate[i] for i in vote_idx])
 
                 decode_error: "Exception | None" = None
                 try:
-                    if soft:
-                        p_flip_est = estimate_p_flip(
-                            [flip_rate[i] for i in vote_idx]
-                        )
-                        message, recovered, corrections = (
-                            self._attempt_decode_soft(
-                                state,
-                                ones,
-                                len(vote_idx),
-                                p_flip_est,
-                                message_len,
-                            )
-                        )
-                    else:
-                        message, recovered, corrections = self._attempt_decode(
-                            state, message_len
-                        )
+                    message, recovered, corrections = self._attempt_decode(
+                        state,
+                        message_len,
+                        ones=ones if soft else None,
+                        n_votes=len(vote_idx),
+                        p_flip=p_flip_est,
+                    )
                 except (CodecError, ExtractionError) as exc:
                     decode_error = exc
 
@@ -744,45 +673,33 @@ class InvisibleBits:
                 )
                 escalation_rounds += 1
 
-            raw_error = None
             per_capture_error = None
             if expected_payload is not None:
-                raw_error = bit_error_rate(expected_payload, recovered)
                 expected_state = invert_bits(expected_payload)
                 per_capture_error = tuple(
                     float(np.count_nonzero(row != expected_state))
                     / expected_state.size
                     for row in samples
                 )
-            retry_attempts = int(span.counters.get("retry.attempts", 0))
-            faults_injected = int(span.counters.get("faults.injected", 0))
             span.set(
-                n_captures=len(vote_idx),
                 total_captures=int(samples.shape[0]),
                 suspect_captures=sorted(suspects),
                 escalation_rounds=escalation_rounds,
                 degraded=degraded,
-                vote_margin_hist=list(margin_hist),
                 vote_margin_rounds=[list(h) for h in round_hists],
-                decision=scheme.decision,
                 p_flip_estimate=p_flip_est,
                 per_capture_flip_rate=list(flip_rate),
                 per_capture_ber=(
                     list(per_capture_error) if per_capture_error else None
                 ),
-                raw_error_vs=raw_error,
-                ecc_corrections=corrections,
-                message_bytes=len(message),
             )
-            _MESSAGES_TOTAL.inc(
-                phase="receive", device=self.board.device.spec.name
-            )
-            return DecodeResult(
+            return self._decoded(
+                span,
+                expected_payload,
                 message=message,
                 power_on_state=state,
                 recovered_payload=recovered,
                 n_captures=len(vote_idx),
-                raw_error_vs=raw_error,
                 captures=samples,
                 per_capture_flip_rate=flip_rate,
                 per_capture_error_vs=per_capture_error,
@@ -794,8 +711,8 @@ class InvisibleBits:
                 total_captures=int(samples.shape[0]),
                 suspect_captures=tuple(sorted(suspects)),
                 escalation_rounds=escalation_rounds,
-                retry_attempts=retry_attempts,
-                faults_injected=faults_injected,
+                retry_attempts=int(span.counters.get("retry.attempts", 0)),
+                faults_injected=int(span.counters.get("faults.injected", 0)),
                 degraded=degraded,
             )
 

@@ -12,6 +12,8 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..errors import ConfigurationError
 from ..rng import make_rng
 from ..sram.calibration import calibrate_profile
@@ -213,3 +215,35 @@ def make_device(
 
     spec = device_spec(name)
     return Device(spec, rng=make_rng(rng), sram_kib=sram_kib, serial=serial)
+
+
+def make_varied_device(
+    name: str,
+    *,
+    rng: "int | np.random.Generator",
+    device_sigma: float = 0.15,
+    sram_kib: "float | None" = None,
+) -> "Device":
+    """A device instance with device-to-device aging variation.
+
+    The paper's Figure 6 shows a wide min/max band across five nominally
+    identical MSP432s; we model it as a lognormal spread on the NBTI
+    magnitude (same ``device_sigma`` the planner uses, see
+    :func:`repro.core.planner.parallel_device_selection`).
+    """
+    if device_sigma < 0:
+        raise ConfigurationError("device_sigma must be >= 0")
+    from .device import Device
+
+    gen = make_rng(rng)
+    spec = device_spec(name)
+    k = spec.technology.nbti_k_scale * float(
+        np.exp(device_sigma * gen.standard_normal())
+    )
+    varied_spec = type(spec)(
+        **{
+            **spec.__dict__,
+            "technology": spec.technology.with_k_scale(k),
+        }
+    )
+    return Device(varied_spec, rng=gen, sram_kib=sram_kib)

@@ -4,12 +4,10 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field
 
-import numpy as np
-
-from ..device import Device
-from ..device.catalog import device_spec
+from ..device.catalog import make_varied_device
 from ..errors import ConfigurationError
-from ..rng import make_rng
+
+__all__ = ["ExperimentResult", "make_varied_device"]
 
 
 @dataclass
@@ -59,33 +57,3 @@ class ExperimentResult:
         if self.notes:
             lines.append(f"note: {self.notes}")
         return "\n".join(lines)
-
-
-def make_varied_device(
-    name: str,
-    *,
-    rng: "int | np.random.Generator",
-    device_sigma: float = 0.15,
-    sram_kib: "float | None" = None,
-) -> Device:
-    """A device instance with device-to-device aging variation.
-
-    The paper's Figure 6 shows a wide min/max band across five nominally
-    identical MSP432s; we model it as a lognormal spread on the NBTI
-    magnitude (same ``device_sigma`` the planner uses, see
-    :func:`repro.core.planner.parallel_device_selection`).
-    """
-    if device_sigma < 0:
-        raise ConfigurationError("device_sigma must be >= 0")
-    gen = make_rng(rng)
-    spec = device_spec(name)
-    k = spec.technology.nbti_k_scale * float(
-        np.exp(device_sigma * gen.standard_normal())
-    )
-    varied_spec = type(spec)(
-        **{
-            **spec.__dict__,
-            "technology": spec.technology.with_k_scale(k),
-        }
-    )
-    return Device(varied_spec, rng=gen, sram_kib=sram_kib)

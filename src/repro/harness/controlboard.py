@@ -28,8 +28,9 @@ _CAPTURES_TOTAL = metrics.counter(
     "Power-on captures taken through a control board, by device",
     labelnames=("device",),
 )
-# Shared (get-or-create) with the array's batch path; the two capture
-# loops are disjoint, so the total never double-counts.
+# Shared (get-or-create) with SRAMArray.capture_power_on_states and the
+# fleet kernel; the board loop powers the array per capture and never
+# calls either, so the total never double-counts.
 _CAPTURE_CELLS_TOTAL = metrics.counter(
     "repro_capture_cells_total",
     "Cells evaluated across all power-on captures",

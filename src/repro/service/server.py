@@ -42,13 +42,13 @@ from ..telemetry import context as trace_ctx
 from ..api import ReceiveRequest, SendRequest
 from ..core.pipeline import InvisibleBits
 from ..core.scheme import CodingScheme, paper_end_to_end_scheme
+from ..device.catalog import make_varied_device
 from ..errors import (
     AdmissionError,
     ConfigurationError,
     ReproError,
     ServiceStoppedError,
 )
-from ..experiments.common import make_varied_device
 from ..faults import FaultPlan, RetryPolicy
 from ..harness.controlboard import ControlBoard
 from .admission import AdmissionController

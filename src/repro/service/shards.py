@@ -38,6 +38,7 @@ from ..telemetry import context as trace_ctx
 from ..api import receive_result, send_result
 from ..core.fleetcapture import capture_fleet
 from ..core.pipeline import InvisibleBits
+from ..device.catalog import make_varied_device
 from ..errors import (
     CodecError,
     ConfigurationError,
@@ -46,7 +47,6 @@ from ..errors import (
     ReproError,
     ServiceError,
 )
-from ..experiments.common import make_varied_device
 from ..faults import FaultInjector, FaultPlan
 from ..harness.controlboard import ControlBoard
 from ..io import apply_device_state, device_state_arrays
@@ -672,6 +672,7 @@ class Shard:
                             message_len=request.message_len,
                             expected_payload=payload,
                             n_captures=fleet.n_captures,
+                            ones=fleet.ones[pos],
                         )
                     except (CodecError, ExtractionError):
                         # The kernel's vote was undecodable; fall back to

@@ -39,7 +39,10 @@ as one scalar (:meth:`repro.physics.nbti.NBTIState.flush_relax`) instead of
 a full-array add.  A rigorous drift bound (the recovery increment is largest
 for the least-relaxed cell) decides when accumulated shelf time has moved
 out-of-band offsets enough to force a cache refresh, so arbitrarily long
-capture sequences stay correct.  Code that mutates aging state behind the
+capture sequences stay correct.  A burst the bound proves refresh-free
+runs as one stacked kernel — plan, one ``(n_captures, band)`` noise draw,
+decisions, commit — the same kernel :mod:`repro.core.fleetcapture` runs
+slot by slot over a tray.  Code that mutates aging state behind the
 array's back (e.g. snapshot restore) must call
 :meth:`invalidate_analog_caches`.
 """
@@ -105,6 +108,58 @@ def _recovered_fraction(nbti, relax_seconds: np.ndarray):
         nbti.rec_log_coeff * np.log1p(relax_seconds / nbti.rec_tau_s),
         nbti.rec_ceiling,
     )
+
+
+def _held_fraction(plan: dict, pend_key: str, r_key: str) -> np.ndarray:
+    """One burst's ``(n_captures, band)`` unrecovered fractions ``1 - rec``.
+
+    Relax clocks take few distinct values (a shared stress period leaves
+    two: stressed-at-0 and never-stressed), so the recovery is evaluated
+    once per *unique* relax value per capture and the per-cell array is
+    assembled by selection — the selected doubles are the exact ones
+    elementwise evaluation would produce, so bit-identity with
+    :meth:`SRAMArray._band_decisions` is preserved.  The unique
+    decomposition is memoised on the capture cache (computed once per
+    refresh).  The result is a fresh array the caller may overwrite.
+    """
+    cache = plan["cache"]
+    r = cache[r_key]
+    pends = np.array(plan[pend_key])
+    tau, coeff, ceiling = plan["tau"], plan["coeff"], plan["ceiling"]
+    u = cache.get(r_key + "_u")
+    if u is None:
+        u, inverse = np.unique(r, return_inverse=True)
+        cache[r_key + "_u"] = u
+        cache[r_key + "_inv"] = inverse
+    if u.size <= max(64, r.size // 8):
+        rec = np.minimum(
+            coeff * np.log1p((u[None, :] + pends[:, None]) / tau), ceiling
+        )
+        return np.take(1.0 - rec, cache[r_key + "_inv"], axis=1)
+    rec = np.minimum(coeff * np.log1p((r[None, :] + pends[:, None]) / tau), ceiling)
+    return np.subtract(1.0, rec, out=rec)
+
+
+def _stacked_decisions(plan: dict, noise: np.ndarray) -> np.ndarray:
+    """A planned burst's band decisions, all captures in one broadcast.
+
+    ``noise`` is the burst's ``(n_captures, band)`` draw (overwritten).
+    Evaluates :meth:`SRAMArray._band_decisions`'s exact operation tree,
+    ``mismatch + full0 * (1 - rec0) - full1 * (1 - rec1) + sigma * noise``,
+    with the per-capture pending relax broadcast down the capture axis —
+    elementwise the same IEEE doubles as the per-capture loop's — in
+    place, so a wide band costs no extra full-size temporaries.
+    """
+    cache = plan["cache"]
+    offs = _held_fraction(plan, "pend0", "r0_b")
+    offs *= cache["full0_b"]
+    offs += cache["mismatch_b"]
+    held1 = _held_fraction(plan, "pend1", "r1_b")
+    held1 *= cache["full1_b"]
+    offs -= held1
+    noise *= plan["sigma"]
+    offs += noise
+    return (offs > 0.0).view(np.uint8)
 
 
 class SRAMArray:
@@ -296,14 +351,15 @@ class SRAMArray:
         """Capture ``n_captures`` successive power-on states (§4.3's
         sampling loop); returns shape ``(n_captures, n_bits)``.
 
-        Drained captures run on the batch path: one capture-cache pass plus
-        a single ``(n_captures, band)`` noise draw.  The result is
-        bit-identical to calling :meth:`power_cycle` ``n_captures`` times —
-        one big Gaussian draw consumes the generator exactly like the
-        equivalent sequence of per-capture draws.  Undrained captures (and a
-        first capture that can still see remanence) fall back to the cycle
-        path because the retained-cell masks interleave with the noise
-        stream.
+        Drained bursts run through the stacked kernel the fleet capture
+        uses (:meth:`plan_fleet_capture`, :meth:`burst_decisions`): one
+        ``(n_captures, band)`` noise draw from this array's generator,
+        which consumes the stream exactly like successive per-capture
+        draws.  Bursts the plan declines — undrained, remanence reaching
+        the first capture, or long enough to cross a cache refresh — take
+        the :meth:`power_cycle` loop.  Either way the result and the
+        array's end state are bit-identical to calling :meth:`power_cycle`
+        ``n_captures`` times.
         """
         if n_captures <= 0:
             raise ConfigurationError(f"need at least one capture, got {n_captures}")
@@ -314,24 +370,49 @@ class SRAMArray:
             drain=drain,
         ) as span:
             stats_before = dict(self.capture_stats)
-            samples = np.empty((n_captures, self.n_bits), dtype=np.uint8)
-            start = 0
-            if drain and self._retained is not None:
-                # Remanence from an earlier undrained power-off reaches into
-                # the first capture only; take it the general way, then batch.
-                samples[0] = self.power_cycle(off_seconds=off_seconds, drain=True)
-                start = 1
-            if drain:
-                self._capture_batch_drained(samples, start, off_seconds)
+            # The loop's first iteration: power down, then shelve.  The
+            # plan is taken after that shelf gap, where the loop's first
+            # capture would validate (or refresh) the capture cache.
+            if self.powered:
+                self.remove_power(drain=drain)
+            self.shelve(off_seconds)
+            plan = self.plan_fleet_capture(n_captures, off_seconds) if drain else None
+            if plan is None:
+                rows = [self.apply_power()]
+                rows += [
+                    self.power_cycle(off_seconds=off_seconds, drain=drain)
+                    for _ in range(n_captures - 1)
+                ]
+                samples = np.stack(rows)
             else:
-                for i in range(start, n_captures):
-                    samples[i] = self.power_cycle(
-                        off_seconds=off_seconds, drain=False
-                    )
+                samples = self._run_planned_burst(plan, n_captures, off_seconds)
             for key, before in stats_before.items():
                 span.count(f"sram.{key}", self.capture_stats[key] - before)
             _CAPTURE_CELLS_TOTAL.inc(n_captures * self.n_bits)
             return samples
+
+    def _run_planned_burst(
+        self, plan: dict, n_captures: int, off_seconds: float
+    ) -> np.ndarray:
+        """Evaluate a planned drained burst and leave the loop's end state.
+
+        The remaining ``n_captures - 1`` shelf gaps are the loop's
+        between-capture :meth:`shelve` calls, so the deferred relax floats
+        (and the ``shelve(0)`` no-op) match it exactly; the array ends
+        powered at nominal supply holding the last capture.
+        """
+        cache = plan["cache"]
+        band = cache["band"]
+        samples = np.empty((n_captures, self.n_bits), dtype=np.uint8)
+        samples[...] = cache["decision_base"]
+        samples[:, band] = self.burst_decisions(plan)
+        for _ in range(n_captures - 1):
+            self.shelve(off_seconds)
+        self._count_captures(n_captures, band.size)
+        self.powered = True
+        self.vdd = self.technology.vdd_nominal
+        self._data = samples[-1].copy()
+        return samples
 
     # -- memory operations ----------------------------------------------------
 
@@ -522,33 +603,6 @@ class SRAMArray:
         # capture is slightly cleaner and a hot one slightly noisier.
         return sigma * float(np.sqrt(self.temp_k / self.technology.temp_nominal_k))
 
-    def _refresh_capture_cache(self, sigma: float) -> dict:
-        """Rebuild the sampling cache at the current (flushed) aging state."""
-        st1, st0 = self.age_when_1, self.age_when_0
-        st1.flush_relax()
-        st0.flush_relax()
-        offs = self._exact_offsets()
-        full1 = self._nbti.dvth_unrecovered(st1)
-        full0 = self._nbti.dvth_unrecovered(st0)
-        band = np.flatnonzero(np.abs(offs) < self.NOISE_TAIL_SIGMA * sigma)
-        self._capture_cache = {
-            "aging_epoch": self._aging_epoch,
-            "flushes": (st1.flushes, st0.flushes),
-            "sigma_ref": sigma,
-            "decision_base": (offs > 0.0).astype(np.uint8),
-            "band": band,
-            "mismatch_b": self.mismatch[band],
-            "full1_b": full1[band],
-            "full0_b": full0[band],
-            "r1_b": st1.relax_seconds[band],
-            "r0_b": st0.relax_seconds[band],
-            "r1_min": float(st1.relax_seconds.min()) if self.n_bits else 0.0,
-            "r0_min": float(st0.relax_seconds.min()) if self.n_bits else 0.0,
-            "full_max": float(full1.max()) + float(full0.max()),
-        }
-        self.capture_stats["cache_refreshes"] += 1
-        return self._capture_cache
-
     def _capture_cache_valid(
         self, cache: "dict | None", sigma: float, extra_relax: float = 0.0
     ) -> bool:
@@ -619,84 +673,24 @@ class SRAMArray:
         if band.size:
             noise = self._rng.standard_normal(band.size)
             state[band] = self._band_decisions(cache, sigma, noise)
-        stats = self.capture_stats
-        stats["captures"] += 1
-        stats["band_cells"] += int(band.size)
+        self._count_captures(1, band.size)
         return state
 
-    def _capture_batch_drained(
-        self, samples: np.ndarray, start: int, off_seconds: float
-    ) -> None:
-        """Fill ``samples[start:]`` with drained power cycles.
+    def _count_captures(self, n_captures: int, band_size: int) -> None:
+        stats = self.capture_stats
+        stats["captures"] += n_captures
+        stats["band_cells"] += n_captures * int(band_size)
 
-        Bit-identical to the equivalent :meth:`power_cycle` sequence: the
-        per-capture relax bookkeeping, cache-refresh schedule and noise
-        consumption are the same — the only difference is that once the
-        drift bound guarantees no mid-burst refresh, the remaining captures'
-        noise is drawn in a single ``(remaining, band)`` call.
-        """
-        n = samples.shape[0]
-        if start >= n:
-            return
-        vdd = self.technology.vdd_nominal
-        st1, st0 = self.age_when_1, self.age_when_0
-        nbti = self._nbti
-        noise_block: "np.ndarray | None" = None
-        block_row = 0
-        for i in range(start, n):
-            if self.powered:
-                self.remove_power(drain=True)
-            nbti.relax_uniform(st1, off_seconds)
-            nbti.relax_uniform(st0, off_seconds)
-            self.technology.check_operating_point(vdd, self.temp_k)
-            sigma = self._effective_noise_sigma()
-            cache = self._capture_cache
-            if not self._capture_cache_valid(cache, sigma):
-                cache = self._refresh_capture_cache(sigma)
-                noise_block, block_row = None, 0
-            band = cache["band"]
-            if (
-                noise_block is None
-                and band.size
-                and i < n - 1
-                and self._capture_cache_valid(
-                    cache, sigma, extra_relax=(n - 1 - i) * off_seconds
-                )
-            ):
-                # No refresh can occur for the rest of the burst: hoist the
-                # remaining captures' noise into one draw (stream-order
-                # identical to per-capture draws).
-                noise_block = self._rng.standard_normal((n - i, band.size))
-                block_row = 0
-            row = samples[i]
-            row[...] = cache["decision_base"]
-            if band.size:
-                if noise_block is not None:
-                    noise = noise_block[block_row]
-                    block_row += 1
-                else:
-                    noise = self._rng.standard_normal(band.size)
-                row[band] = self._band_decisions(cache, sigma, noise)
-            stats = self.capture_stats
-            stats["captures"] += 1
-            stats["band_cells"] += int(band.size)
-            self.powered = True
-            self.vdd = vdd
-        self._data = samples[n - 1].copy()
+    def _refresh_capture_cache(self, sigma: float) -> dict:
+        """Rebuild the sampling cache at the current (flushed) aging state.
 
-    # -- fleet capture (repro.core.fleetcapture) --------------------------------
-
-    def _fleet_refresh_capture_cache(self, sigma: float) -> dict:
-        """Rebuild the capture cache with the fleet kernel's shared-term math.
-
-        Contents are bit-identical to :meth:`_refresh_capture_cache`: the
-        power-law magnitude ``k * t^n`` is evaluated once per inverter and
-        shared between the offsets and the locked-in values — the same
+        The power-law magnitude ``k * t^n`` is evaluated once per inverter
+        and shared between the offsets and the locked-in values — the same
         composition :meth:`NBTIModel.dvth` uses — zero-stress cells skip the
         ``t^n`` ufunc (``0**n == 0`` exactly), and uniform relax clocks
         collapse the recovered fraction to one scalar (the per-element
         double operations are unchanged).  tests/sram/test_fleet_capture.py
-        pins the equality against the reference rebuild.
+        pins every cached double against ``NBTIModel.dvth``.
         """
         st1, st0 = self.age_when_1, self.age_when_0
         st1.flush_relax()
@@ -729,6 +723,8 @@ class SRAMArray:
         self.capture_stats["cache_refreshes"] += 1
         return self._capture_cache
 
+    # -- the stacked capture kernel (single array and repro.core.fleetcapture) --
+
     def plan_fleet_capture(
         self,
         n_captures: int,
@@ -736,13 +732,13 @@ class SRAMArray:
         *,
         vdd: "float | None" = None,
     ) -> "dict | None":
-        """Stage this array's slice of a fleet-stacked capture burst.
+        """Stage a capture burst for the stacked kernel.
 
         Validates the operating point, performs the same capture-cache
         refresh (and deferred-relax flush) the burst's first per-capture
         loop iteration would, and — when the drift bound guarantees no
-        mid-burst refresh — returns the stacking record the fleet kernel
-        concatenates: the cached band arrays, the noise sigma, and both
+        mid-burst refresh — returns the record :meth:`burst_decisions`
+        evaluates: the cached band arrays, the noise sigma, and both
         inverters' per-capture ``pending_relax`` trajectories (accumulated
         float-by-float exactly as ``n_captures`` deferred shelf gaps
         would).  Returns ``None`` when the burst cannot be guaranteed
@@ -762,7 +758,7 @@ class SRAMArray:
         sigma = self._effective_noise_sigma()
         cache = self._capture_cache
         if not self._capture_cache_valid(cache, sigma):
-            cache = self._fleet_refresh_capture_cache(sigma)
+            cache = self._refresh_capture_cache(sigma)
         if not self._capture_cache_valid(
             cache, sigma, extra_relax=(n_captures - 1) * off
         ):
@@ -786,29 +782,31 @@ class SRAMArray:
             "ceiling": nbti.rec_ceiling,
         }
 
+    def burst_decisions(self, plan: dict) -> np.ndarray:
+        """The planned burst's ``(n_captures, band)`` noise-band decisions.
+
+        The noise is one ``(n_captures, band)`` block from this array's
+        own generator, which consumes the stream exactly like the
+        per-capture loop's successive draws.
+        """
+        shape = (len(plan["pend1"]), plan["cache"]["band"].size)
+        if not shape[1]:
+            return np.empty(shape, dtype=np.uint8)
+        return _stacked_decisions(plan, self._rng.standard_normal(shape))
+
     def commit_fleet_capture(
         self, n_captures: int, off_seconds: float, band_size: int
     ) -> None:
-        """Apply the state the equivalent per-capture loop would have left.
+        """Apply the state the equivalent board loop would have left.
 
-        Each capture's power-down advances both recovery clocks by
-        ``off_seconds`` — deferred scalar adds, applied one capture at a
-        time so the accumulated ``pending_relax`` floats match the loop's
-        trajectory bit-for-bit — and the capture stats advance by the
-        whole burst.
+        Each capture's power-down is one :meth:`shelve` — deferred scalar
+        adds, applied one capture at a time so the accumulated
+        ``pending_relax`` floats match the loop's trajectory bit-for-bit —
+        and the capture stats advance by the whole burst.
         """
-        st1, st0 = self.age_when_1, self.age_when_0
-        nbti = self._nbti
         for _ in range(n_captures):
-            nbti.relax_uniform(st1, off_seconds)
-            nbti.relax_uniform(st0, off_seconds)
-        if telemetry.active():
-            telemetry.count(
-                "physics.relax_seconds", n_captures * float(off_seconds)
-            )
-        stats = self.capture_stats
-        stats["captures"] += n_captures
-        stats["band_cells"] += n_captures * int(band_size)
+            self.shelve(off_seconds)
+        self._count_captures(n_captures, band_size)
 
     def _require_power(self) -> None:
         if not self.powered:

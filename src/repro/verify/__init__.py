@@ -1,8 +1,8 @@
 """repro.verify: seeded property-based + differential verification.
 
 The repository accumulates bit-identity contracts — batch capture equals
-the power-cycle loop, ``encode_fleet`` is worker-count invariant, the
-``CodingScheme`` path matches the legacy kwargs, every ECC round-trips,
+the power-cycle loop, ``encode_fleet`` is worker-count invariant, every
+ECC round-trips,
 CTR is an involution against a per-block AES reference, and so on.  This
 package makes those contracts *executable*: typed seeded generators
 (:mod:`~repro.verify.generators`), a deterministic shrinking runner

@@ -22,7 +22,6 @@ cheap and cycle-free.
 
 from __future__ import annotations
 
-import warnings
 from dataclasses import dataclass
 from typing import Callable
 
@@ -481,48 +480,6 @@ def service_crash_recovery(seed, n_messages):
     check_that(
         len(results_b) == n_messages,
         f"recovered soak returned {len(results_b)} of {n_messages} results",
-    )
-
-
-@oracle(
-    "scheme.legacy_kwargs",
-    gens=(g.seeds(), g.payload_bytes(1, 20, name="message")),
-    examples=4,
-)
-def scheme_legacy_kwargs(seed, message):
-    """InvisibleBits(scheme=) and the deprecated kwargs are bit-identical."""
-    from ..core.pipeline import InvisibleBits
-    from ..ecc.product import paper_end_to_end_code
-
-    scheme = _paper_scheme()
-    sent_a, got_a = _roundtrip(_board(seed), message, scheme)
-    board_b = _board(seed)
-    with warnings.catch_warnings():
-        warnings.simplefilter("ignore", DeprecationWarning)
-        legacy = InvisibleBits(
-            board_b,
-            key=_KEY16,
-            ecc=paper_end_to_end_code(3),
-            n_captures=scheme.n_captures,
-            use_firmware=False,
-        )
-    sent_b = legacy.send(message, camouflage=False)
-    got_b = legacy.receive(expected_payload=sent_b.payload_bits)
-    check_that(
-        np.array_equal(sent_a.payload_bits, sent_b.payload_bits),
-        "legacy kwargs produced a different encoded payload",
-    )
-    check_that(
-        np.array_equal(got_a.power_on_state, got_b.power_on_state),
-        "legacy kwargs produced a different power-on state",
-    )
-    # The channel itself is noisy (a residual post-ECC error is physics,
-    # not a contract breach) — the identity claim is that both paths see
-    # the *same* decode, right or wrong.
-    check_that(
-        got_a.message == got_b.message
-        and np.array_equal(got_a.recovered_payload, got_b.recovered_payload),
-        f"recovered messages diverged: {got_a.message!r} vs {got_b.message!r}",
     )
 
 
@@ -1128,32 +1085,35 @@ def _mutant_kernel_decision_flip(rng):
     import os
 
     from ..core import fleetcapture
+    from ..sram import array as sram_array
 
     # The planted defect lives in the stacked path; an ambient chaos plan
     # (REPRO_FAULT_PLAN) would wire injectors into every board, route all
     # slots to the per-capture loop, and hide it.
     ambient = os.environ.pop("REPRO_FAULT_PLAN", None)
-    pristine = fleetcapture._stacked_decisions
+    pristine = sram_array._stacked_decisions
+    flipped = []
 
-    def skewed(plans, noise):
-        decisions = pristine(plans, noise)
-        flat = decisions.reshape(-1)
-        check_that(flat.size > 0, "mutant needs a non-empty noise band")
-        flat[int(rng.integers(0, flat.size))] ^= 1
+    def skewed(plan, noise):
+        decisions = pristine(plan, noise)
+        if not flipped and decisions.size:
+            decisions.reshape(-1)[int(rng.integers(0, decisions.size))] ^= 1
+            flipped.append(True)
         return decisions
 
     try:
         seed = int(rng.integers(0, 2**31))
         rack_a, payloads = _fleet_rig(seed, 2, 0.25, 2.0)
         rack_b, _ = _fleet_rig(seed, 2, 0.25, 2.0)
-        fleetcapture._stacked_decisions = skewed
+        sram_array._stacked_decisions = skewed
         fleet = fleetcapture.capture_fleet(
             rack_a.boards, 3, payloads=payloads, return_frames=True
         )
     finally:
-        fleetcapture._stacked_decisions = pristine
+        sram_array._stacked_decisions = pristine
         if ambient is not None:
             os.environ["REPRO_FAULT_PLAN"] = ambient
+    check_that(bool(flipped), "mutant needs a non-empty noise band")
     for index, board in enumerate(rack_b.boards):
         stack = board.capture_power_on_states(3)
         check_that(

@@ -63,6 +63,7 @@ def test_single_device_fleet_matches_loop():
     assert fleet.vectorized == (True,)
     assert np.array_equal(fleet.frames[0], stack)
     assert np.array_equal(fleet.states[0], vote)
+    assert np.array_equal(fleet.ones[0], stack.sum(axis=0))
     assert fleet.errors[0] == error
 
 
@@ -94,6 +95,7 @@ def test_empty_noise_band_slot_is_deterministic():
     for index, board in enumerate(rack_b.boards):
         stack, vote, error = _loop_measure(board, payloads[index], 3)
         assert np.array_equal(fleet.frames[index], stack)
+        assert np.array_equal(fleet.ones[index], stack.sum(axis=0))
         assert fleet.errors[index] == error
 
 
@@ -107,8 +109,9 @@ def test_fault_injector_slot_falls_back_to_loop():
     fleet = capture_fleet(rack_a.boards, 3, payloads=payloads)
     assert fleet.vectorized == (True, False)
     for index, board in enumerate(rack_b.boards):
-        _, vote, error = _loop_measure(board, payloads[index], 3)
+        stack, vote, error = _loop_measure(board, payloads[index], 3)
         assert np.array_equal(fleet.states[index], vote)
+        assert np.array_equal(fleet.ones[index], stack.sum(axis=0))
         assert fleet.errors[index] == error
 
 

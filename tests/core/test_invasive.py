@@ -6,6 +6,7 @@ import pytest
 
 from repro.core.invasive import invasive_offset_analysis
 from repro.core.pipeline import InvisibleBits
+from repro.core.scheme import CodingScheme
 from repro.device import make_device
 from repro.errors import ConfigurationError
 from repro.harness import ControlBoard
@@ -28,7 +29,9 @@ def test_encrypted_encode_is_invisible_noninvasively_but_not_invasively():
 
     device = make_device("MSP432P401", rng=82, sram_kib=2)
     board = ControlBoard(device)
-    channel = InvisibleBits(board, key=KEY, use_firmware=False)
+    channel = InvisibleBits(
+        board, scheme=CodingScheme(key=KEY), use_firmware=False
+    )
     channel.send(b"hidden from inspectors, not from electron microscopes")
 
     # Non-invasive: the power-on state looks clean (paper SS6).

@@ -3,7 +3,7 @@
 import numpy as np
 import pytest
 
-from repro.core import FrameFormat, InvisibleBits
+from repro.core import CodingScheme, FrameFormat, InvisibleBits
 from repro.device import make_device
 from repro.ecc import RepetitionCode
 from repro.ecc.product import paper_end_to_end_code
@@ -16,7 +16,9 @@ KEY = b"pre-shared key!!"
 def make_channel(**kwargs):
     device = make_device("MSP432P401", rng=kwargs.pop("rng", 31), sram_kib=2)
     board = ControlBoard(device)
-    return InvisibleBits(board, use_firmware=False, **kwargs)
+    return InvisibleBits(
+        board, scheme=CodingScheme(**kwargs), use_firmware=False
+    )
 
 
 class TestEndToEnd:
@@ -45,7 +47,8 @@ class TestEndToEnd:
         channel = make_channel(key=KEY, ecc=RepetitionCode(7))
         channel.send(b"for bob only")
         eve = InvisibleBits(
-            channel.board, key=b"wrong key 123456", ecc=RepetitionCode(7),
+            channel.board,
+            scheme=CodingScheme(key=b"wrong key 123456", ecc=RepetitionCode(7)),
             use_firmware=False,
         )
         try:
@@ -66,7 +69,9 @@ class TestEndToEnd:
         device = make_device("MSP432P401", rng=77, sram_kib=1)
         board = ControlBoard(device)
         channel = InvisibleBits(
-            board, key=KEY, ecc=RepetitionCode(5), use_firmware=True
+            board,
+            scheme=CodingScheme(key=KEY, ecc=RepetitionCode(5)),
+            use_firmware=True,
         )
         channel.send(b"via firmware", stress_hours=10.0)
         assert channel.receive().message == b"via firmware"
@@ -74,9 +79,8 @@ class TestEndToEnd:
 
 class TestConfiguration:
     def test_even_captures_rejected(self):
-        device = make_device("MSP432P401", rng=3, sram_kib=1)
         with pytest.raises(ConfigurationError):
-            InvisibleBits(ControlBoard(device), n_captures=4)
+            CodingScheme(n_captures=4)
 
     def test_encode_result_metadata(self):
         channel = make_channel(key=KEY, ecc=RepetitionCode(3))

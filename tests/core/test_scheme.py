@@ -1,4 +1,5 @@
-"""CodingScheme: validation, the paper preset, and legacy-kwarg parity."""
+"""CodingScheme: validation, the paper preset, and the scheme-only channel
+constructor."""
 
 from __future__ import annotations
 
@@ -72,17 +73,11 @@ class TestCodingScheme:
 
 
 class TestLegacyKwargs:
+    """The loose ``key=``/``ecc=``/``frame=``/``n_captures=`` constructor
+    keywords are gone: ``scheme=`` is the only way to configure a channel."""
+
     def _board(self, seed: int) -> ControlBoard:
         return ControlBoard(make_device("MSP432P401", rng=seed, sram_kib=1))
-
-    def test_legacy_kwargs_warn(self):
-        with pytest.warns(DeprecationWarning, match="scheme="):
-            InvisibleBits(self._board(1), key=KEY, use_firmware=False)
-
-    def test_legacy_warning_names_removal_version(self):
-        """A deprecation without a deadline is a nag, not a migration."""
-        with pytest.warns(DeprecationWarning, match=r"removed in repro 2\.0"):
-            InvisibleBits(self._board(1), key=KEY, use_firmware=False)
 
     def test_scheme_alone_does_not_warn(self, recwarn):
         InvisibleBits(
@@ -91,8 +86,16 @@ class TestLegacyKwargs:
         assert not [w for w in recwarn if w.category is DeprecationWarning]
 
     def test_scheme_plus_legacy_rejected(self):
-        with pytest.raises(ConfigurationError, match="not both"):
-            InvisibleBits(self._board(1), scheme=CodingScheme(), key=KEY)
+        for legacy in (
+            {"key": KEY},
+            {"ecc": RepetitionCode(3)},
+            {"frame": FrameFormat()},
+            {"n_captures": 5},
+        ):
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                InvisibleBits(self._board(1), **legacy)
+            with pytest.raises(TypeError, match="unexpected keyword"):
+                InvisibleBits(self._board(1), scheme=CodingScheme(), **legacy)
 
     def test_properties_delegate_to_scheme(self):
         scheme = CodingScheme(
@@ -103,32 +106,3 @@ class TestLegacyKwargs:
         assert channel.ecc is scheme.ecc
         assert channel.frame is scheme.frame
         assert channel.n_captures == 7
-
-    def test_scheme_and_legacy_bit_identical(self):
-        """The ISSUE gate: same seed, both forms, identical bits."""
-        message = b"bit-for-bit parity"
-
-        new = InvisibleBits(
-            self._board(42),
-            scheme=CodingScheme(key=KEY, ecc=RepetitionCode(5)),
-            use_firmware=False,
-        )
-        sent_new = new.send(message)
-        got_new = new.receive()
-
-        with pytest.warns(DeprecationWarning):
-            old = InvisibleBits(
-                self._board(42),
-                key=KEY,
-                ecc=RepetitionCode(5),
-                use_firmware=False,
-            )
-        sent_old = old.send(message)
-        got_old = old.receive()
-
-        assert np.array_equal(sent_new.payload_bits, sent_old.payload_bits)
-        assert np.array_equal(got_new.power_on_state, got_old.power_on_state)
-        assert np.array_equal(got_new.captures, got_old.captures)
-        assert got_new.message == got_old.message == message
-        assert got_new.vote_margin_hist == got_old.vote_margin_hist
-        assert got_new.ecc_corrections == got_old.ecc_corrections

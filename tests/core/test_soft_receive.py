@@ -130,12 +130,16 @@ class TestDecodeCaptures:
 
 
 class TestDecodeState:
-    def test_soft_scheme_without_ones_falls_back_to_hard(self):
-        # A voted state alone carries no margins: the decode must not
-        # invent any, and must still recover the message.
+    def test_soft_scheme_without_ones_raises(self):
+        # A voted state alone carries no margins: a soft scheme must
+        # refuse rather than silently decode hard.
         channel = make_channel("soft")
         channel.send(MESSAGE)
         state = channel.receive().power_on_state
+        with pytest.raises(ConfigurationError, match="ones="):
+            channel.decode_state(state)
+        # The hard view of the same channel decodes the voted state.
+        channel.scheme = channel.scheme.with_decision("hard")
         result = channel.decode_state(state)
         assert result.message == MESSAGE
         assert result.decision == "hard"

@@ -3,7 +3,12 @@
 import numpy as np
 import pytest
 
-from repro.core import InvisibleBits, analyze_power_on_state, compare_device_populations
+from repro.core import (
+    CodingScheme,
+    InvisibleBits,
+    analyze_power_on_state,
+    compare_device_populations,
+)
 from repro.core.steganalysis import SteganalysisReport
 from repro.device import make_device
 from repro.errors import ConfigurationError
@@ -40,7 +45,9 @@ def device_states():
     states["plain"] = (capture_state(ch_p), dev_p.sram.grid_shape())
     # encrypted-encoded device
     dev_e = make_device("MSP432P401", rng=102, sram_kib=2)
-    ch_e = InvisibleBits(ControlBoard(dev_e), key=KEY, use_firmware=False)
+    ch_e = InvisibleBits(
+        ControlBoard(dev_e), scheme=CodingScheme(key=KEY), use_firmware=False
+    )
     ch_e.send(structured_message(1800))
     states["encrypted"] = (capture_state(ch_e), dev_e.sram.grid_shape())
     return states
@@ -101,7 +108,9 @@ class TestPopulationComparison:
             clean.append(ControlBoard(dev).majority_power_on_state(5))
         for i in range(4):
             dev = make_device("MSP432P401", rng=300 + i, sram_kib=1)
-            ch = InvisibleBits(ControlBoard(dev), key=KEY, use_firmware=False)
+            ch = InvisibleBits(
+                ControlBoard(dev), scheme=CodingScheme(key=KEY), use_firmware=False
+            )
             ch.send(structured_message(900))
             hidden.append(capture_state(ch))
         result = compare_device_populations(hidden, clean)

@@ -10,6 +10,7 @@ import pytest
 from repro.core.channel import ChannelModel
 from repro.core.message import max_message_bytes
 from repro.core.pipeline import InvisibleBits
+from repro.core.scheme import CodingScheme
 from repro.core.planner import plan_scheme
 from repro.device import make_device
 from repro.device.catalog import all_device_specs
@@ -39,7 +40,9 @@ def test_device_round_trip_at_recipe(name):
 
     frame = FrameFormat(header_copies=15 if error < 0.15 else 41)
     channel = InvisibleBits(
-        board, key=KEY, ecc=scheme, frame=frame, use_firmware=False
+        board,
+        scheme=CodingScheme(key=KEY, ecc=scheme, frame=frame),
+        use_firmware=False,
     )
 
     budget = max_message_bytes(device.sram.n_bits, ecc=scheme, frame=frame)

@@ -5,6 +5,7 @@ import pytest
 
 from repro.bitutils import bit_error_rate, invert_bits
 from repro.core.pipeline import InvisibleBits
+from repro.core.scheme import CodingScheme
 from repro.device import make_device
 from repro.ecc import RepetitionCode
 from repro.errors import DeviceError, OverstressError, PowerError
@@ -79,7 +80,9 @@ class TestColdBootStyleAdversary:
         device = make_device("MSP432P401", rng=94, sram_kib=2)
         board = ControlBoard(device)
         channel = InvisibleBits(
-            board, key=KEY, ecc=RepetitionCode(7), use_firmware=False
+            board,
+            scheme=CodingScheme(key=KEY, ecc=RepetitionCode(7)),
+            use_firmware=False,
         )
         channel.send(b"analog only")
 
@@ -132,7 +135,9 @@ class TestFirmwareFailures:
     def test_wrong_device_capacity_rejected_early(self):
         device = make_device("MSP432P401", rng=98, sram_kib=1)
         board = ControlBoard(device)
-        channel = InvisibleBits(board, ecc=RepetitionCode(9), use_firmware=False)
+        channel = InvisibleBits(
+            board, scheme=CodingScheme(ecc=RepetitionCode(9)), use_firmware=False
+        )
         from repro.errors import CapacityError
 
         with pytest.raises(CapacityError):

@@ -12,6 +12,7 @@ import pytest
 from repro.bitutils import bit_error_rate, bytes_to_bits, invert_bits
 from repro.core.message import max_message_bytes
 from repro.core.pipeline import InvisibleBits
+from repro.core.scheme import CodingScheme
 from repro.device import make_device
 from repro.ecc import RepetitionCode
 from repro.ecc.product import paper_end_to_end_code
@@ -35,7 +36,9 @@ def test_full_size_end_to_end_five_copies():
     device = make_device("MSP432P401", rng=4096)
     board = ControlBoard(device)
     channel = InvisibleBits(
-        board, key=KEY, ecc=RepetitionCode(5), use_firmware=False
+        board,
+        scheme=CodingScheme(key=KEY, ecc=RepetitionCode(5)),
+        use_firmware=False,
     )
     message = bytes(range(256)) * 40  # 10 KiB of payload
     sent = channel.send(message)
@@ -53,7 +56,9 @@ def test_full_size_exact_recovery_with_paper_stack():
     device = make_device("MSP432P401", rng=4097)
     board = ControlBoard(device)
     channel = InvisibleBits(
-        board, key=KEY, ecc=paper_end_to_end_code(7), use_firmware=False
+        board,
+        scheme=CodingScheme(key=KEY, ecc=paper_end_to_end_code(7)),
+        use_firmware=False,
     )
     message = bytes(range(256)) * 20  # 5 KiB
     channel.send(message)

@@ -9,7 +9,7 @@ import numpy as np
 import pytest
 
 from repro.bitutils import bit_error_rate, invert_bits
-from repro.core import InvisibleBits
+from repro.core import CodingScheme, InvisibleBits
 from repro.core.payloads import synthetic_image_bytes
 from repro.device import make_device
 from repro.ecc import RepetitionCode
@@ -91,7 +91,9 @@ class TestEndToEndFigure13:
         device = make_device("MSP432P401", rng=81, sram_kib=4)
         board = ControlBoard(device)
         channel = InvisibleBits(
-            board, key=KEY, ecc=paper_end_to_end_code(7), use_firmware=False
+            board,
+            scheme=CodingScheme(key=KEY, ecc=paper_end_to_end_code(7)),
+            use_firmware=False,
         )
         image = synthetic_image_bytes(300, rng=9)
         channel.send(image)
@@ -101,13 +103,14 @@ class TestEndToEndFigure13:
         """Abstract: encoding time is set by stress, not payload size."""
         device = make_device("MSP432P401", rng=91, sram_kib=2)
         board = ControlBoard(device)
-        channel = InvisibleBits(board, key=KEY, ecc=RepetitionCode(5),
-                                use_firmware=False)
+        scheme = CodingScheme(key=KEY, ecc=RepetitionCode(5))
+        channel = InvisibleBits(board, scheme=scheme, use_firmware=False)
         small = channel.send(b"x")
         assert small.stress_hours == 10.0
         channel2 = InvisibleBits(
             ControlBoard(make_device("MSP432P401", rng=92, sram_kib=2)),
-            key=KEY, ecc=RepetitionCode(5), use_firmware=False,
+            scheme=scheme,
+            use_firmware=False,
         )
         big = channel2.send(b"y" * 300)
         assert big.stress_hours == small.stress_hours

@@ -176,3 +176,44 @@ def test_client_rejects_bad_url():
 
     with pytest.raises(ConfigurationError):
         ServiceClient("http://")
+
+
+@pytest.mark.parametrize("decision", ["hard", "soft"])
+def test_configured_decision_mode_is_the_one_that_runs(decision):
+    """A soft scheme decodes the kernel's vote margins on the service;
+    the same service built hard still decodes hard."""
+    from repro import telemetry
+    from repro.core.scheme import paper_end_to_end_scheme
+    from repro.telemetry import RingBufferSink
+
+    sink = RingBufferSink(capacity=4096)
+    telemetry.add_sink(sink)
+    scheme = paper_end_to_end_scheme(copies=7).with_decision(decision)
+
+    async def scenario():
+        service = FleetService(ServiceConfig(shards=1, scheme=scheme))
+        await service.start()
+        await service.submit(SendRequest(device_id="dev-d", message=b"margins"))
+        received = await service.submit(ReceiveRequest(device_id="dev-d"))
+        await service.stop()
+        return received
+
+    received = run(scenario())
+    assert received.message == b"margins"
+    decodes = [
+        r for r in sink.records(type="span") if r["name"] == "channel.decode_state"
+    ]
+    assert decodes
+    assert {r["attrs"]["decision"] for r in decodes} == {decision}
+
+
+def test_importing_the_service_skips_the_experiments_package():
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys, repro.service; "
+        "sys.exit('repro.experiments' in sys.modules)"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()

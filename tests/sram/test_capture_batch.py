@@ -151,6 +151,49 @@ def test_invalidate_analog_caches_survives_external_mutation(msp432_profile):
     assert np.array_equal(a.capture_power_on_states(3), _loop_captures(b, 3))
 
 
+def _remanent(array):
+    """Leave remanence behind: an undrained power-off just before."""
+    array.apply_power()
+    array.fill(1)
+    array.remove_power(drain=False)
+
+
+@pytest.mark.parametrize(
+    "prepare, n, off_seconds, stress_h",
+    [
+        (None, 5, 1.0, 4.0),  # drained burst: the stacked kernel
+        (_remanent, 5, 0.05, 4.0),  # remanence reaches capture 0: the loop
+        (None, 4, days(2), 100.0),  # crosses a cache refresh: the loop
+        (None, 5, 0.0, 4.0),  # shelve(0) is a no-op on both paths
+    ],
+    ids=["drained", "remanence", "refresh-crossing", "zero-off"],
+)
+def test_burst_leaves_the_loops_end_state(
+    msp432_profile, prepare, n, off_seconds, stress_h
+):
+    """Not just the captures: every piece of state the next operation
+    reads must match the power_cycle loop's."""
+    a, b = _twins(msp432_profile, stress_h=stress_h)
+    if prepare is not None:
+        prepare(a)
+        prepare(b)
+    batch = a.capture_power_on_states(n, off_seconds=off_seconds)
+    loop = _loop_captures(b, n, off_seconds=off_seconds)
+    assert np.array_equal(batch, loop)
+    assert (a.powered, a.vdd) == (b.powered, b.vdd)
+    assert np.array_equal(a.read(), b.read())
+    assert a.capture_stats == b.capture_stats
+    for state_a, state_b in (
+        (a.age_when_1, b.age_when_1),
+        (a.age_when_0, b.age_when_0),
+    ):
+        assert state_a.pending_relax == state_b.pending_relax
+        assert np.array_equal(state_a.relax_seconds, state_b.relax_seconds)
+    assert a._rng.standard_normal() == b._rng.standard_normal()
+    if off_seconds > days(1):
+        assert a.capture_stats["cache_refreshes"] > 1  # really crossed one
+
+
 def test_capture_count_validation(msp432_profile):
     array = SRAMArray.from_kib(1, msp432_profile, rng=0)
     with pytest.raises(ConfigurationError):

@@ -1,11 +1,11 @@
-"""SRAMArray's fleet-capture surface: the fast cache rebuild and the
+"""SRAMArray's stacked-capture surface: the fast cache rebuild and the
 plan/commit pair.
 
-The fleet kernel's cache refresh (`_fleet_refresh_capture_cache`) shares
-the `k * t^n` power-law between the offsets and the locked-in magnitudes,
+The capture-cache refresh (`_refresh_capture_cache`) shares the
+`k * t^n` power-law between the offsets and the locked-in magnitudes,
 skips zero-stress cells, and collapses uniform relax clocks to a scalar
 `log1p` — all transformations that must leave every cached double
-bit-identical to the reference rebuild (`_refresh_capture_cache`).
+bit-identical to the textbook composition through `NBTIModel.dvth`.
 """
 
 import numpy as np
@@ -38,15 +38,40 @@ def _aged(seed, kib=0.25, stress_h=4.0, mixed_relax=False):
     return arr
 
 
+def _reference_cache(arr, sigma):
+    """The cached doubles, composed the textbook way through dvth."""
+    nbti, st1, st0 = arr._nbti, arr.age_when_1, arr.age_when_0
+    offs = arr.mismatch + nbti.dvth(st0) - nbti.dvth(st1)  # flushes relax
+    full1 = nbti.dvth_unrecovered(st1)
+    full0 = nbti.dvth_unrecovered(st0)
+    band = np.flatnonzero(np.abs(offs) < arr.NOISE_TAIL_SIGMA * sigma)
+    return {
+        "sigma_ref": sigma,
+        "decision_base": (offs > 0.0).astype(np.uint8),
+        "band": band,
+        "mismatch_b": arr.mismatch[band],
+        "full1_b": full1[band],
+        "full0_b": full0[band],
+        "r1_b": st1.relax_seconds[band],
+        "r0_b": st0.relax_seconds[band],
+        "r1_min": float(st1.relax_seconds.min()),
+        "r0_min": float(st0.relax_seconds.min()),
+        "full_max": float(full1.max()) + float(full0.max()),
+        "offsets": offs,
+    }
+
+
 @pytest.mark.parametrize("mixed_relax", [False, True])
 @pytest.mark.parametrize("seed", [0, 7])
 def test_fleet_refresh_is_bit_identical_to_reference(seed, mixed_relax):
     a = _aged(seed, mixed_relax=mixed_relax)
     b = _aged(seed, mixed_relax=mixed_relax)
     sigma = a._effective_noise_sigma()
-    ref = a._refresh_capture_cache(sigma)
-    fast = b._fleet_refresh_capture_cache(sigma)
-    assert set(ref) == set(fast)
+    ref = _reference_cache(a, sigma)
+    fast = b._refresh_capture_cache(sigma)
+    # The refresh also memoises the offsets vector offsets() serves.
+    assert np.array_equal(b.offsets(), ref.pop("offsets"))
+    assert set(ref) <= set(fast)
     for key in ref:
         left, right = ref[key], fast[key]
         if isinstance(left, np.ndarray):

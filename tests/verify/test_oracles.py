@@ -26,7 +26,6 @@ class TestRegistry:
         assert {
             "capture.batch_vs_loop",
             "fleet.worker_invariance",
-            "scheme.legacy_kwargs",
             "faults.disabled_identity",
             "ecc.roundtrip",
             "ecc.composition",
