@@ -1,7 +1,7 @@
 """Admission control: who gets in, who gets shed, who gets re-admitted.
 
 The controller owns the healthy-shard set the router draws from.  A
-shard whose SLO monitor pages is **tripped** — recorded as a quarantine
+shard whose batch violates an SLO is **tripped** — recorded as a quarantine
 in a :class:`~repro.faults.HealthLedger` keyed by shard name (the same
 ledger the racks use for slots, reused one level up) — and its queued
 jobs reroute to the surviving lanes.  Operators (or tests) re-admit a

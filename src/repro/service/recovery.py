@@ -217,12 +217,7 @@ def recover_components(config) -> "tuple[FleetHost, Journal, dict, RecoveryRepor
     journal = Journal(journal_path(journal_dir))
     cache: "dict[str, object]" = {}
     faulted = set(config.fault_shards)
-    lane = Shard(
-        REPLAY_SHARD,
-        host,
-        raw_ber_limit=config.raw_ber_limit,
-        retry_budget=config.retry_budget,
-    )
+    lane = Shard(REPLAY_SHARD, host)
 
     for record in sorted(admits, key=lambda r: r["seq"]):
         seq, key, kind = record["seq"], record["key"], record["kind"]
@@ -256,7 +251,7 @@ def recover_components(config) -> "tuple[FleetHost, Journal, dict, RecoveryRepor
         ) as replay_span:
             job.trace_id = replay_span.trace_id or trace
             job.parent_span_id = replay_span.span_id
-            outcomes, _pages = lane.execute_batch([job])
+            outcomes, _reason = lane.execute_batch([job])
         outcome = outcomes[0][1]
         if isinstance(outcome, BaseException):
             status, result_dict = "error", None

@@ -12,12 +12,11 @@ The control loop (docs/service.md):
 * **Admission** — a full queue sheds impatient submitters, a cooperative
   submitter waits (that wait *is* the backpressure).  No healthy lanes →
   shed.
-* **SLO trips** — each lane's private :class:`~repro.monitor.FleetMonitor`
-  samples after every batch; a *page* alert (raw-BER ceiling, retry
-  budget) trips the lane: it stops taking new work, queued jobs reroute,
-  and the tripping batch's receives are re-executed on healthy lanes
-  (receives are read-only on device state, so the retry is safe; sends
-  age silicon and keep their first outcome).
+* **SLO trips** — a lane batch whose own largest raw BER or extra
+  capture attempts exceed their SLO trips the lane: it stops taking new
+  work, queued jobs reroute, and the tripping batch's receives are
+  re-executed on healthy lanes (receives are read-only on device state,
+  so the retry is safe; sends age silicon and keep their first outcome).
 * **Graceful drain** — :meth:`FleetService.drain` stops admission and
   joins every queue until nothing is queued *or in flight anywhere*,
   looping because reroutes move jobs between queues mid-drain.
@@ -752,11 +751,10 @@ class FleetService:
             if not self.admission.is_healthy(name):
                 await self._reroute(batch, source=name)
                 return
-            outcomes, pages = await asyncio.to_thread(
+            outcomes, reason = await asyncio.to_thread(
                 shard.execute_batch, batch
             )
-            if pages:
-                reason = "; ".join(a.message for a in pages)
+            if reason is not None:
                 if self.admission.trip(name, reason):
                     telemetry.count("service.shard_tripped")
                     telemetry.emit_record(

@@ -3,10 +3,10 @@
 A :class:`Shard` is *not* a partition of the devices — devices live in
 the shared :class:`FleetHost`, keyed by ``device_id`` and seeded purely
 by ``stable_seed(service_seed, device_id)``.  A shard is a harness lane:
-one worker, one queue, one fault domain, one private metrics registry
-watched by its own :class:`~repro.monitor.FleetMonitor`.  Because device
-simulation never depends on which lane touched it (and the fleet capture
-kernel preserves per-device RNG streams for any batch composition),
+one worker, one queue, one fault domain, judged batch by batch on each
+batch's own raw BER and retry count.  Because device simulation never
+depends on which lane touched it (and the fleet capture kernel
+preserves per-device RNG streams for any batch composition),
 rerouting a device's jobs from a tripped lane to a healthy one yields
 bit-identical results — the property the backpressure tests pin down.
 
@@ -50,7 +50,6 @@ from ..errors import (
 from ..faults import FaultInjector, FaultPlan
 from ..harness.controlboard import ControlBoard
 from ..io import apply_device_state, device_state_arrays
-from ..monitor import FleetMonitor, ceiling_rule
 from .queue import Job
 
 __all__ = ["FleetHost", "Shard", "ShardRouter", "stable_seed"]
@@ -466,13 +465,13 @@ def _unique_groups(jobs: "list[Job]") -> "list[list[Job]]":
 
 
 class Shard:
-    """One compute lane: executes job batches, watches its own SLOs.
+    """One compute lane: executes job batches and judges each one.
 
     ``execute_batch`` is synchronous numpy-heavy work — the service runs
     it via ``asyncio.to_thread``, one worker per shard, so a shard never
-    executes two batches concurrently.  After every batch the shard
-    samples its private monitor; returned *page* alerts are the signal
-    the admission controller uses to trip the lane.
+    executes two batches concurrently.  A batch that violates an SLO
+    trips the lane in the admission controller; the registry keeps just
+    the last batch's max raw BER and the running retry total.
     """
 
     def __init__(
@@ -489,6 +488,8 @@ class Shard:
             raise ConfigurationError("shard needs a name")
         self.name = name
         self.host = host
+        self.raw_ber_limit = raw_ber_limit
+        self.retry_budget = retry_budget
         self.injector = (
             FaultInjector(fault_plan, salt=fault_salt) if fault_plan else None
         )
@@ -496,50 +497,36 @@ class Shard:
         self.registry.enable()
         self._raw_ber = self.registry.gauge(
             "repro_raw_ber",
-            "truth-referenced raw channel BER per device",
-            ("device",),
+            "largest truth-referenced raw channel BER in the last batch",
         )
         self._retries = self.registry.counter(
             "repro_retry_attempts_total",
             "extra capture attempts beyond the scheme's count",
         )
-        self.monitor = FleetMonitor(
-            (
-                ceiling_rule(
-                    "raw-ber-slo",
-                    "repro_raw_ber",
-                    raw_ber_limit,
-                    reduce="max",
-                    severity="page",
-                ),
-                ceiling_rule(
-                    "retry-slo",
-                    "repro_retry_attempts_total",
-                    retry_budget,
-                    reduce="sum",
-                    delta=True,
-                    severity="page",
-                ),
-            ),
-            registry=self.registry,
-        )
+        #: SLO rules the last batch violated.
+        self.active_alerts: "list[str]" = []
         self.jobs_done = 0
         self.batches = 0
 
     # -- execution (worker thread) -----------------------------------------------
 
     def execute_batch(self, jobs: "list[Job]"):
-        """Run a batch; returns ``([(job, result-or-exception)], pages)``.
+        """Run a batch; returns ``([(job, result-or-exception)], reason)``.
 
         Sends run per-device (they create/age devices); receives are
         grouped into unique-device runs and measured through the fleet
         capture kernel in one stacked pass each.  Per-job
         :class:`~repro.errors.ReproError` failures become that job's
         outcome instead of sinking the batch.
+
+        ``reason`` is ``None`` or names each SLO this batch alone violated
+        (``raw-ber-slo``: max raw BER; ``retry-slo``: extra attempts).
         """
         outcomes: "dict[int, object]" = {}
         swapped: "list[tuple[ControlBoard, FaultInjector | None]]" = []
         lanes: set = set()
+        counters = self.injector.counters if self.injector else {}
+        flaky_before = counters.get("flaky_port", 0)
 
         def lane(channel: InvisibleBits) -> InvisibleBits:
             board = channel.board
@@ -557,16 +544,33 @@ class Shard:
                     if job.kind == "send":
                         self._execute_send(job, outcomes, lane)
                 receives = [j for j in jobs if j.kind == "receive"]
-                for group in _unique_groups(receives):
+                tallies = [
                     self._execute_receive_group(group, outcomes, lane)
+                    for group in _unique_groups(receives)
+                ]
             finally:
                 for board, previous in swapped:
                     board.fault_injector = previous
+        # Retried debug-port reads happen inside the per-read retry
+        # policy and never reach FleetCapture.attempts.
+        flaky = counters.get("flaky_port", 0) - flaky_before
+        extra = sum(e for e, _ in tallies) + flaky
+        worst_ber = max((ber for _, ber in tallies), default=0.0)
         self.jobs_done += len(jobs)
         self.batches += 1
-        alerts = self.monitor.sample()
-        pages = [a for a in alerts if a.severity == "page"]
-        return [(job, outcomes[id(job)]) for job in jobs], pages
+        self._raw_ber.set(worst_ber)
+        self._retries.inc(extra)
+        slos = {
+            "raw-ber-slo": ("max raw BER", worst_ber, self.raw_ber_limit),
+            "retry-slo": ("extra attempts", extra, self.retry_budget),
+        }
+        violated = {rule: slo for rule, slo in slos.items() if slo[1] > slo[2]}
+        self.active_alerts = list(violated)
+        reason = "; ".join(
+            f"{rule}: {what} {value:g} > {limit:g}"
+            for rule, (what, value, limit) in violated.items()
+        )
+        return [(job, outcomes[id(job)]) for job in jobs], reason or None
 
     def _execute_send(self, job: Job, outcomes: dict, lane) -> None:
         request = job.request
@@ -600,7 +604,9 @@ class Shard:
 
     def _execute_receive_group(
         self, group: "list[Job]", outcomes: dict, lane
-    ) -> None:
+    ) -> "tuple[int, float]":
+        """Returns the group's extra capture attempts and max raw BER."""
+        extra, worst_ber = 0, 0.0
         staged = []
         for job in group:
             request = job.request
@@ -618,7 +624,7 @@ class Shard:
             except ReproError as exc:
                 outcomes[id(job)] = exc
         if not staged:
-            return
+            return extra, worst_ber
         # A singleton group's capture belongs to that request's trace; a
         # stacked group is shared work that cannot belong to any single
         # request, so its span roots a trace of its own.
@@ -640,9 +646,7 @@ class Shard:
         capture_s = time.perf_counter() - t_capture
         for pos, (job, channel, payload) in enumerate(staged):
             request = job.request
-            extra = fleet.attempts[pos] - 1
-            if extra > 0:
-                self._retries.inc(extra)
+            extra += fleet.attempts[pos] - 1
             if job.phases is not None:
                 # Wall time the request spent waiting on the (possibly
                 # shared) capture pass — what the submitter experienced.
@@ -657,7 +661,7 @@ class Shard:
                     else ServiceError(f"{type(exc).__name__}: {exc}")
                 )
                 continue
-            self._raw_ber.set(fleet.errors[pos], device=request.device_id)
+            worst_ber = max(worst_ber, float(fleet.errors[pos]))
             t_decode = time.perf_counter()
             try:
                 with _job_trace(job), telemetry.trace(
@@ -683,12 +687,11 @@ class Shard:
                             message_len=request.message_len,
                             expected_payload=payload,
                         )
-                        escalated = (
+                        extra += max(
                             decode.total_captures
-                            - self.host.scheme.n_captures
+                            - self.host.scheme.n_captures,
+                            0,
                         )
-                        if escalated > 0:
-                            self._retries.inc(escalated)
             except ReproError as exc2:
                 outcomes[id(job)] = exc2
                 continue
@@ -701,6 +704,7 @@ class Shard:
             outcomes[id(job)] = receive_result(
                 request.device_id, decode, shard=self.name
             )
+        return extra, worst_ber
 
     # -- introspection ------------------------------------------------------------
 
@@ -710,7 +714,7 @@ class Shard:
             "jobs_done": self.jobs_done,
             "batches": self.batches,
             "faulted": self.injector is not None,
-            "active_alerts": [
-                rule.name for rule in self.monitor.active_alerts()
-            ],
+            "active_alerts": list(self.active_alerts),
+            "raw_ber": self._raw_ber.series()[()].value,
+            "retry_attempts": int(self._retries.series()[()].value),
         }

@@ -51,7 +51,7 @@ def _execute(host: FleetHost, requests) -> list:
             request=request,
             future=None,
         )
-        outcomes, _pages = shard.execute_batch([job])
+        outcomes, _reason = shard.execute_batch([job])
         outcome = outcomes[0][1]
         if isinstance(outcome, BaseException):
             raise outcome
