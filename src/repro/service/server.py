@@ -4,8 +4,14 @@
 asyncio process that accepts typed :class:`~repro.api.SendRequest` /
 :class:`~repro.api.ReceiveRequest` jobs, routes each ``device_id`` to a
 sticky home lane (rendezvous hashing over the currently-healthy shards),
-queues it behind a bounded per-lane queue, and executes lane batches in
-worker threads through the fleet capture kernel.
+queues it behind a bounded per-lane queue, and executes lane batches
+through the fleet capture kernel on the service's one lane thread.
+
+Lanes share that single thread: each keeps its own queue, fault
+injector and per-batch SLO verdict, but batches from different lanes
+take turns instead of running in one OS thread per lane.  The device
+work is GIL-bound numpy, so per-lane threads only traded the GIL back
+and forth (docs/service.md gives the measurement).
 
 The control loop (docs/service.md):
 
@@ -30,10 +36,13 @@ registry), ``GET /healthz``, ``GET /stats``, ``POST /send``,
 from __future__ import annotations
 
 import asyncio
+import contextvars
+import functools
 import json
 import pathlib
 import signal
 import time
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .. import metrics, telemetry
@@ -260,6 +269,9 @@ class FleetService:
         self.queues: "dict[str, BoundedJobQueue]" = {}
         self._homes: "dict[str, str]" = {}
         self._workers: "list[asyncio.Task]" = []
+        #: The lane thread: every call that touches devices runs here,
+        #: one at a time, whichever lane issued it.
+        self._lane_thread: "ThreadPoolExecutor | None" = None
         self._prober_task: "asyncio.Task | None" = None
         self._bg_tasks: "set[asyncio.Task]" = set()
         self._http_server: "asyncio.AbstractServer | None" = None
@@ -285,6 +297,9 @@ class FleetService:
         metrics.registry.enable()
         self._pause = asyncio.Event()
         self._pause.set()
+        self._lane_thread = ThreadPoolExecutor(
+            max_workers=1, thread_name_prefix="repro-lane"
+        )
         self.queues = {
             name: BoundedJobQueue(self.config.queue_depth)
             for name in self.config.shard_names
@@ -336,6 +351,7 @@ class FleetService:
             worker.cancel()
         await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers = []
+        await self._close_lane_thread()
         if self._http_server is not None:
             self._http_server.close()
             await self._http_server.wait_closed()
@@ -354,10 +370,12 @@ class FleetService:
         resolve — abandon the old submitters too); an in-flight batch's
         futures fail with :class:`~repro.errors.ServiceStoppedError` as
         its worker is cancelled, with no journal completion written.
-        The journal's file handle closes without a final fsync, no
-        checkpoint is written.  What a ``kill -9`` leaves behind, minus
-        the process exit; the recovery tests boot a fresh service on the
-        same ``journal_dir`` afterwards.
+        The lane thread finishes the call it is running (device work
+        cannot stop mid-call) and exits.  The journal's file handle
+        closes without a final fsync, no checkpoint is written.  What a
+        ``kill -9`` leaves behind, minus the process exit; the recovery
+        tests boot a fresh service on the same ``journal_dir``
+        afterwards.
         """
         if not self.started:
             return
@@ -367,6 +385,7 @@ class FleetService:
             worker.cancel()
         await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers = []
+        await self._close_lane_thread()
         if self._http_server is not None:
             self._http_server.close()
             await self._http_server.wait_closed()
@@ -388,6 +407,37 @@ class FleetService:
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
         self._bg_tasks.clear()
+
+    def _on_lane_thread(self, fn, *args, **kwargs) -> "asyncio.Future":
+        """Run ``fn(*args, **kwargs)`` on the lane thread; await the result.
+
+        The call runs under a copy of the caller's context, as
+        ``asyncio.to_thread`` would, so trace context reaches lane spans.
+        """
+        if self._lane_thread is None:
+            raise ServiceStoppedError("the lane thread is not running")
+        ctx = contextvars.copy_context()
+        return asyncio.get_running_loop().run_in_executor(
+            self._lane_thread,
+            functools.partial(ctx.run, fn, *args, **kwargs),
+        )
+
+    async def _close_lane_thread(self) -> None:
+        """Let the lane thread finish its running call, then retire it.
+
+        Calls whose awaiting tasks were cancelled never start; the no-op
+        queues behind the one call that may still be running (a
+        cancelled batch keeps going in the thread), so the final join
+        returns at once instead of blocking the event loop.  The thread
+        is told to exit first, so a cancelled ``stop()`` cannot leak it.
+        """
+        lane, self._lane_thread = self._lane_thread, None
+        if lane is None:
+            return
+        idle = lane.submit(int)
+        lane.shutdown(wait=False)
+        await asyncio.wrap_future(idle)
+        lane.shutdown(wait=True)
 
     def _shed_queued(self) -> None:
         """Surface every still-queued job as an explicit shed.
@@ -449,7 +499,7 @@ class FleetService:
                 / checkpoint_id
             )
             completed = sorted(self._completed_seqs)
-            await asyncio.to_thread(
+            await self._on_lane_thread(
                 self.host.snapshot,
                 directory,
                 extra={
@@ -535,7 +585,7 @@ class FleetService:
                 if loop.time() < next_due.get(name, 0.0):
                     continue
                 self.probes += 1
-                probe_ber = await asyncio.to_thread(
+                probe_ber = await self._on_lane_thread(
                     self._probe_lane, name, self.probes
                 )
                 clean = probe_ber <= self.config.raw_ber_limit
@@ -751,9 +801,15 @@ class FleetService:
             if not self.admission.is_healthy(name):
                 await self._reroute(batch, source=name)
                 return
-            outcomes, reason = await asyncio.to_thread(
-                shard.execute_batch, batch
+            handed_off = time.perf_counter()
+            started, (outcomes, reason) = await self._on_lane_thread(
+                _execute_timed, shard, batch
             )
+            # Lanes take turns on the lane thread: the time this batch
+            # waited for another lane's call to finish.
+            for job in batch:
+                if job.phases is not None:
+                    job.phases["dispatch"] = started - handed_off
             if reason is not None:
                 if self.admission.trip(name, reason):
                     telemetry.count("service.shard_tripped")
@@ -1113,6 +1169,11 @@ class FleetService:
             self._shutdown_event.set()
 
     _shutdown_event: "asyncio.Event | None" = None
+
+
+def _execute_timed(shard: Shard, batch: "list[Job]"):
+    """Run a batch on the lane thread; also return when it started."""
+    return time.perf_counter(), shard.execute_batch(batch)
 
 
 async def _respond(writer, status: int, payload: dict) -> None:

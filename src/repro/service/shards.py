@@ -3,12 +3,14 @@
 A :class:`Shard` is *not* a partition of the devices — devices live in
 the shared :class:`FleetHost`, keyed by ``device_id`` and seeded purely
 by ``stable_seed(service_seed, device_id)``.  A shard is a harness lane:
-one worker, one queue, one fault domain, judged batch by batch on each
-batch's own raw BER and retry count.  Because device simulation never
-depends on which lane touched it (and the fleet capture kernel
-preserves per-device RNG streams for any batch composition),
-rerouting a device's jobs from a tripped lane to a healthy one yields
-bit-identical results — the property the backpressure tests pin down.
+one queue, one fault domain, judged batch by batch on each batch's own
+raw BER and retry count.  Lanes are not threads: every lane's batches
+run on the service's single lane thread, one at a time.  Because device
+simulation never depends on which lane (or thread) touched it (and the
+fleet capture kernel preserves per-device RNG streams for any batch
+composition), rerouting a device's jobs from a tripped lane to a healthy
+one yields bit-identical results — the property the backpressure tests
+pin down.
 
 Routing is rendezvous hashing (:class:`ShardRouter`): every device gets
 a stable home among the currently-healthy lanes, reshuffling only the
@@ -126,7 +128,8 @@ class FleetHost:
     :class:`~repro.core.pipeline.InvisibleBits` channel per ``device_id``
     on first use, and remembers the last staged payload bits per device
     so receives can feed truth-referenced raw BER into the shard SLOs.
-    Thread-safe: shard workers run in threads.
+    Thread-safe: the service's lane thread mutates it while the event
+    loop reads its stats.
     """
 
     def __init__(
@@ -468,10 +471,11 @@ class Shard:
     """One compute lane: executes job batches and judges each one.
 
     ``execute_batch`` is synchronous numpy-heavy work — the service runs
-    it via ``asyncio.to_thread``, one worker per shard, so a shard never
-    executes two batches concurrently.  A batch that violates an SLO
-    trips the lane in the admission controller; the registry keeps just
-    the last batch's max raw BER and the running retry total.
+    every lane's batches on its one lane thread, so no two batches (of
+    this lane or any other) ever execute concurrently.  A batch that
+    violates an SLO trips the lane in the admission controller; the
+    registry keeps just the last batch's max raw BER and the running
+    retry total.
     """
 
     def __init__(
@@ -508,16 +512,16 @@ class Shard:
         self.jobs_done = 0
         self.batches = 0
 
-    # -- execution (worker thread) -----------------------------------------------
+    # -- execution (lane thread) -------------------------------------------------
 
     def execute_batch(self, jobs: "list[Job]"):
         """Run a batch; returns ``([(job, result-or-exception)], reason)``.
 
-        Sends run per-device (they create/age devices); receives are
-        grouped into unique-device runs and measured through the fleet
-        capture kernel in one stacked pass each.  Per-job
-        :class:`~repro.errors.ReproError` failures become that job's
-        outcome instead of sinking the batch.
+        Runs on the service's lane thread.  Sends run per-device (they
+        create/age devices); receives are grouped into unique-device
+        runs and measured through the fleet capture kernel in one
+        stacked pass each.  Per-job :class:`~repro.errors.ReproError`
+        failures become that job's outcome instead of sinking the batch.
 
         ``reason`` is ``None`` or names each SLO this batch alone violated
         (``raw-ber-slo``: max raw BER; ``retry-slo``: extra attempts).

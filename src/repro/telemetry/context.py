@@ -6,8 +6,9 @@ end to end.  The context is a :class:`contextvars.ContextVar`, so it
 
 - is private per asyncio task (concurrent workers sharing one event-loop
   thread no longer see each other's spans);
-- flows into ``asyncio.to_thread`` lane workers automatically
-  (``to_thread`` runs the callable under ``contextvars.copy_context()``);
+- flows into the fleet service's lane thread automatically (every call
+  handed to it runs under ``contextvars.copy_context()``, as
+  ``asyncio.to_thread`` does);
 - does **not** leak into plain ``threading.Thread`` workers — fleet
   encode threads keep tracing independently, exactly as the old
   thread-local stack behaved.
@@ -25,8 +26,9 @@ process lifetime earlier.
 
 from __future__ import annotations
 
+import os
+import random
 import re
-import uuid
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
@@ -50,9 +52,24 @@ _TRACEPARENT_RE = re.compile(r"^00-([0-9a-f]{32})-([0-9a-f]{16})-[0-9a-f]{2}$")
 _TRACE_ID_RE = re.compile(r"^[0-9a-f]{32}$")
 
 
+#: Process-private source of trace ids, seeded from ``os.urandom`` once
+#: (and again in every fork child, so parent and child never share a
+#: stream).  ``uuid.uuid4()`` cost a ``getrandom`` syscall per id — on
+#: the event-loop thread, for every request, traced or not.
+_ID_SOURCE = random.Random(os.urandom(32))
+
+if hasattr(os, "register_at_fork"):  # absent where fork is (Windows)
+    os.register_at_fork(
+        after_in_child=lambda: _ID_SOURCE.seed(os.urandom(32))
+    )
+
+
 def new_trace_id() -> str:
-    """Mint a fresh 32-hex-char trace id."""
-    return uuid.uuid4().hex
+    """Mint a fresh 32-hex-char trace id (never all zeros)."""
+    bits = 0
+    while not bits:
+        bits = _ID_SOURCE.getrandbits(128)
+    return f"{bits:032x}"
 
 
 @dataclass(frozen=True)

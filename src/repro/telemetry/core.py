@@ -18,8 +18,8 @@ correct in *both* concurrency regimes the code runs under:
 - concurrent **asyncio tasks** sharing one event-loop thread each see
   their own stack — the fleet-service workers used to interleave spans
   under each other's parents; with contextvars every task (and every
-  ``asyncio.to_thread`` lane hop, which copies the context) keeps its
-  own lineage.
+  call handed to the service's lane thread, which runs under a copy of
+  the caller's context) keeps its own lineage.
 
 Every span carries a ``trace_id`` — the ambient
 :class:`repro.telemetry.context.TraceContext` if one is entered, else a

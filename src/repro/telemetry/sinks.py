@@ -18,9 +18,20 @@ from __future__ import annotations
 import json
 import pathlib
 import sys
+import time
 from collections import deque
 
 __all__ = ["Sink", "RingBufferSink", "JsonlSink", "ConsoleSink"]
+
+#: :class:`JsonlSink` writes its buffered lines out once this many are
+#: pending, or once this many seconds have passed since its last write
+#: (checked on emit), and always on rotation and :meth:`~Sink.close`.
+_FLUSH_RECORDS = 256
+_FLUSH_INTERVAL_S = 1.0
+
+#: One reusable compact encoder: ``json.dumps`` with ``separators``
+#: builds a fresh encoder for every record.
+_ENCODE = json.JSONEncoder(separators=(",", ":")).encode
 
 
 class Sink:
@@ -61,10 +72,14 @@ class RingBufferSink(Sink):
 class JsonlSink(Sink):
     """Write records to ``path`` as JSON Lines.
 
-    The file is opened lazily on the first record and flushed on every
-    write — a crashed run still leaves a readable trace, and record
-    volume is span/burst-granular by design (see docs/telemetry.md), so
-    flush cost is irrelevant.
+    The file is opened lazily on the first record.  Lines are buffered
+    and written out in batches of whole lines — every
+    ``_FLUSH_RECORDS`` records or ``_FLUSH_INTERVAL_S`` seconds, on
+    rotation, and on :meth:`close`.  A flush per record was one
+    ``write`` syscall per record, a measured share of the tracing tax
+    on a service soak (~27 records per message).  A killed process
+    loses at most the batch still buffered; what reached the file ends
+    on a line boundary, so a crashed run still leaves a readable trace.
 
     ``mode`` controls what happens to an existing trace at ``path``:
     ``"w"`` (default) starts fresh, ``"a"`` appends — the right choice
@@ -89,14 +104,26 @@ class JsonlSink(Sink):
         self.mode = mode
         self.max_bytes = None if max_bytes is None else int(max_bytes)
         self._handle = None
+        #: Current file's size, counting the lines still buffered.
         self._bytes = 0
+        self._pending: "list[str]" = []
+        self._last_flush = 0.0
 
     def _open(self, mode: str) -> None:
         self._handle = self.path.open(mode, encoding="utf-8")
         # Appending to an existing trace resumes its byte budget.
         self._bytes = self.path.stat().st_size if mode == "a" else 0
+        self._last_flush = time.monotonic()
+
+    def _flush(self) -> None:
+        # One write of whole lines: the file never ends mid-record.
+        self._handle.write("".join(self._pending))
+        self._handle.flush()
+        self._pending.clear()
+        self._last_flush = time.monotonic()
 
     def _rotate(self) -> None:
+        self._flush()
         self._handle.close()
         self._handle = None
         self.path.replace(self.path.with_name(self.path.name + ".1"))
@@ -105,19 +132,24 @@ class JsonlSink(Sink):
     def emit(self, record: dict) -> None:
         if self._handle is None:
             self._open(self.mode)
-        line = json.dumps(record, separators=(",", ":")) + "\n"
+        line = _ENCODE(record) + "\n"
         if (
             self.max_bytes is not None
             and self._bytes > 0
             and self._bytes + len(line) > self.max_bytes
         ):
             self._rotate()
-        self._handle.write(line)
-        self._handle.flush()
+        self._pending.append(line)
         self._bytes += len(line)
+        if (
+            len(self._pending) >= _FLUSH_RECORDS
+            or time.monotonic() - self._last_flush >= _FLUSH_INTERVAL_S
+        ):
+            self._flush()
 
     def close(self) -> None:
         if self._handle is not None:
+            self._flush()
             self._handle.close()
             self._handle = None
 

@@ -24,9 +24,28 @@ async def _wait_until(predicate, *, timeout_s: float = 10.0) -> bool:
     return predicate()
 
 
-def test_prober_readmits_a_recovered_lane():
+def test_prober_readmits_a_recovered_lane(monkeypatch):
     """ISSUE acceptance: a tripped lane is auto-readmitted by the prober
-    once its raw-BER SLO clears ``readmit_after`` consecutive probes."""
+    once its raw-BER SLO clears ``readmit_after`` consecutive probes.
+    Probes run on the lane thread, like every other call that touches
+    devices."""
+    from repro.api import SendRequest
+    from repro.service.shards import Shard
+
+    threads = {"probe": set(), "batch": set()}
+    probe_lane = FleetService._probe_lane
+    execute_batch = Shard.execute_batch
+
+    def recording_probe_lane(self, *args):
+        threads["probe"].add(threading.current_thread())
+        return probe_lane(self, *args)
+
+    def recording_execute_batch(self, jobs):
+        threads["batch"].add(threading.current_thread())
+        return execute_batch(self, jobs)
+
+    monkeypatch.setattr(FleetService, "_probe_lane", recording_probe_lane)
+    monkeypatch.setattr(Shard, "execute_batch", recording_execute_batch)
 
     async def scenario():
         service = FleetService(
@@ -47,12 +66,16 @@ def test_prober_readmits_a_recovered_lane():
                 lambda: service.admission.is_healthy("shard-1")
             )
             stats = service.stats()
+            await service.submit(SendRequest(device_id="d0", message=b"x"))
         finally:
             await service.stop()
         return recovered, stats
 
     recovered, stats = asyncio.run(scenario())
     assert recovered, "prober never readmitted the healthy lane"
+    assert len(threads["batch"]) == 1
+    assert threads["probe"] == threads["batch"]
+    assert threading.main_thread() not in threads["batch"]
     assert stats["admission"]["tripped"] == {}
     assert stats["admission"]["readmissions"] == 1
     assert stats["durability"]["probes"] >= 2  # the clean streak

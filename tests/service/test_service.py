@@ -171,6 +171,103 @@ def test_stats_shape():
         assert shard_stats["active_alerts"] == []
 
 
+@pytest.mark.parametrize("ending", ["stop", "abort"])
+def test_every_lane_runs_on_the_one_lane_thread(monkeypatch, ending):
+    """Two lanes, 64 requests in flight: every batch runs on one thread,
+    no two batches overlap, lane work sees its own job's trace, and the
+    lane thread exits when the service stops or aborts."""
+    import threading
+    import time
+
+    from repro.core.pipeline import InvisibleBits
+    from repro.service.shards import Shard
+    from repro.telemetry import context as trace_ctx
+
+    batches = []  # (thread, start, end)
+    lane_calls = []  # (channel, trace id current inside the lane call)
+    execute_batch = Shard.execute_batch
+    send = InvisibleBits.send
+    decode_state = InvisibleBits.decode_state
+
+    def recording_execute_batch(self, jobs):
+        start = time.perf_counter()
+        try:
+            return execute_batch(self, jobs)
+        finally:
+            batches.append(
+                (threading.current_thread(), start, time.perf_counter())
+            )
+
+    def recording_send(self, *args, **kwargs):
+        lane_calls.append((self, trace_ctx.current_trace_id()))
+        return send(self, *args, **kwargs)
+
+    def recording_decode_state(self, *args, **kwargs):
+        lane_calls.append((self, trace_ctx.current_trace_id()))
+        return decode_state(self, *args, **kwargs)
+
+    monkeypatch.setattr(Shard, "execute_batch", recording_execute_batch)
+    monkeypatch.setattr(InvisibleBits, "send", recording_send)
+    monkeypatch.setattr(InvisibleBits, "decode_state", recording_decode_state)
+    n = 64
+    traces = {f"dev-{i:02d}": f"{i + 1:032x}" for i in range(n)}
+
+    async def round_trip(device_id):
+        trace_id = traces[device_id]
+        message = device_id.encode()
+        await service.submit(
+            SendRequest(
+                device_id=device_id, message=message, trace_id=trace_id
+            )
+        )
+        got = await service.submit(
+            ReceiveRequest(device_id=device_id, trace_id=trace_id)
+        )
+        assert got.message == message
+
+    async def scenario():
+        await service.start()
+        tasks = [asyncio.create_task(round_trip(d)) for d in traces]
+        if ending == "stop":
+            await asyncio.wait_for(asyncio.gather(*tasks), timeout=120)
+            stats = service.stats()
+            channels = dict(service.host._channels)
+            await service.stop()
+            return stats, channels
+        # Abort mid-soak, with batches still queued and in flight.
+        for _ in range(6000):
+            if len(batches) >= 4:
+                break
+            await asyncio.sleep(0.01)
+        assert len(batches) >= 4, "the soak never got going"
+        await service.abort()
+        for task in tasks:
+            task.cancel()
+        await asyncio.gather(*tasks, return_exceptions=True)
+        return None, dict(service.host._channels)
+
+    service = FleetService(ServiceConfig(shards=2, queue_depth=n))
+    stats, channels = run(scenario())
+
+    threads = {thread for thread, _, _ in batches}
+    assert len(threads) == 1, "lanes ran on more than one thread"
+    spans = sorted((start, end) for _, start, end in batches)
+    for (_, end), (start, _) in zip(spans, spans[1:]):
+        assert end <= start, "two batches overlapped"
+    device_of = {id(channel): device for device, channel in channels.items()}
+    assert lane_calls
+    for channel, trace_id in lane_calls:
+        assert trace_id == traces[device_of[id(channel)]]
+    if stats is not None:
+        assert stats["completed"] == 2 * n
+        busy = {name for name, q in stats["queues"].items() if q["enqueued"]}
+        assert busy == {"shard-0", "shard-1"}
+        assert "dispatch" in stats["latency"]["phases"]
+    (lane_thread,) = threads
+    lane_thread.join(timeout=10)
+    assert not lane_thread.is_alive()
+
+
 def test_client_rejects_bad_url():
     from repro.errors import ConfigurationError
 

@@ -7,7 +7,7 @@ import json
 
 import pytest
 
-from repro.telemetry import ConsoleSink, JsonlSink, RingBufferSink
+from repro.telemetry import ConsoleSink, JsonlSink, RingBufferSink, sinks
 
 
 class TestRingBufferSink:
@@ -90,6 +90,64 @@ class TestJsonlSink:
         sink.emit({"type": "counter", "name": "b", "value": 2})
         sink.close()
         assert len(path.read_text().splitlines()) == 2
+
+
+class TestJsonlBuffering:
+    def _record(self, i):
+        return {"type": "counter", "name": f"c{i:04d}", "value": i}
+
+    def _names(self, *paths):
+        return [
+            json.loads(line)["name"]
+            for path in paths
+            if path.exists()
+            for line in path.read_text().splitlines()
+        ]
+
+    def test_unclosed_file_holds_only_whole_lines(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        sink = JsonlSink(path)
+        k = 2 * sinks._FLUSH_RECORDS + 17
+        for i in range(k):
+            sink.emit(self._record(i))
+        # What a killed process leaves: whole lines, a prefix in order,
+        # missing at most the batch still buffered.
+        text = path.read_text()
+        assert text.endswith("\n")
+        names = self._names(path)
+        assert names == [f"c{i:04d}" for i in range(len(names))]
+        assert k - sinks._FLUSH_RECORDS < len(names) < k
+        sink.close()
+        assert self._names(path) == [f"c{i:04d}" for i in range(k)]
+
+    def test_interval_flush_writes_buffered_lines(self, tmp_path, monkeypatch):
+        path = tmp_path / "trace.jsonl"
+        sink = JsonlSink(path)
+        sink.emit(self._record(0))
+        assert path.read_text() == ""
+        monkeypatch.setattr(sinks, "_FLUSH_INTERVAL_S", 0.0)
+        sink.emit(self._record(1))
+        assert self._names(path) == ["c0000", "c0001"]
+        sink.close()
+
+    def test_rotation_never_splits_a_buffered_record(self, tmp_path):
+        path = tmp_path / "trace.jsonl"
+        rotated = tmp_path / "trace.jsonl.1"
+        # ~45 bytes per record: the cap rotates every ~100 records, well
+        # inside one buffered batch.
+        sink = JsonlSink(path, max_bytes=4500)
+        k = 3 * sinks._FLUSH_RECORDS
+        for i in range(k):
+            sink.emit(self._record(i))
+            # Mid-run, both files hold only whole lines, in emit order.
+            if i % 97 == 0:
+                names = self._names(rotated, path)
+                assert names == sorted(names)
+        sink.close()
+        names = self._names(rotated, path)
+        assert names == [f"c{i:04d}" for i in range(k - len(names), k)]
+        assert rotated.stat().st_size <= 4500
+        assert path.stat().st_size <= 4500
 
 
 class TestJsonlRotation:

@@ -3,7 +3,10 @@
 from __future__ import annotations
 
 import asyncio
+import os
 import threading
+
+import pytest
 
 from repro import telemetry
 from repro.telemetry import RingBufferSink
@@ -23,6 +26,39 @@ class TestTraceIds:
         tid = new_trace_id()
         assert valid_trace_id(tid)
         assert len(tid) == 32
+
+    def test_ten_thousand_ids_are_unique(self):
+        ids = {new_trace_id() for _ in range(10_000)}
+        assert len(ids) == 10_000
+        assert all(valid_trace_id(tid) for tid in ids)
+
+    def test_never_all_zeros(self, monkeypatch):
+        class Stub:
+            draws = iter([0, 0, 5])
+
+            def getrandbits(self, k):
+                assert k == 128
+                return next(self.draws)
+
+        monkeypatch.setattr(trace_ctx, "_ID_SOURCE", Stub())
+        assert new_trace_id() == "0" * 31 + "5"
+
+    @pytest.mark.skipif(not hasattr(os, "fork"), reason="needs os.fork")
+    def test_fork_child_does_not_replay_the_parents_ids(self):
+        # Without a reseed the child would mint exactly the parent's
+        # next id: both hold the same generator state at the fork.
+        read_end, write_end = os.pipe()
+        pid = os.fork()
+        if pid == 0:  # pragma: no cover - runs in the child
+            os.write(write_end, new_trace_id().encode())
+            os._exit(0)
+        os.close(write_end)
+        parent_next = new_trace_id()
+        with os.fdopen(read_end, "rb") as pipe:
+            child_first = pipe.read().decode()
+        os.waitpid(pid, 0)
+        assert valid_trace_id(child_first)
+        assert child_first != parent_next
 
     def test_valid_trace_id_rejects_garbage(self):
         assert not valid_trace_id(None)
