@@ -1,16 +1,15 @@
-"""Fleet operations: encode many devices in parallel and pick the best.
+"""Fleet operations: encode many devices and pick the best.
 
-The paper's §5.3 points out that devices "can be encoded in parallel" and
-that shipping the least-error device out of a batch multiplies capacity
-(their 160x headline).  This module runs that workflow on simulated fleets:
-encode a probe payload on every candidate, measure each channel, rank, and
-hand back the winner bound to the best-rate ECC meeting the target.
+The paper's §5.3 points out that devices "can be encoded in parallel" (a
+tray of boards sharing one thermal chamber run) and that shipping the
+least-error device out of a batch multiplies capacity (their 160x
+headline).  This module runs that workflow on simulated fleets: encode a
+probe payload on every candidate, measure each channel, rank, and hand
+back the winner bound to the best-rate ECC meeting the target.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -71,7 +70,6 @@ def encode_fleet(
     stress_hours: "float | None" = None,
     target_error: float = 1e-4,
     rng: "int | np.random.Generator | None" = 0,
-    max_workers: "int | None" = None,
     fault_plan: "FaultPlan | None" = None,
     retry: "RetryPolicy | None" = None,
 ) -> FleetSelection:
@@ -82,11 +80,10 @@ def encode_fleet(
     the channel's, not the payload's).  Returns every member ranked plus
     the winner with the highest-rate scheme hitting ``target_error``.
 
-    Candidates are encoded concurrently (``max_workers`` threads, default
-    one per available CPU up to the fleet size).  Every device draws from
-    its own pre-assigned generator spawned from ``rng`` — see
-    :func:`repro.rng.spawn` — and payloads are pre-drawn in slot order, so
-    the result is identical for any worker count, including 1.
+    Candidates are encoded one after another, in slot order, inside one
+    ``fleet.encode`` trace.  Every device draws from its own pre-assigned
+    generator spawned from ``rng`` — see :func:`repro.rng.spawn` — and
+    payloads are pre-drawn in slot order.
 
     Fleet resilience (docs/faults.md): a candidate whose encode or
     measurement fails — for real, or under ``fault_plan`` (each slot gets
@@ -98,8 +95,6 @@ def encode_fleet(
     """
     if n_devices < 1:
         raise ConfigurationError("need at least one device")
-    if max_workers is not None and max_workers < 1:
-        raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
     retry = retry if retry is not None else RetryPolicy()
     gen = make_rng(rng)
     payload_rng = np.random.default_rng(gen.integers(0, 2**63))
@@ -110,56 +105,41 @@ def encode_fleet(
     ]
     streams = spawn(gen, n_devices)
 
-    def encode_one(index: int) -> "ControlBoard | SlotError":
-        device = make_varied_device(
-            device_name, rng=streams[index], sram_kib=sram_kib
-        )
-        board = ControlBoard(
-            device,
-            fault_injector=(
-                FaultInjector(fault_plan, salt=index) if fault_plan else None
-            ),
-            retry=retry,
-        )
-        try:
-            board.encode_message(
-                payloads[index],
-                stress_hours=stress_hours,
-                use_firmware=False,
-                camouflage=False,
-            )
-        except DeviceError as exc:
-            telemetry.count("slots.failed")
-            return SlotError(
-                f"slot {index} ({device.spec.name}): "
-                f"{type(exc).__name__}: {exc}",
-                slot=index,
-            )
-        return board
-
-    workers = max_workers or min(n_devices, os.cpu_count() or 1)
     with telemetry.trace(
         "fleet.encode",
         device=device_name,
         n_devices=n_devices,
         sram_kib=sram_kib,
-        workers=workers,
     ) as span:
-        if workers <= 1 or n_devices == 1:
-            outcomes = [encode_one(i) for i in range(n_devices)]
-        else:
-            with ThreadPoolExecutor(max_workers=workers) as pool:
-                outcomes = list(pool.map(encode_one, range(n_devices)))
+        encoded: "list[tuple[int, ControlBoard]]" = []
+        failure_list: "list[SlotError]" = []
+        for index in range(n_devices):
+            device = make_varied_device(
+                device_name, rng=streams[index], sram_kib=sram_kib
+            )
+            board = ControlBoard(
+                device,
+                fault_injector=(
+                    FaultInjector(fault_plan, salt=index) if fault_plan else None
+                ),
+                retry=retry,
+            )
+            try:
+                board.encode_message(
+                    payloads[index],
+                    stress_hours=stress_hours,
+                    use_firmware=False,
+                    camouflage=False,
+                )
+            except DeviceError as exc:
+                telemetry.count("slots.failed")
+                failure_list.append(SlotError.wrap(index, device.spec.name, exc))
+            else:
+                encoded.append((index, board))
 
         # The probe measurement runs fleet-wide through the stacked
         # capture kernel; per-device generators keep it bit-identical to
-        # the per-slot loop this replaced, for any worker count.
-        encoded = [
-            (index, out)
-            for index, out in enumerate(outcomes)
-            if not isinstance(out, SlotError)
-        ]
-        failure_list = [e for e in outcomes if isinstance(e, SlotError)]
+        # the per-slot loop this replaced.
         members = []
         if encoded:
             fleet = capture_fleet(
@@ -181,11 +161,7 @@ def encode_fleet(
                 elif isinstance(exc, DeviceError):
                     telemetry.count("slots.failed")
                     failure_list.append(
-                        SlotError(
-                            f"slot {index} ({board.device.spec.name}): "
-                            f"{type(exc).__name__}: {exc}",
-                            slot=index,
-                        )
+                        SlotError.wrap(index, board.device.spec.name, exc)
                     )
                 else:
                     raise exc

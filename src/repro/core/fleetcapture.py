@@ -17,9 +17,9 @@ each device's whole burst as **one** numpy broadcast over
   device's own generator**: one ``(n_captures, band)`` block, which
   consumes the stream exactly like the per-capture loop's successive
   draws.  Results are bit-identical to
-  :meth:`ControlBoard.capture_power_on_states` for any worker count,
-  device order, or tray composition.  This module only orchestrates the
-  tray: planning, fallback, voting, per-slot ones counts, metrics.
+  :meth:`ControlBoard.capture_power_on_states` for any device order or
+  tray composition.  This module only orchestrates the tray: planning,
+  fallback, voting, per-slot ones counts, metrics.
 - Slots the kernel cannot take — a fault injector is attached, remanence
   could reach the first capture, or the drift bound cannot guarantee a
   refresh-free burst — fall back to the exact per-capture loop, which is

@@ -71,14 +71,25 @@ class QuarantinedDeviceError(DeviceError):
 class SlotError(ReproError):
     """A per-slot rack operation failed; the original error is chained.
 
-    ``EncodingRack._map_slots`` wraps worker exceptions in this type so a
-    single flaky board identifies itself (``slot`` index, device name)
-    instead of killing the whole tray map anonymously.
+    ``EncodingRack`` and ``encode_fleet`` wrap a slot's exception in this
+    type (via :meth:`wrap`) so a single flaky board identifies itself
+    (``slot`` index, device name) instead of killing the whole tray
+    anonymously.
     """
 
     def __init__(self, message: str, *, slot: int):
         self.slot = slot
         super().__init__(message)
+
+    @classmethod
+    def wrap(cls, slot: int, device: str, exc: Exception) -> "SlotError":
+        """``slot {slot} ({device}): {Type}: {exc}``, with ``exc`` chained
+        as ``__cause__``."""
+        error = cls(
+            f"slot {slot} ({device}): {type(exc).__name__}: {exc}", slot=slot
+        )
+        error.__cause__ = exc
+        return error
 
 
 class AssemblerError(ReproError):

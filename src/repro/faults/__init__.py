@@ -16,7 +16,8 @@ that let the pipeline degrade gracefully under them:
   and by :meth:`repro.core.pipeline.InvisibleBits.receive`'s adaptive
   capture escalation;
 - :class:`HealthLedger` — consecutive-failure quarantine for
-  :class:`~repro.harness.rack.EncodingRack` fleets.
+  :class:`~repro.harness.rack.EncodingRack` fleets and the service's
+  lane admission.
 
 Chaos-test quickly::
 

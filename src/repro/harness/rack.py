@@ -6,11 +6,12 @@ rack owns one shared :class:`ThermalChamber` and per-slot
 :class:`ControlBoard` instances (each device still needs its own supply)
 and sequences the shared stress period once for the whole tray.
 
-Per-slot work (staging, time advancement, measurement) fans out over a
-thread pool: each board touches only its own device and its device's own
-RNG stream, so results are identical for any worker count.  Anything that
-touches the *shared* chamber — which pushes ambient temperature into every
-inserted device — stays serialized between fan-outs.
+Parallel here means one shared stress period for the whole tray, not
+Python threads: per-slot work (staging, time advancement) runs serially
+in slot order, each board touching only its own device and its device's
+own RNG stream, and measurement goes through the stacked fleet capture
+kernel.  Anything that touches the *shared* chamber — which pushes
+ambient temperature into every inserted device — happens once per tray.
 
 Fleet resilience (docs/faults.md): a failing slot no longer kills the
 whole tray anonymously.  Strict maps wrap per-slot exceptions in
@@ -24,8 +25,6 @@ faults under the rack's :class:`~repro.faults.RetryPolicy`, and a
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -63,9 +62,7 @@ class SlotResult:
 class EncodingRack:
     """A tray of devices sharing one chamber.
 
-    ``max_workers`` caps the thread pool used for per-slot operations;
-    ``None`` (default) uses one thread per available CPU, up to the tray
-    size.  ``fault_plan`` gives every board its own deterministic
+    ``fault_plan`` gives every board its own deterministic
     :class:`~repro.faults.FaultInjector` (salted by slot index);
     ``retry`` guards resilient per-slot work; ``quarantine_after`` is the
     health ledger's consecutive-failure threshold.
@@ -75,16 +72,12 @@ class EncodingRack:
         self,
         devices: "list[Device]",
         *,
-        max_workers: "int | None" = None,
         fault_plan: "FaultPlan | None" = None,
         retry: "RetryPolicy | None" = None,
         quarantine_after: int = 3,
     ):
         if not devices:
             raise ConfigurationError("rack needs at least one device")
-        if max_workers is not None and max_workers < 1:
-            raise ConfigurationError(f"max_workers must be >= 1, got {max_workers}")
-        self.max_workers = max_workers
         self.chamber = ThermalChamber()
         self.boards = [
             ControlBoard(
@@ -103,57 +96,42 @@ class EncodingRack:
     def __len__(self) -> int:
         return len(self.boards)
 
-    def _calls(self, items: "list | None") -> list:
-        if items is None:
-            return [(board,) for board in self.boards]
-        return list(zip(self.boards, items))
+    def _slot_calls(
+        self, items: "list | None" = None, slots: "list | None" = None
+    ) -> list:
+        """``(index, args)`` per slot, in slot order, where ``args`` is
+        ``(board,)`` or ``(board, item)``.
 
-    def _pool_width(self, n_calls: int) -> int:
-        # Never spawn more threads than there are calls to run — a
-        # max_workers larger than the tray is a cap, not a quota.
-        width = self.max_workers or (os.cpu_count() or 1)
-        return max(1, min(width, n_calls))
+        ``slots`` restricts the calls to a subset of ``(index, board)``
+        pairs (e.g. only the live slots of a partially-staged tray);
+        reported slot indices stay the tray positions.  ``items`` must
+        hold exactly one entry per slot.
+        """
+        pairs = list(enumerate(self.boards)) if slots is None else list(slots)
+        if items is None:
+            return [(index, (board,)) for index, board in pairs]
+        if len(items) != len(pairs):
+            raise ConfigurationError(f"{len(items)} items for {len(pairs)} slots")
+        return [
+            (index, (board, item)) for (index, board), item in zip(pairs, items)
+        ]
 
     def _map_slots(
         self, fn, items: "list | None" = None, *, slots: "list | None" = None
     ) -> list:
         """Apply ``fn(board[, item])`` to every slot, in slot order.
 
-        Slots are independent (own device, own RNG stream), so the pool
-        width only affects wall-clock time, never results.  A worker
-        exception no longer kills the map anonymously: it surfaces as a
-        :class:`~repro.errors.SlotError` naming the slot and device, with
-        the original exception chained as ``__cause__``.
-
-        ``slots`` restricts the map to a subset of ``(index, board)``
-        pairs (e.g. only the live slots of a partially-staged tray);
-        reported slot indices stay the tray positions.
+        A slot's exception does not kill the map anonymously: it surfaces
+        as a :class:`~repro.errors.SlotError` naming the slot and device,
+        with the original exception chained as ``__cause__``.
         """
-        pairs = list(enumerate(self.boards)) if slots is None else list(slots)
-        if items is None:
-            calls = [(index, (board,)) for index, board in pairs]
-        else:
-            calls = [
-                (index, (board, item))
-                for (index, board), item in zip(pairs, items)
-            ]
-
-        def run_one(indexed_call):
-            index, call = indexed_call
+        results = []
+        for index, call in self._slot_calls(items, slots):
             try:
-                return fn(*call)
+                results.append(fn(*call))
             except Exception as exc:
-                raise SlotError(
-                    f"slot {index} ({call[0].device.spec.name}): "
-                    f"{type(exc).__name__}: {exc}",
-                    slot=index,
-                ) from exc
-
-        workers = self._pool_width(len(calls))
-        if workers <= 1 or len(calls) <= 1:
-            return [run_one(pair) for pair in calls]
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            return list(pool.map(run_one, calls))
+                raise SlotError.wrap(index, call[0].device.spec.name, exc) from exc
+        return results
 
     def run_slots(
         self, fn, items: "list | None" = None, *, label: str = "rack.run"
@@ -166,10 +144,9 @@ class EncodingRack:
         and its failure streak counts toward quarantine.  Telemetry:
         ``slots.failed``, ``slots.quarantined``, ``retry.attempts``.
         """
-        calls = self._calls(items)
+        calls = self._slot_calls(items)
 
-        def run_one(indexed_call) -> SlotResult:
-            index, call = indexed_call
+        def run_one(index: int, call: tuple) -> SlotResult:
             if self.health.is_quarantined(index):
                 return SlotResult(
                     slot=index,
@@ -202,12 +179,7 @@ class EncodingRack:
             )
 
         with telemetry.trace(label, slots=len(calls)) as span:
-            workers = self._pool_width(len(calls))
-            if workers <= 1 or len(calls) <= 1:
-                results = [run_one(pair) for pair in enumerate(calls)]
-            else:
-                with ThreadPoolExecutor(max_workers=workers) as pool:
-                    results = list(pool.map(run_one, enumerate(calls)))
+            results = [run_one(index, call) for index, call in calls]
             span.set(
                 ok=sum(1 for r in results if r.ok),
                 failed=sum(1 for r in results if r.status == "failed"),

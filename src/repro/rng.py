@@ -32,10 +32,9 @@ def spawn(rng: np.random.Generator, count: int) -> list[np.random.Generator]:
     Built on :meth:`numpy.random.SeedSequence.spawn`, so the children are
     statistically independent of each other *and* of the parent's future
     output.  The fan-out is a pure function of the parent's seed sequence
-    and its spawn history — not of who consumes which child when — which is
-    what makes parallel fleets reproducible regardless of worker count:
-    assign child ``i`` to device ``i`` up front, then let any pool ordering
-    execute them.
+    and its spawn history — not of who consumes which child when — so a
+    fleet that assigns child ``i`` to device ``i`` up front gets the same
+    devices whatever order, or subset, it later runs them in.
 
     Used whenever one experiment instantiates several devices that must
     have independent—but still reproducible—process variation.

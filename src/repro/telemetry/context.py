@@ -9,9 +9,8 @@ end to end.  The context is a :class:`contextvars.ContextVar`, so it
 - flows into the fleet service's lane thread automatically (every call
   handed to it runs under ``contextvars.copy_context()``, as
   ``asyncio.to_thread`` does);
-- does **not** leak into plain ``threading.Thread`` workers — fleet
-  encode threads keep tracing independently, exactly as the old
-  thread-local stack behaved.
+- does **not** leak into plain ``threading.Thread`` workers — they
+  trace independently, exactly as the old thread-local stack behaved.
 
 Across the HTTP boundary the context rides a W3C ``traceparent``-style
 header: ``00-<32 hex trace id>-<16 hex parent span id>-01``.  The

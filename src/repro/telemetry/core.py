@@ -12,8 +12,7 @@ emitted record.
 Spans nest through a :class:`contextvars.ContextVar` stack, so they are
 correct in *both* concurrency regimes the code runs under:
 
-- plain worker threads (:class:`repro.harness.rack.EncodingRack`,
-  ``encode_fleet``) start with an empty context and trace independently,
+- plain threads start with an empty context and trace independently,
   exactly as the old thread-local stack behaved;
 - concurrent **asyncio tasks** sharing one event-loop thread each see
   their own stack — the fleet-service workers used to interleave spans

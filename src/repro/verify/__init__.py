@@ -1,10 +1,9 @@
 """repro.verify: seeded property-based + differential verification.
 
 The repository accumulates bit-identity contracts — batch capture equals
-the power-cycle loop, ``encode_fleet`` is worker-count invariant, every
-ECC round-trips,
-CTR is an involution against a per-block AES reference, and so on.  This
-package makes those contracts *executable*: typed seeded generators
+the power-cycle loop, the stacked fleet kernel equals the per-device
+loop, every ECC round-trips, CTR is an involution against a per-block
+AES reference, and so on.  This package makes those contracts *executable*: typed seeded generators
 (:mod:`~repro.verify.generators`), a deterministic shrinking runner
 (:mod:`~repro.verify.runner`), a registry of differential oracles
 (:mod:`~repro.verify.oracles`), and a sweep + mutation-smoke harness

@@ -248,7 +248,7 @@ def _fleet_rig(seed: int, n_devices: int, kib: float, stress_h: float):
         make_device(_DEVICE, rng=seed + index, sram_kib=kib)
         for index in range(n_devices)
     ]
-    rack = EncodingRack(devices, max_workers=1)
+    rack = EncodingRack(devices)
     rng = np.random.default_rng(seed + 99)
     payloads = [
         rng.integers(0, 2, board.device.sram.n_bits).astype(np.uint8)
@@ -322,42 +322,6 @@ def fleet_capture_vs_device_loop(seed, n_devices, n_captures, kib):
             and sram_a.age_when_0.flushes == sram_b.age_when_0.flushes,
             f"slot {index} flush counts diverged",
         )
-
-
-@oracle(
-    "fleet.worker_invariance",
-    gens=(
-        g.seeds(),
-        g.sampled_from([2, 3], name="n_devices"),
-        g.sampled_from([2, 3, 4], name="workers"),
-    ),
-    examples=3,
-)
-def fleet_worker_invariance(seed, n_devices, workers):
-    """encode_fleet ranks identically for any worker count, including 1."""
-    from ..core.batch import encode_fleet
-
-    serial = encode_fleet(
-        n_devices=n_devices, sram_kib=0.25, rng=seed, max_workers=1
-    )
-    pooled = encode_fleet(
-        n_devices=n_devices, sram_kib=0.25, rng=seed, max_workers=workers
-    )
-    check_that(
-        serial.winner.index == pooled.winner.index,
-        f"winner changed with workers: {serial.winner.index} vs "
-        f"{pooled.winner.index}",
-    )
-    check_that(
-        serial.errors == pooled.errors,
-        f"measured errors changed with workers: {serial.errors} vs "
-        f"{pooled.errors}",
-    )
-    check_that(
-        serial.scheme.name == pooled.scheme.name,
-        f"planned scheme changed with workers: {serial.scheme.name} vs "
-        f"{pooled.scheme.name}",
-    )
 
 
 # -- service durability contract ---------------------------------------------

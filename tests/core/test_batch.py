@@ -53,17 +53,3 @@ def test_single_device_fleet():
 def test_validation():
     with pytest.raises(ConfigurationError):
         encode_fleet(n_devices=0)
-
-
-def test_worker_count_does_not_change_results():
-    """Per-device RNG streams are pre-assigned via SeedSequence.spawn, so
-    the fleet is reproducible regardless of pool width."""
-    serial = encode_fleet(n_devices=3, sram_kib=1, rng=9, max_workers=1)
-    threaded = encode_fleet(n_devices=3, sram_kib=1, rng=9, max_workers=4)
-    assert serial.errors == threaded.errors
-    assert [m.index for m in serial.members] == [m.index for m in threaded.members]
-
-
-def test_max_workers_validated():
-    with pytest.raises(ConfigurationError):
-        encode_fleet(n_devices=1, max_workers=0)

@@ -36,7 +36,7 @@ def _tray(seeds, kib=0.25, stress_hours=4.0):
         make_device("MSP432P401", rng=seed, sram_kib=k)
         for seed, k in zip(seeds, kib)
     ]
-    rack = EncodingRack(devices, max_workers=1)
+    rack = EncodingRack(devices)
     rng = np.random.default_rng(11)
     payloads = [
         rng.integers(0, 2, board.device.sram.n_bits).astype(np.uint8)

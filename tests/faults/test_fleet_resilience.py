@@ -25,7 +25,7 @@ def _rack(n=3, **kwargs):
 
 class TestStrictMaps:
     def test_map_slots_wraps_errors_with_slot_index(self):
-        rack = _rack(3, max_workers=1)
+        rack = _rack(3)
 
         def explode(board):
             if board is rack.boards[1]:
@@ -39,7 +39,7 @@ class TestStrictMaps:
         assert isinstance(info.value.__cause__, DebugPortError)
 
     def test_strict_stage_payloads_raises_slot_error(self):
-        rack = _rack(2, max_workers=1)
+        rack = _rack(2)
         good = np.zeros(rack.boards[0].device.sram.n_bits, dtype=np.uint8)
         bad = np.zeros(7, dtype=np.uint8)  # wrong size -> CapacityError
         with pytest.raises(SlotError) as info:
@@ -57,7 +57,7 @@ class TestRunSlots:
         assert all(r.ok and r.attempts == 1 and r.error is None for r in results)
 
     def test_transient_failure_is_retried(self):
-        rack = _rack(2, max_workers=1)
+        rack = _rack(2)
         seen = set()
 
         def flaky_once(board):
@@ -71,7 +71,7 @@ class TestRunSlots:
         assert all(r.ok and r.value == "fine" and r.attempts == 2 for r in results)
 
     def test_persistent_failure_is_partial_not_fatal(self):
-        rack = _rack(3, max_workers=1)
+        rack = _rack(3)
 
         def bad_middle(board):
             if board is rack.boards[1]:
@@ -89,7 +89,7 @@ class TestRunSlots:
         assert failed.error is not None
 
     def test_non_retryable_failure_burns_one_attempt(self):
-        rack = _rack(1, max_workers=1)
+        rack = _rack(1)
 
         def broken(board):
             raise CapacityError("wrong size")
@@ -102,8 +102,7 @@ class TestRunSlots:
 
 class TestQuarantine:
     def test_consecutive_failures_quarantine_the_slot(self):
-        rack = _rack(2, max_workers=1, quarantine_after=2,
-                     retry=RetryPolicy.none())
+        rack = _rack(2, quarantine_after=2, retry=RetryPolicy.none())
 
         def bad_zero(board):
             if board is rack.boards[0]:
@@ -124,8 +123,7 @@ class TestQuarantine:
         assert results[1].status == "ok"
 
     def test_release_returns_slot_to_service(self):
-        rack = _rack(1, max_workers=1, quarantine_after=1,
-                     retry=RetryPolicy.none())
+        rack = _rack(1, quarantine_after=1, retry=RetryPolicy.none())
         rack.run_slots(lambda board: (_ for _ in ()).throw(DebugPortError("x")))
         assert rack.health.is_quarantined(0)
         rack.health.release(0)
@@ -134,7 +132,7 @@ class TestQuarantine:
 
 class TestResilientTrayOps:
     def test_resilient_measure_returns_partial_results(self):
-        rack = _rack(2, max_workers=1, quarantine_after=1)
+        rack = _rack(2, quarantine_after=1)
         payloads = [
             np.random.default_rng(i).integers(
                 0, 2, board.device.sram.n_bits
@@ -149,7 +147,7 @@ class TestResilientTrayOps:
         assert results[1].status == "quarantined"
 
     def test_stress_all_skip_unpowered(self):
-        rack = _rack(2, max_workers=1)
+        rack = _rack(2)
         payloads = [
             np.zeros(board.device.sram.n_bits, dtype=np.uint8)
             for board in rack.boards
@@ -167,7 +165,7 @@ class TestFleetPartialResults:
         plan = FaultPlan(seed=6, models=(FlakyDebugPort(rate=0.25),))
         selection = encode_fleet(
             n_devices=3, sram_kib=0.25, rng=5,
-            fault_plan=plan, retry=RetryPolicy.none(), max_workers=1,
+            fault_plan=plan, retry=RetryPolicy.none(),
         )
         assert selection.survivors == 2
         assert [f.slot for f in selection.failures] == [2]
@@ -179,12 +177,11 @@ class TestFleetPartialResults:
         with pytest.raises(SlotError):
             encode_fleet(
                 n_devices=3, sram_kib=0.25, rng=5,
-                fault_plan=plan, retry=RetryPolicy.none(), max_workers=1,
+                fault_plan=plan, retry=RetryPolicy.none(),
             )
 
     def test_encode_fleet_healthy_path_reports_no_failures(self):
-        selection = encode_fleet(n_devices=2, sram_kib=0.25, rng=5,
-                                 max_workers=1)
+        selection = encode_fleet(n_devices=2, sram_kib=0.25, rng=5)
         assert selection.failures == ()
         assert selection.survivors == 2
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.core.batch import encode_fleet
 from repro.device import make_device
 from repro.errors import ConfigurationError
 from repro.harness.rack import EncodingRack
@@ -66,36 +67,21 @@ def test_payload_count_validated(rack, payloads):
         rack.measure_errors(payloads[:-1])
 
 
+@pytest.mark.parametrize("n_items", [2, 4])
+def test_run_slots_item_count_validated(rack, n_items):
+    """A short or long ``items`` list must be rejected before any slot
+    runs, not silently zipped down to the shorter length."""
+    called = []
+    with pytest.raises(ConfigurationError):
+        rack.run_slots(
+            lambda board, item: called.append(item), list(range(n_items))
+        )
+    assert called == []
+
+
 def test_empty_rack_rejected():
     with pytest.raises(ConfigurationError):
         EncodingRack([])
-
-
-def _run_rack(max_workers):
-    devices = [
-        make_device("MSP432P401", rng=70 + i, sram_kib=1) for i in range(3)
-    ]
-    rack = EncodingRack(devices, max_workers=max_workers)
-    rng = np.random.default_rng(5)
-    payloads = [
-        rng.integers(0, 2, board.device.sram.n_bits).astype(np.uint8)
-        for board in rack.boards
-    ]
-    rack.stage_payloads(payloads)
-    rack.stress_all(stress_hours=4.0)
-    return rack.measure_errors(payloads)
-
-
-def test_worker_count_does_not_change_results():
-    """Slots own their devices and RNG streams, so any pool width must
-    produce identical measurements."""
-    assert _run_rack(1) == _run_rack(4)
-
-
-def test_max_workers_validated():
-    devices = [make_device("MSP432P401", rng=70, sram_kib=1)]
-    with pytest.raises(ConfigurationError):
-        EncodingRack(devices, max_workers=0)
 
 
 @pytest.mark.parametrize("n_voltages", [2, 4])
@@ -132,13 +118,18 @@ def test_stress_advance_touches_live_slots_only(rack, payloads):
     assert sorted(advanced) == [0, 2]
 
 
-def test_pool_width_capped_by_call_count():
-    devices = [
-        make_device("MSP432P401", rng=70 + i, sram_kib=1) for i in range(2)
-    ]
-    rack = EncodingRack(devices, max_workers=16)
-    assert rack._pool_width(2) == 2
-    assert rack._pool_width(1) == 1
-    assert rack._pool_width(40) == 16
-    unbounded = EncodingRack(devices)
-    assert unbounded._pool_width(1) == 1
+@pytest.mark.parametrize(
+    "entry_point",
+    [
+        lambda: EncodingRack(
+            [make_device("MSP432P401", rng=70, sram_kib=1)], max_workers=1
+        ),
+        lambda: encode_fleet(n_devices=1, sram_kib=0.25, max_workers=2),
+    ],
+    ids=["EncodingRack", "encode_fleet"],
+)
+def test_max_workers_is_not_an_option(entry_point):
+    """Tray slots and fleet candidates always run serially, so neither
+    entry point takes a worker count."""
+    with pytest.raises(TypeError, match="max_workers"):
+        entry_point()

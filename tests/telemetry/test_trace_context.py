@@ -6,9 +6,13 @@ import asyncio
 import os
 import threading
 
+import numpy as np
 import pytest
 
 from repro import telemetry
+from repro.core.batch import encode_fleet
+from repro.device import make_device
+from repro.harness.rack import EncodingRack
 from repro.telemetry import RingBufferSink
 from repro.telemetry import context as trace_ctx
 from repro.telemetry.context import (
@@ -220,9 +224,8 @@ class TestAsyncioIsolation:
 
 class TestThreadIsolation:
     def test_plain_threads_do_not_inherit_spans(self):
-        # Fleet encode threads must keep tracing independently — their
-        # root spans start fresh traces, never parenting under whatever
-        # span the spawning thread happened to be inside.
+        # A plain thread's root spans start fresh traces, never parenting
+        # under whatever span the spawning thread happened to be inside.
         sink = RingBufferSink()
         telemetry.add_sink(sink)
         seen = {}
@@ -238,3 +241,45 @@ class TestThreadIsolation:
             thread.join()
         assert seen["parent_id"] is None
         assert seen["trace_id"] != outer.trace_id
+
+
+class TestTrayTraces:
+    """Tray slots run serially inside the tray operation's span, so each
+    operation is one trace tree whatever ``os.cpu_count()`` says."""
+
+    @staticmethod
+    def _staged_rack():
+        devices = [
+            make_device("MSP432P401", rng=70 + i, sram_kib=0.25) for i in range(4)
+        ]
+        rack = EncodingRack(devices)
+        rng = np.random.default_rng(5)
+        payloads = [
+            rng.integers(0, 2, board.device.sram.n_bits).astype(np.uint8)
+            for board in rack.boards
+        ]
+        return rack, payloads
+
+    @staticmethod
+    def _assert_one_tree(spans, root_name):
+        roots = [s for s in spans if s["parent_id"] is None]
+        assert [r["name"] for r in roots] == [root_name]
+        assert len(spans) > 1
+        assert {s["trace_id"] for s in spans} == {roots[0]["trace_id"]}
+
+    def test_encode_fleet_is_one_trace(self):
+        # Scheme planning emits thousands of ECC counters; keep them all.
+        sink = RingBufferSink(capacity=100_000)
+        telemetry.add_sink(sink)
+        encode_fleet(n_devices=4, sram_kib=0.25, rng=3)
+        self._assert_one_tree(sink.records(type="span"), "fleet.encode")
+
+    def test_rack_stage_and_stress_are_one_trace_each(self):
+        rack, payloads = self._staged_rack()
+        sink = RingBufferSink()
+        telemetry.add_sink(sink)
+        rack.stage_payloads(payloads)
+        self._assert_one_tree(sink.records(type="span"), "rack.stage")
+        sink.clear()
+        rack.stress_all(stress_hours=1.0)
+        self._assert_one_tree(sink.records(type="span"), "rack.stress")

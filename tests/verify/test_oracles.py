@@ -25,7 +25,6 @@ class TestRegistry:
         names = {o.name for o in all_oracles()}
         assert {
             "capture.batch_vs_loop",
-            "fleet.worker_invariance",
             "faults.disabled_identity",
             "ecc.roundtrip",
             "ecc.composition",
