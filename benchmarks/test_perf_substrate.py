@@ -7,7 +7,9 @@ AES-CTR keystream generation, Hamming decode, and Moran's I over a full
 die grid.
 """
 
+import gc
 import time
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -16,7 +18,9 @@ from repro.crypto import AesCtr
 from repro.device.catalog import device_spec
 from repro.device import make_device
 from repro.ecc import hamming_7_4
+from repro.core.scheme import paper_end_to_end_scheme
 from repro.harness.rack import EncodingRack
+from repro.service.shards import FleetHost
 from repro.sram import SRAMArray
 from repro.stats import morans_i
 from repro.units import hours
@@ -393,3 +397,41 @@ def test_perf_morans_i_full_grid(benchmark):
     bits = rng.integers(0, 2, (2048, 256)).astype(np.float64)
     result = benchmark(morans_i, bits)
     assert abs(result.statistic) < 0.02
+
+
+def test_perf_device_resident_kib(record_metric):
+    """Memory per resident service device: traced KiB each default
+    0.25 KiB ``FleetHost`` device holds after one send and one receive.
+
+    This is the per-device slope behind a soak's peak RSS (the ladder's
+    RSS-per-device rung).  Physics is ~80 KiB of it (mismatch and four
+    NBTI clock arrays); the ceiling keeps a dense Flash image or a second
+    offsets vector from coming back.
+    """
+    host = FleetHost(
+        scheme=paper_end_to_end_scheme(copies=7, n_captures=5), seed=5
+    )
+
+    def send_receive(device_id):
+        channel = host.channel(device_id)
+        sent = channel.send(b"8 bytes!", stress_hours=24)
+        host.store_payload(device_id, sent.payload_bits)
+        assert channel.receive().message == b"8 bytes!"
+
+    for i in range(4):  # shared first-use state is not per device
+        send_receive(f"warm-{i}")
+    gc.collect()
+    n_devices = 64
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        for i in range(n_devices):
+            send_receive(f"dev-{i}")
+        gc.collect()
+        grown = tracemalloc.get_traced_memory()[0] - base
+    finally:
+        tracemalloc.stop()
+    kib = grown / n_devices / 1024
+    print(f"\nresident device: {kib:.1f} KiB")
+    record_metric("device_resident_kib", kib, unit="KiB")
+    assert kib <= 110.0

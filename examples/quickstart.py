@@ -23,7 +23,7 @@ def main() -> None:
     )
 
     print(f"device:      {device.spec.name} "
-          f"({device.sram.n_bytes // 1024} KiB SRAM slice)")
+          f"({device.sram.n_bytes / 1024:g} KiB SRAM slice)")
     print(f"message:     {MESSAGE.decode()!r} ({len(MESSAGE)} bytes)")
 
     sent = alice.send(MESSAGE)

@@ -106,7 +106,7 @@ def _cmd_roundtrip(args) -> int:
     channel = InvisibleBits(board, scheme=scheme, use_firmware=not args.fast)
     message = args.message.encode()
     print(f"encoding {len(message)} bytes on {device.spec.name} "
-          f"({device.sram.n_bytes // 1024} KiB slice)...")
+          f"({device.sram.n_bytes / 1024:g} KiB slice)...")
     sent = channel.send(message)
     print(f"  stress: {sent.stress_hours:.0f} h at the Table 4 recipe; "
           f"payload {sent.capacity_used:.1%} of SRAM")

@@ -9,6 +9,8 @@ receiver loads the retention program and power-cycles to capture states.
 
 from __future__ import annotations
 
+import functools
+
 import numpy as np
 
 from ..errors import ConfigurationError, FirmwareError, PowerError
@@ -24,6 +26,15 @@ from .regulator import SupplyRegulator
 #: Default instruction budget when running firmware at power-on; enough for
 #: a full 64 KiB payload copy with margin.
 DEFAULT_BOOT_STEPS = 2_000_000
+
+#: Distinct firmware sources whose assembled :class:`Program` is kept.
+FIRMWARE_CACHE_SIZE = 32
+
+
+@functools.lru_cache(maxsize=FIRMWARE_CACHE_SIZE)
+def _assemble_firmware(source: str) -> Program:
+    """Assemble ``source`` at the Flash base, memoised per source text."""
+    return assemble(source, base_address=FLASH_BASE)
 
 
 class Device:
@@ -169,11 +180,16 @@ class Device:
         Accepts an assembled :class:`Program`, assembly source text, or a
         raw image (entry at the flash base).  The device must be unpowered,
         matching the paper's flow of flashing before the power event.
+
+        Source text is assembled once per distinct text: the
+        :class:`Program` of the last ``FIRMWARE_CACHE_SIZE`` (32) sources
+        is kept in a least-recently-used cache and shared by every device
+        that loads the same text.
         """
         if self.powered:
             raise PowerError("power the device down before reflashing")
         if isinstance(program, str):
-            program = assemble(program, base_address=FLASH_BASE)
+            program = _assemble_firmware(program)
         if isinstance(program, bytes):
             self.flash.load_firmware(program)
             self._firmware = None
@@ -196,4 +212,4 @@ class Device:
 
     def __repr__(self) -> str:  # pragma: no cover - cosmetic
         power = "on" if self.powered else "off"
-        return f"Device({self.spec.name}, {self.sram.n_bytes // 1024} KiB SRAM, power {power})"
+        return f"Device({self.spec.name}, {self.sram.n_bytes / 1024:g} KiB SRAM, power {power})"

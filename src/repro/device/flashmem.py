@@ -5,6 +5,13 @@ memory on the device, i.e., not the SRAM", §4.2).  The model keeps real
 Flash semantics — erase-to-ones blocks, program can only clear bits, finite
 endurance — because the Flash-based steganography baselines
 (:mod:`repro.flashsteg`) and the camouflage-reload flow both exercise them.
+
+Storage is block-sparse: only blocks holding a cleared bit are stored, as
+one ``bytearray`` per block index, and every other block reads all-ones.
+Erasing a block drops its bytes (the endurance count still advances), and
+programming allocates a block at the first byte that clears a bit.  A
+device whose 64 KiB of Flash carries a few-word program so holds one
+block, not the whole part.
 """
 
 from __future__ import annotations
@@ -12,6 +19,8 @@ from __future__ import annotations
 from ..errors import ConfigurationError, DeviceError, EmulatorError
 from ..isa.memory import MemoryRegion
 from ..isa.opcodes import WORD_BYTES
+
+_ERASED_WORD = int.from_bytes(b"\xff" * WORD_BYTES, "little")
 
 
 class OnChipFlash(MemoryRegion):
@@ -37,14 +46,36 @@ class OnChipFlash(MemoryRegion):
             )
         self.block_size = block_size
         self.endurance_cycles = endurance_cycles
-        self._bytes = bytearray(b"\xff" * size)
+        #: Block index -> its bytes, for blocks programmed since their last
+        #: erase; absent blocks read all-ones.
+        self._blocks: dict[int, bytearray] = {}
         self.erase_counts = [0] * (size // block_size)
+
+    def _read(self, offset: int, count: int) -> bytes:
+        """``count`` bytes from ``offset``, erased blocks reading ``0xff``."""
+        out = bytearray(b"\xff" * count)
+        end = offset + count
+        bs = self.block_size
+        for block in range(offset // bs, -(-end // bs)):
+            stored = self._blocks.get(block)
+            if stored is None:
+                continue
+            lo = max(offset, block * bs)
+            hi = min(end, (block + 1) * bs)
+            out[lo - offset : hi - offset] = stored[lo - block * bs : hi - block * bs]
+        return bytes(out)
 
     # -- CPU bus ---------------------------------------------------------------
 
     def load_word(self, address: int) -> int:
         offset = address - self.base
-        return int.from_bytes(self._bytes[offset : offset + WORD_BYTES], "little")
+        block, start = divmod(offset, self.block_size)
+        if start + WORD_BYTES > self.block_size:  # word straddles two blocks
+            return int.from_bytes(self._read(offset, WORD_BYTES), "little")
+        stored = self._blocks.get(block)
+        if stored is None:
+            return _ERASED_WORD
+        return int.from_bytes(stored[start : start + WORD_BYTES], "little")
 
     def store_word(self, address: int, value: int) -> None:
         raise EmulatorError(
@@ -63,8 +94,7 @@ class OnChipFlash(MemoryRegion):
                 f"({self.endurance_cycles} cycles)"
             )
         self.erase_counts[block_index] += 1
-        start = block_index * self.block_size
-        self._bytes[start : start + self.block_size] = b"\xff" * self.block_size
+        self._blocks.pop(block_index, None)
 
     def erase_all(self) -> None:
         """Mass erase."""
@@ -75,21 +105,28 @@ class OnChipFlash(MemoryRegion):
         """Program bytes: Flash programming can only clear bits (1 -> 0).
 
         Callers must erase first; programming a 1 over a 0 raises, exactly
-        like a real part's verify step failing.
+        like a real part's verify step failing.  Bytes before the failing
+        one stay programmed.
         """
         if offset < 0 or offset + len(image) > self.size:
             raise ConfigurationError(
                 f"{self.name}: image of {len(image)} bytes at {offset:#x} "
                 f"exceeds size {self.size:#x}"
             )
+        bs = self.block_size
         for i, byte in enumerate(image):
-            current = self._bytes[offset + i]
+            block, start = divmod(offset + i, bs)
+            stored = self._blocks.get(block)
+            current = 0xFF if stored is None else stored[start]
             if byte & ~current:
                 raise DeviceError(
                     f"{self.name}: programming would set bits at offset "
                     f"{offset + i:#x} (erase first)"
                 )
-            self._bytes[offset + i] = current & byte
+            if byte != current:
+                if stored is None:
+                    stored = self._blocks[block] = bytearray(b"\xff" * bs)
+                stored[start] = byte
 
     def load_firmware(self, image: bytes) -> None:
         """Erase the blocks an image spans, then program it at offset 0."""
@@ -103,4 +140,4 @@ class OnChipFlash(MemoryRegion):
         count = self.size - offset if count is None else count
         if offset < 0 or count < 0 or offset + count > self.size:
             raise ConfigurationError("dump range out of bounds")
-        return bytes(self._bytes[offset : offset + count])
+        return self._read(offset, count)

@@ -19,20 +19,16 @@ lets aging recover), and :meth:`operate` (powered, running a write workload).
 Capture engine
 --------------
 
-The receiver's hot path is §4.3's power-cycle/majority-vote loop, so the
-array keeps two cache layers keyed on the aging state:
-
-- The noise-free :meth:`offsets` vector is memoised and recomputed only when
-  an aging event (``hold``/``operate``/``shelve``/external state mutation)
-  changes it — repeated analysis reads are one cached-vector copy.
-- Power-on sampling works from a *capture cache*: the expensive power-law
-  ``k * t^n`` terms of both inverters plus a **noise band** — the cells whose
-  offset lies within ``NOISE_TAIL_SIGMA`` noise sigmas of the decision
-  threshold.  Cells outside the band power on to ``sign(offset)`` (the
-  probability of a Gaussian draw beyond 8 sigma is ~6e-16, far below any
-  observable error-rate resolution); only the band is re-evaluated per
-  capture, with the exact logarithmic-recovery increment applied to its
-  relax clocks.
+The receiver's hot path is §4.3's power-cycle/majority-vote loop, so
+power-on sampling works from a *capture cache* keyed on the aging state:
+the expensive power-law ``k * t^n`` terms of both inverters plus a **noise
+band** — the cells whose offset lies within ``NOISE_TAIL_SIGMA`` noise
+sigmas of the decision threshold.  Cells outside the band power on to
+``sign(offset)`` (the probability of a Gaussian draw beyond 8 sigma is
+~6e-16, far below any observable error-rate resolution); only the band is
+re-evaluated per capture, with the exact logarithmic-recovery increment
+applied to its relax clocks.  The noise-free :meth:`offsets` vector is a
+diagnostic view computed on demand; nothing on the capture path reads it.
 
 Shelf gaps between captures are uniform across cells, so they are deferred
 as one scalar (:meth:`repro.physics.nbti.NBTIState.flush_relax`) instead of
@@ -235,9 +231,8 @@ class SRAMArray:
         self._retained: np.ndarray | None = None
         self._off_seconds = 0.0
 
-        #: Bumped on every stress event; both caches key on it.
+        #: Bumped on every stress event; the capture cache keys on it.
         self._aging_epoch = 0
-        self._offsets_cache: "tuple | None" = None
         self._capture_cache: "dict | None" = None
 
         #: Cheap always-on counters the telemetry layer snapshots around
@@ -543,13 +538,14 @@ class SRAMArray:
 
     def offsets(self) -> np.ndarray:
         """Noise-free effective offsets: positive means the cell prefers to
-        power on to 1.  Diagnostic view of the analog domain.
-
-        Memoised: recomputed only after aging state changes (stress, shelf
-        time, external mutation); otherwise returns a copy of the cached
-        vector.
+        power on to 1.  Diagnostic view of the analog domain, computed on
+        each call (folding any deferred shelf relax into the aging clocks).
         """
-        return self._exact_offsets().copy()
+        return (
+            self.mismatch
+            + self._nbti.dvth(self.age_when_0)
+            - self._nbti.dvth(self.age_when_1)
+        )
 
     def grid_shape(self) -> tuple[int, int]:
         """Die layout ``(rows, row_width)`` used for spatial statistics."""
@@ -558,7 +554,7 @@ class SRAMArray:
     # -- cache management ---------------------------------------------------------
 
     def invalidate_analog_caches(self) -> None:
-        """Drop the offsets and capture caches.
+        """Drop the capture cache.
 
         Required after mutating ``mismatch``, ``age_when_1``/``age_when_0``
         or ``toggle_count`` directly (e.g. restoring a snapshot); the
@@ -568,32 +564,7 @@ class SRAMArray:
 
     def _bump_aging_epoch(self) -> None:
         self._aging_epoch += 1
-        self._offsets_cache = None
         self._capture_cache = None
-
-    def _aging_key(self) -> tuple:
-        st1, st0 = self.age_when_1, self.age_when_0
-        return (
-            self._aging_epoch,
-            st1.pending_relax,
-            st0.pending_relax,
-            st1.flushes,
-            st0.flushes,
-        )
-
-    def _exact_offsets(self) -> np.ndarray:
-        """The offsets vector, memoised; callers must not mutate it."""
-        cached = self._offsets_cache
-        if cached is not None and cached[0] == self._aging_key():
-            return cached[1]
-        vec = (
-            self.mismatch
-            + self._nbti.dvth(self.age_when_0)
-            - self._nbti.dvth(self.age_when_1)
-        )
-        # dvth() flushed any deferred relax; key on the post-flush state.
-        self._offsets_cache = (self._aging_key(), vec)
-        return vec
 
     def _effective_noise_sigma(self) -> float:
         sigma = self._hci.noise_widening(
@@ -703,7 +674,6 @@ class SRAMArray:
             + full0 * (1.0 - _recovered_fraction(nbti, st0.relax_seconds))
             - full1 * (1.0 - _recovered_fraction(nbti, st1.relax_seconds))
         )
-        self._offsets_cache = (self._aging_key(), offs)
         band = np.flatnonzero(np.abs(offs) < self.NOISE_TAIL_SIGMA * sigma)
         self._capture_cache = {
             "aging_epoch": self._aging_epoch,

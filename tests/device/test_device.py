@@ -5,7 +5,13 @@ import pytest
 
 from repro.device import make_device
 from repro.errors import FirmwareError, PowerError
-from repro.isa.programs import payload_writer_program, retention_program
+from repro.isa.assembler import assemble
+from repro.isa.memory import FLASH_BASE
+from repro.isa.programs import (
+    camouflage_program,
+    payload_writer_program,
+    retention_program,
+)
 from repro.units import celsius_to_kelvin
 
 
@@ -79,9 +85,18 @@ class TestFirmware:
         with pytest.raises(FirmwareError):
             device.power_on(max_steps=1000)
 
-    def test_wrong_link_address_rejected(self, device):
-        from repro.isa.assembler import assemble
+    def test_source_text_assembled_once_and_shared(self, device):
+        source = camouflage_program(words=64)
+        other = make_device("MSP432P401", rng=4, sram_kib=1)
+        device.load_firmware(source)
+        other.load_firmware(source)
+        assert device.firmware is other.firmware
+        fresh = assemble(source, base_address=FLASH_BASE)
+        assert device.firmware.image == fresh.image
+        assert device.firmware.entry_point == fresh.entry_point
+        assert device.flash.dump(0, len(fresh.image)) == fresh.image
 
+    def test_wrong_link_address_rejected(self, device):
         prog = assemble("nop\nhalt\n", base_address=0x1000)
         with pytest.raises(FirmwareError):
             device.load_firmware(prog)

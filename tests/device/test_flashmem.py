@@ -1,5 +1,6 @@
 """Unit tests for on-chip Flash semantics."""
 
+import numpy as np
 import pytest
 
 from repro.errors import ConfigurationError, DeviceError, EmulatorError
@@ -65,3 +66,141 @@ def test_validation(flash):
         flash.program(b"\x00" * 99999)
     with pytest.raises(ConfigurationError):
         flash.dump(0, 99999)
+
+
+def test_unprogrammed_blocks_are_not_stored(flash):
+    flash.load_firmware(b"\x00\x01\x02\x03")
+    assert sorted(flash._blocks) == [0]
+    flash.program(b"\xff" * 8, 4096)  # all-ones writes clear nothing
+    assert sorted(flash._blocks) == [0]
+    flash.erase_block(0)
+    assert flash._blocks == {}
+    assert flash.dump() == b"\xff" * flash.size
+
+
+class _DenseFlash:
+    """Reference model: the whole part as one ``bytearray`` (base 0),
+    raising the same errors with the same messages."""
+
+    name = "flash"
+
+    def __init__(self, size, block_size, endurance_cycles):
+        self.size = size
+        self.block_size = block_size
+        self.endurance_cycles = endurance_cycles
+        self.bytes = bytearray(b"\xff" * size)
+        self.erase_counts = [0] * (size // block_size)
+
+    def load_word(self, address):
+        return int.from_bytes(self.bytes[address : address + 4], "little")
+
+    def erase_block(self, block_index):
+        if not 0 <= block_index < len(self.erase_counts):
+            raise ConfigurationError(f"block {block_index} out of range")
+        if self.erase_counts[block_index] >= self.endurance_cycles:
+            raise DeviceError(
+                f"{self.name}: block {block_index} exceeded endurance "
+                f"({self.endurance_cycles} cycles)"
+            )
+        self.erase_counts[block_index] += 1
+        start = block_index * self.block_size
+        self.bytes[start : start + self.block_size] = b"\xff" * self.block_size
+
+    def erase_all(self):
+        for block in range(len(self.erase_counts)):
+            self.erase_block(block)
+
+    def program(self, image, offset=0):
+        if offset < 0 or offset + len(image) > self.size:
+            raise ConfigurationError(
+                f"{self.name}: image of {len(image)} bytes at {offset:#x} "
+                f"exceeds size {self.size:#x}"
+            )
+        for i, byte in enumerate(image):
+            current = self.bytes[offset + i]
+            if byte & ~current:
+                raise DeviceError(
+                    f"{self.name}: programming would set bits at offset "
+                    f"{offset + i:#x} (erase first)"
+                )
+            self.bytes[offset + i] = current & byte
+
+    def load_firmware(self, image):
+        for block in range(-(-len(image) // self.block_size)):
+            self.erase_block(block)
+        self.program(image, 0)
+
+    def dump(self, offset=0, count=None):
+        count = self.size - offset if count is None else count
+        if offset < 0 or count < 0 or offset + count > self.size:
+            raise ConfigurationError("dump range out of bounds")
+        return bytes(self.bytes[offset : offset + count])
+
+
+def _random_op(rng, ref):
+    """One random programmer/bus call, as ``(method name, args)``."""
+    size, n_blocks = ref.size, len(ref.erase_counts)
+    kind = rng.choice(
+        ["erase_block", "program", "load_firmware", "load_word", "dump",
+         "erase_all"],
+        p=[0.22, 0.3, 0.08, 0.2, 0.18, 0.02],
+    )
+    if kind == "erase_block":
+        return kind, (int(rng.integers(-1, n_blocks + 1)),)
+    if kind in ("program", "load_firmware"):
+        offset = 0 if kind == "load_firmware" else int(rng.integers(-2, size))
+        length = int(rng.integers(0, 3 * ref.block_size))
+        image = rng.integers(0, 256, length, dtype=np.uint8)
+        if rng.random() < 0.7:  # mostly clear-only writes that succeed
+            lo = max(offset, 0)
+            current = np.frombuffer(
+                bytes(ref.bytes[lo : lo + length]).ljust(length, b"\xff"),
+                dtype=np.uint8,
+            )
+            image &= current
+        return kind, (bytes(image),) if kind == "load_firmware" else (
+            bytes(image), offset)
+    if kind == "load_word":
+        return kind, (4 * int(rng.integers(0, size // 4)),)
+    if kind == "dump":
+        if rng.random() < 0.1:
+            return kind, ()
+        offset = int(rng.integers(-1, size + 1))
+        return kind, (offset, int(rng.integers(-1, size - max(offset, 0) + 2)))
+    return kind, ()
+
+
+@pytest.mark.parametrize(
+    "size,block_size,seed",
+    [(64, 16, 0), (64, 16, 1), (48, 12, 2), (24, 6, 3), (96, 32, 4)],
+)
+def test_sparse_matches_dense_reference(size, block_size, seed):
+    """Seeded random call sequences: every result, error (type and
+    message), dump and erase count of the block-sparse part equals the
+    dense reference's (block sizes that are not a word multiple make words
+    straddle blocks)."""
+    rng = np.random.default_rng(seed)
+    flash = OnChipFlash(0, size, block_size=block_size, endurance_cycles=6)
+    ref = _DenseFlash(size, block_size, endurance_cycles=6)
+    errors = set()
+    for _ in range(600):
+        kind, args = _random_op(rng, ref)
+        outcomes = []
+        for target in (flash, ref):
+            try:
+                outcomes.append(("ok", getattr(target, kind)(*args)))
+            except (ConfigurationError, DeviceError) as exc:
+                outcomes.append(("raised", type(exc), str(exc)))
+        assert outcomes[0] == outcomes[1], (kind, args)
+        if outcomes[0][0] == "raised":
+            _, error_type, message = outcomes[0]
+            errors.add((error_type, "endurance" in message, "set bits" in message))
+        assert flash.erase_counts == ref.erase_counts
+        assert flash.dump() == bytes(ref.bytes)
+    # The sequences reached every error path: out of range, endurance and
+    # program-over-zero.
+    assert errors == {
+        (ConfigurationError, False, False),
+        (DeviceError, True, False),
+        (DeviceError, False, True),
+    }

@@ -121,7 +121,7 @@ def test_interleaved_batches_and_cycles_stay_in_lockstep(msp432_profile):
 
 
 def test_offsets_exact_after_batch_captures(msp432_profile):
-    """The memoised offsets vector equals a from-scratch recompute."""
+    """The offsets vector equals a from-scratch recompute on state copies."""
     array = _aged_array(msp432_profile)
     array.capture_power_on_states(5)
     nbti = array._nbti

@@ -45,6 +45,13 @@ class TestCommands:
         assert code == 0
         assert "round trip exact" in capsys.readouterr().out
 
+    def test_roundtrip_prints_sub_kib_slice(self, capsys):
+        code = main([
+            "roundtrip", "--fast", "--sram-kib", "0.25", "--message", "hi",
+        ])
+        assert code == 0
+        assert "(0.25 KiB slice)" in capsys.readouterr().out
+
     def test_roundtrip_without_key(self, capsys):
         code = main([
             "roundtrip", "--fast", "--sram-kib", "2", "--key", "",
