@@ -483,12 +483,12 @@ def _cmd_serve(args) -> int:
         readmit_after=args.readmit_after,
     )
     if args.journal_dir is not None:
-        _write_service_config_json(args)
+        _write_service_config_json(config)
 
     def on_ready(service) -> None:
         recovered = ""
-        if service.recovery is not None:
-            r = service.recovery
+        r = service.ledger.report
+        if r is not None:
             recovered = (
                 f" (recovered: checkpoint={r.checkpoint} "
                 f"cached={r.cached} replayed={r.replayed})"
@@ -513,23 +513,13 @@ _PERSISTED_CONFIG_FIELDS = (
 )
 
 
-def _write_service_config_json(args) -> None:
+def _write_service_config_json(config) -> None:
     import json
     import pathlib
 
-    directory = pathlib.Path(args.journal_dir)
+    directory = pathlib.Path(config.journal_dir)
     directory.mkdir(parents=True, exist_ok=True)
-    payload = {
-        "shards": args.shards,
-        "queue_depth": args.queue_depth,
-        "max_batch": args.max_batch,
-        "device_name": args.device,
-        "sram_kib": args.sram_kib,
-        "seed": args.seed,
-        "journal_dir": args.journal_dir,
-        "checkpoint_every": args.checkpoint_every,
-        "max_resident": args.max_resident,
-    }
+    payload = {f: getattr(config, f) for f in _PERSISTED_CONFIG_FIELDS}
     (directory / "config.json").write_text(json.dumps(payload, indent=1))
 
 
@@ -554,15 +544,15 @@ def _cmd_recover(args) -> int:
         }
     overrides["journal_dir"] = args.journal_dir
     config = ServiceConfig(**overrides)
-    host, journal, cache, report = recover_components(config)
-    journal.close()
-    out = {"recovery": report.to_dict()}
+    host, ledger = recover_components(config)
+    ledger.journal.close()
+    out = {"recovery": ledger.report.to_dict()}
     if args.digest:
         out["state_digest"] = host.state_digest()
         out["results_digest"] = results_digest(
             [
                 outcome.to_dict()
-                for outcome in cache.values()
+                for outcome in ledger.cache.values()
                 if not isinstance(outcome, BaseException)
             ]
         )

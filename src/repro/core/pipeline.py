@@ -310,8 +310,9 @@ class InvisibleBits:
 
         The request's ``device_id`` is an opaque routing key echoed onto
         the result — this channel is already bound to its board, so no
-        lookup happens here.  This is the same entry point
-        ``repro.service`` shards call for queued jobs.
+        lookup happens here.  ``repro.service`` shards do not come
+        through here: they call :meth:`send` and, for receives,
+        :meth:`decode_state` on states from the fleet capture kernel.
         """
         encode = self.send(
             request.message,
@@ -329,8 +330,8 @@ class InvisibleBits:
         """Serve one typed :class:`~repro.api.ReceiveRequest`.
 
         ``expected_payload`` has the same truth-diagnostics role as in
-        :meth:`receive`; the service passes the payload it staged earlier
-        for the same ``device_id`` so raw-BER SLOs see real numbers.
+        :meth:`receive`: pass the payload staged earlier for the same
+        ``device_id`` so raw-BER diagnostics see real numbers.
         """
         decode = self.receive(
             message_len=request.message_len, expected_payload=expected_payload

@@ -15,6 +15,9 @@ The serving layer (docs/service.md) behind ``repro serve``:
   :class:`LoadGenerator` — the hardened HTTP client (timeouts, retries,
   circuit breaker, idempotency keys) and the deterministic
   send→receive→verify soak driver behind ``repro load``.
+- :class:`~repro.service.ledger.Ledger` — the exactly-once ledger:
+  idempotency cache, in-flight latching, the completed-seq frontier and
+  every journal record.
 - :class:`~repro.service.journal.Journal` and
   :mod:`~repro.service.recovery` — the write-ahead journal, fleet
   checkpoints and the crash-restart replay that make the service
@@ -24,6 +27,7 @@ The serving layer (docs/service.md) behind ``repro serve``:
 from .admission import AdmissionController
 from .client import CircuitBreaker, LoadGenerator, LoadReport, ServiceClient
 from .journal import Journal, read_journal
+from .ledger import Ledger
 from .queue import BoundedJobQueue, Job
 from .recovery import (
     RecoveryReport,
@@ -42,6 +46,7 @@ __all__ = [
     "FleetService",
     "Job",
     "Journal",
+    "Ledger",
     "LoadGenerator",
     "LoadReport",
     "RecoveryReport",

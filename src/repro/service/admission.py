@@ -12,17 +12,27 @@ history.
 Shedding is the other half: when no healthy lane exists, or the target
 lane's queue is full and the caller refused to wait, admission raises
 :class:`~repro.errors.AdmissionError` *before* the job enters a queue —
-a shed job is never half-done, resubmitting is always safe.
+a shed job is never half-done, resubmitting is always safe.  Every shed,
+here or on a reroute or a no-drain stop, goes through
+:meth:`AdmissionController.count_shed`, which keeps ``shed`` and the
+``repro_service_shed_total`` metric in step.
 """
 
 from __future__ import annotations
 
 import threading
 
+from .. import metrics
 from ..errors import AdmissionError, ConfigurationError
 from ..faults import HealthLedger
 
 __all__ = ["AdmissionController"]
+
+_SHED_TOTAL = metrics.counter(
+    "repro_service_shed_total",
+    "Jobs refused without running: a full queue, no healthy shards, a "
+    "failed reroute or a no-drain stop",
+)
 
 
 class AdmissionController:
@@ -84,6 +94,7 @@ class AdmissionController:
     def count_shed(self) -> None:
         with self._lock:
             self.shed += 1
+        _SHED_TOTAL.inc()
 
     def require_capacity(self, shard: "str | None") -> str:
         """Admission gate: a healthy shard name, or AdmissionError.

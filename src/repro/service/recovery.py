@@ -7,8 +7,9 @@ Restart protocol (docs/service.md "Durability & recovery"):
    manifest's ``completed_seqs`` lists exactly the journal sequence
    numbers whose silicon effects the snapshot contains (the service
    quiesces its workers before snapshotting, so the frontier is exact).
-2. **Replay** the journal in sequence order.  Ops completed before the
-   checkpoint only refill the idempotency cache; ops completed *after*
+2. **Replay** the journal into a :class:`~repro.service.ledger.Ledger`
+   in sequence order.  Ops completed before the checkpoint only refill
+   its idempotency cache and frontier; ops completed *after*
    it re-execute (their aging/RNG effects are not in the snapshot) and
    the fresh result is compared digest-for-digest against the journaled
    one — a divergence means non-deterministic replay and raises
@@ -38,7 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass
 
 from .. import errors as errors_module
 from .. import telemetry
@@ -46,6 +47,7 @@ from ..telemetry import context as trace_ctx
 from ..api import ReceiveRequest, ReceiveResult, SendRequest, SendResult
 from ..errors import JournalError, ServiceError
 from .journal import Journal, read_journal
+from .ledger import Ledger, journal_outcome, outcome_status
 from .queue import Job
 from .shards import FleetHost, Shard
 
@@ -121,37 +123,9 @@ class RecoveryReport:
     unverified: int = 0
     shed: int = 0
     torn_tail: int = 0
-    #: Every non-shed sequence number whose effects are in the host —
-    #: the next checkpoint's ``completed_seqs`` starts from here.
-    completed_seqs: "set[int]" = field(default_factory=set)
-    #: Idempotency key → original trace id (from the journaled admit),
-    #: so post-restart replays of a cached key still correlate with the
-    #: request that did the work, possibly a process lifetime ago.
-    idem_traces: "dict[str, str]" = field(default_factory=dict)
 
     def to_dict(self) -> dict:
-        return {
-            "checkpoint": self.checkpoint,
-            "admitted": self.admitted,
-            "cached": self.cached,
-            "replayed": self.replayed,
-            "verified": self.verified,
-            "unverified": self.unverified,
-            "shed": self.shed,
-            "torn_tail": self.torn_tail,
-        }
-
-
-def _build_host(config) -> FleetHost:
-    return FleetHost(
-        device_name=config.device_name,
-        sram_kib=config.sram_kib,
-        scheme=config.resolved_scheme(),
-        seed=config.seed,
-        use_firmware=config.use_firmware,
-        max_resident=config.max_resident,
-        archive_dir=config.resolved_archive_dir(),
-    )
+        return asdict(self)
 
 
 def _rebuild_error(error_type: "str | None", message: "str | None"):
@@ -186,16 +160,28 @@ def _cached_outcome(kind: str, comp: dict):
     return _rebuild_error(comp.get("error_type"), comp.get("error"))
 
 
-def recover_components(config) -> "tuple[FleetHost, Journal, dict, RecoveryReport]":
-    """Rebuild ``(host, journal, idempotency_cache, report)`` from disk.
+def recover_components(config) -> "tuple[FleetHost, Ledger]":
+    """Build a service's state: ``(host, ledger)``.
 
-    The one entry point :class:`~repro.service.server.FleetService` uses
-    when built with a ``journal_dir``; on a pristine directory it simply
-    returns a fresh host and an empty journal, so first boot and restart
-    are the same code path.
+    The one constructor of :class:`~repro.service.server.FleetService`'s
+    fleet and exactly-once ledger.  Without a ``journal_dir`` the ledger
+    lives in memory.  With one, the newest checkpoint is restored and the
+    journal suffix replayed into the ledger; on a pristine directory that
+    is a fresh host and an empty journal, so first boot and restart are
+    the same code path.
     """
+    host = FleetHost(
+        device_name=config.device_name,
+        sram_kib=config.sram_kib,
+        scheme=config.resolved_scheme(),
+        seed=config.seed,
+        use_firmware=config.use_firmware,
+        max_resident=config.max_resident,
+        archive_dir=config.resolved_archive_dir(),
+    )
+    if config.journal_dir is None:
+        return host, Ledger()
     journal_dir = pathlib.Path(config.journal_dir)
-    host = _build_host(config)
     report = RecoveryReport()
     completed_in_ckpt: "set[int]" = set()
 
@@ -215,7 +201,7 @@ def recover_components(config) -> "tuple[FleetHost, Journal, dict, RecoveryRepor
     # Open for append only after the read pass: Journal resumes next_seq
     # past everything on disk, so keys and seqs stay unique across lives.
     journal = Journal(journal_path(journal_dir))
-    cache: "dict[str, object]" = {}
+    ledger = Ledger(journal, report)
     faulted = set(config.fault_shards)
     lane = Shard(REPLAY_SHARD, host)
 
@@ -223,7 +209,7 @@ def recover_components(config) -> "tuple[FleetHost, Journal, dict, RecoveryRepor
         seq, key, kind = record["seq"], record["key"], record["kind"]
         trace = record.get("trace")
         if trace is not None:
-            report.idem_traces[key] = trace
+            ledger.traces[key] = trace
         report.admitted += 1
         comp = completes.get(seq)
         if comp is not None and comp["status"] == "shed":
@@ -236,9 +222,9 @@ def recover_components(config) -> "tuple[FleetHost, Journal, dict, RecoveryRepor
                     f"checkpoint {report.checkpoint} claims seq {seq} "
                     "completed but the journal has no completion for it"
                 )
-            cache[key] = _cached_outcome(kind, comp)
+            ledger.cache[key] = _cached_outcome(kind, comp)
+            ledger.completed_seqs.add(seq)
             report.cached += 1
-            report.completed_seqs.add(seq)
             continue
         # Re-execute: either completed after the checkpoint (effects
         # missing from the snapshot) or cut off mid-flight by the crash.
@@ -253,20 +239,13 @@ def recover_components(config) -> "tuple[FleetHost, Journal, dict, RecoveryRepor
             job.parent_span_id = replay_span.span_id
             outcomes, _reason = lane.execute_batch([job])
         outcome = outcomes[0][1]
-        if isinstance(outcome, BaseException):
-            status, result_dict = "error", None
-        else:
-            status, result_dict = "ok", outcome.to_dict()
+        status = outcome_status(outcome)
         if comp is None:
-            journal.complete(
+            journal_outcome(
+                journal,
                 seq,
                 key,
-                status,
-                result=result_dict,
-                error=None if status == "ok" else str(outcome),
-                error_type=(
-                    None if status == "ok" else type(outcome).__name__
-                ),
+                outcome,
                 shard=REPLAY_SHARD,
                 replayed=True,
                 trace=trace,
@@ -293,7 +272,7 @@ def recover_components(config) -> "tuple[FleetHost, Journal, dict, RecoveryRepor
             elif comp["status"] != status or (
                 status == "ok"
                 and _result_digests(kind, comp["result"])
-                != _result_digests(kind, result_dict)
+                != _result_digests(kind, outcome.to_dict())
             ):
                 raise JournalError(
                     f"replay of seq {seq} (key {key!r}) diverged from the "
@@ -307,9 +286,9 @@ def recover_components(config) -> "tuple[FleetHost, Journal, dict, RecoveryRepor
             # so clients see where it really ran.
             if status == "ok" and comp["status"] == "ok":
                 outcome = _cached_outcome(kind, comp)
-        cache[key] = outcome
-        report.completed_seqs.add(seq)
+        ledger.cache[key] = outcome
+        ledger.completed_seqs.add(seq)
 
     journal.flush()
     telemetry.emit_record({"type": "recovery.report", **report.to_dict()})
-    return host, journal, cache, report
+    return host, ledger

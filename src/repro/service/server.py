@@ -62,7 +62,8 @@ from ..harness.controlboard import ControlBoard
 from .admission import AdmissionController
 from .journal import Journal
 from .queue import BoundedJobQueue, Job
-from .shards import FleetHost, Shard, ShardRouter, stable_seed
+from .recovery import checkpoints_root, recover_components
+from .shards import Shard, ShardRouter, stable_seed
 
 __all__ = ["FleetService", "ServiceConfig", "serve_forever"]
 
@@ -81,10 +82,6 @@ _QUEUE_DEPTH = metrics.gauge(
 _REROUTED_TOTAL = metrics.counter(
     "repro_service_rerouted_total",
     "Jobs moved off a tripped shard onto a healthy one",
-)
-_SHED_TOTAL = metrics.counter(
-    "repro_service_shed_total",
-    "Jobs refused at admission (full queue or no healthy shards)",
 )
 _IDEM_REPLAYS_TOTAL = metrics.counter(
     "repro_service_idempotent_replays_total",
@@ -210,45 +207,15 @@ class FleetService:
 
     def __init__(self, config: "ServiceConfig | None" = None):
         self.config = config or ServiceConfig()
-        #: Idempotency key → completed outcome (result or exception).
-        self._idem: "dict[str, object]" = {}
-        #: Idempotency key → future of the currently-in-flight job, so a
-        #: concurrent retry latches on instead of double-executing.
-        self._inflight: "dict[str, asyncio.Future]" = {}
-        #: Idempotency key → trace id of the execution that owns (or will
-        #: own) the cached outcome, so a replay's span can carry the
-        #: original request's trace.
-        self._idem_trace: "dict[str, str]" = {}
+        # Restart and first boot are the same path: restore the newest
+        # checkpoint (if any) and replay the journal suffix; without a
+        # journal_dir, a fresh host and an in-memory ledger.
+        self.host, self.ledger = recover_components(self.config)
         #: Per-phase latency accounting over completed jobs (seconds).
         self._phase_totals: "dict[str, float]" = {}
         self._phase_counts: "dict[str, int]" = {}
         self._latency_total = 0.0
         self._latency_n = 0
-        #: Journaled seqs whose silicon effects the host now holds — the
-        #: next checkpoint's ``completed_seqs``.
-        self._completed_seqs: "set[int]" = set()
-        self.journal: "Journal | None" = None
-        self.recovery = None
-        if self.config.journal_dir is not None:
-            # Restart and first boot are the same path: restore the
-            # newest checkpoint (if any) and replay the journal suffix.
-            from .recovery import recover_components
-
-            self.host, self.journal, self._idem, self.recovery = (
-                recover_components(self.config)
-            )
-            self._completed_seqs = set(self.recovery.completed_seqs)
-            self._idem_trace.update(self.recovery.idem_traces)
-        else:
-            self.host = FleetHost(
-                device_name=self.config.device_name,
-                sram_kib=self.config.sram_kib,
-                scheme=self.config.resolved_scheme(),
-                seed=self.config.seed,
-                use_firmware=self.config.use_firmware,
-                max_resident=self.config.max_resident,
-                archive_dir=self.config.resolved_archive_dir(),
-            )
         self.router = ShardRouter(self.config.shard_names)
         self.admission = AdmissionController(self.config.shard_names)
         self.shards: "dict[str, Shard]" = {
@@ -340,28 +307,14 @@ class FleetService:
         await self._stop_background()
         if drain:
             await self.drain()
-            if self.journal is not None:
+            if self.ledger.journal is not None:
                 # A graceful stop leaves a fresh checkpoint behind, so
                 # the next boot replays an empty (or tiny) suffix.
                 await self.checkpoint()
         self.accepting = False
         if not drain:
             self._shed_queued()
-        for worker in self._workers:
-            worker.cancel()
-        await asyncio.gather(*self._workers, return_exceptions=True)
-        self._workers = []
-        await self._close_lane_thread()
-        if self._http_server is not None:
-            self._http_server.close()
-            await self._http_server.wait_closed()
-            self._http_server = None
-        if self.journal is not None:
-            self.journal.close()
-        self.started = False
-        if not self._metrics_was_enabled:
-            metrics.registry.disable()
-        telemetry.count("service.stopped")
+        await self._teardown(Journal.close, "service.stopped")
 
     async def abort(self) -> None:
         """Crash simulation: stop dead, completing and flushing nothing.
@@ -381,6 +334,12 @@ class FleetService:
             return
         self.accepting = False
         await self._stop_background()
+        await self._teardown(Journal.abandon, "service.aborted")
+
+    async def _teardown(self, end_journal, event: str) -> None:
+        """What ``stop`` and ``abort`` share: cancel the workers, retire
+        the lane thread and the HTTP listener, end the journal with
+        ``end_journal``, restore the metrics registry."""
         for worker in self._workers:
             worker.cancel()
         await asyncio.gather(*self._workers, return_exceptions=True)
@@ -390,12 +349,12 @@ class FleetService:
             self._http_server.close()
             await self._http_server.wait_closed()
             self._http_server = None
-        if self.journal is not None:
-            self.journal.abandon()
+        if self.ledger.journal is not None:
+            end_journal(self.ledger.journal)
         self.started = False
         if not self._metrics_was_enabled:
             metrics.registry.disable()
-        telemetry.count("service.aborted")
+        telemetry.count(event)
 
     async def _stop_background(self) -> None:
         tasks = list(self._bg_tasks)
@@ -449,25 +408,12 @@ class FleetService:
         """
         for queue in self.queues.values():
             for job in queue.drain_pending():
-                if self.journal is not None and job.seq is not None:
-                    self.journal.complete(
-                        job.seq,
-                        job.key,
-                        "shed",
-                        shard=job.shard,
-                        trace=job.trace_id,
-                    )
-                self.admission.count_shed()
-                _SHED_TOTAL.inc()
-                key = job.request.idempotency_key
-                if key is not None:
-                    self._inflight.pop(key, None)
-                if not job.future.done():
-                    job.future.set_exception(
-                        ServiceStoppedError(
-                            "service stopped without draining; job shed"
-                        )
-                    )
+                self._shed(
+                    job,
+                    ServiceStoppedError(
+                        "service stopped without draining; job shed"
+                    ),
+                )
 
     # -- durability ---------------------------------------------------------------
 
@@ -476,12 +422,13 @@ class FleetService:
 
         Quiesce protocol: clear the worker gate, wait until no batch is
         executing (completions included — ``_executing`` spans them), so
-        the snapshot holds *exactly* the effects of ``_completed_seqs``;
+        the snapshot holds *exactly* the ledger's completed seqs;
         write every device + manifest; append a fsynced checkpoint
         marker; reopen the gate.  Concurrent calls coalesce (the second
         returns ``None``).
         """
-        if self.journal is None:
+        journal = self.ledger.journal
+        if journal is None:
             raise ConfigurationError(
                 "checkpoint() needs a service with a journal_dir"
             )
@@ -492,13 +439,9 @@ class FleetService:
         try:
             while self._executing:
                 await asyncio.sleep(0.005)
-            checkpoint_id = f"ckpt-{self.journal.next_seq:08d}"
-            directory = (
-                pathlib.Path(self.config.journal_dir)
-                / "checkpoints"
-                / checkpoint_id
-            )
-            completed = sorted(self._completed_seqs)
+            checkpoint_id = f"ckpt-{journal.next_seq:08d}"
+            directory = checkpoints_root(self.config.journal_dir) / checkpoint_id
+            completed = sorted(self.ledger.completed_seqs)
             await self._on_lane_thread(
                 self.host.snapshot,
                 directory,
@@ -507,7 +450,7 @@ class FleetService:
                     "completed_seqs": completed,
                 },
             )
-            self.journal.checkpoint(checkpoint_id, completed)
+            journal.checkpoint(checkpoint_id, completed)
             self.checkpoints += 1
             self._since_checkpoint = 0
             _CHECKPOINTS_TOTAL.inc()
@@ -652,46 +595,26 @@ class FleetService:
                 "service is draining or stopped; no new jobs accepted"
             )
         key = request.idempotency_key
-        if key is not None:
-            if key in self._idem:
-                _IDEM_REPLAYS_TOTAL.inc()
-                telemetry.count("service.idempotent_replay")
-                with telemetry.trace(
-                    "service.idempotent_replay",
-                    device_id=request.device_id,
-                    key=key,
-                ) as span:
-                    original = self._idem_trace.get(key)
-                    if original is not None and span.trace_id not in (
-                        None,
-                        original,
-                    ):
-                        # Re-home the replay span onto the execution that
-                        # produced the cached outcome, so the answer
-                        # correlates with the admit that did the work.
-                        span.trace_id = original
-                        span.parent_id = None
-                    outcome = self._idem[key]
-                    if isinstance(outcome, BaseException):
-                        raise outcome
-                    return outcome
-            pending = self._inflight.get(key)
-            if pending is not None:
-                _IDEM_REPLAYS_TOTAL.inc()
-                telemetry.count("service.idempotent_replay")
-                with telemetry.trace(
-                    "service.idempotent_replay",
-                    device_id=request.device_id,
-                    key=key,
-                ) as span:
-                    original = self._idem_trace.get(key)
-                    if original is not None and span.trace_id not in (
-                        None,
-                        original,
-                    ):
-                        span.trace_id = original
-                        span.parent_id = None
-                    return await asyncio.shield(pending)
+        replay = self.ledger.known(key)
+        if replay is not None:
+            _IDEM_REPLAYS_TOTAL.inc()
+            telemetry.count("service.idempotent_replay")
+            with telemetry.trace(
+                "service.idempotent_replay",
+                device_id=request.device_id,
+                key=key,
+            ) as span:
+                original = self.ledger.traces.get(key)
+                if original is not None and span.trace_id not in (
+                    None,
+                    original,
+                ):
+                    # Re-home the replay span onto the execution that
+                    # owns the outcome, so the answer correlates with the
+                    # admit that did the work.
+                    span.trace_id = original
+                    span.parent_id = None
+                return await asyncio.shield(replay)
         job = Job.for_request(
             request, asyncio.get_running_loop().create_future()
         )
@@ -709,52 +632,34 @@ class FleetService:
             job.parent_span_id = span.span_id
             job.phases = {}
             job.enqueued_at = time.perf_counter()
-            if key is not None and job.trace_id is not None:
-                self._idem_trace[key] = job.trace_id
-            shard = self._pick_shard(request.device_id)
+            try:
+                shard = self._pick_shard(request.device_id)
+            except AdmissionError as exc:
+                # ``require_capacity`` has already counted this shed.
+                self._finish(job, exc)
+                return await job.future
             job.shard = shard
-            if self.journal is not None:
-                # Admit-before-enqueue: auto keys embed the sequence
-                # number, which resumes past prior lives, so they never
-                # collide with a previous run's keys.
-                job.key = (
-                    key if key is not None else f"auto-{self.journal.next_seq}"
-                )
-                t0 = time.perf_counter()
-                job.seq = self.journal.admit(
-                    job.key, job.kind, request.to_dict(), trace=job.trace_id
-                )
-                job.phases["journal_fsync"] = time.perf_counter() - t0
-            if key is not None:
-                self._inflight[key] = job.future
+            self.ledger.admit(job, key)
             queue = self.queues[shard]
             try:
                 if wait:
                     await queue.put(job)
                 else:
-                    try:
-                        queue.put_nowait(job)
-                    except asyncio.QueueFull:
-                        self.admission.count_shed()
-                        _SHED_TOTAL.inc()
-                        if self.journal is not None and job.seq is not None:
-                            self.journal.complete(
-                                job.seq,
-                                job.key,
-                                "shed",
-                                shard=shard,
-                                trace=job.trace_id,
-                            )
-                        raise AdmissionError(
-                            f"queue for {shard} is full "
-                            f"({queue.maxsize} jobs) and wait=False",
-                            shard=shard,
-                        ) from None
+                    queue.put_nowait(job)
+            except asyncio.QueueFull:
+                self._shed(
+                    job,
+                    AdmissionError(
+                        f"queue for {shard} is full "
+                        f"({queue.maxsize} jobs) and wait=False",
+                        shard=shard,
+                    ),
+                )
             except BaseException:
-                if key is not None and self._inflight.get(key) is job.future:
-                    del self._inflight[key]
+                self.ledger.release(job)
                 raise
-            _QUEUE_DEPTH.set(queue.qsize(), shard=shard)
+            else:
+                _QUEUE_DEPTH.set(queue.qsize(), shard=shard)
             return await job.future
 
     # -- workers ------------------------------------------------------------------
@@ -785,7 +690,7 @@ class FleetService:
         # snapshot is being cut.  ``_executing`` covers the whole
         # batch *including* its completions, so when the
         # checkpointer sees it reach zero, every executed seq is
-        # journaled and in ``_completed_seqs`` — the manifest's
+        # journaled and in the ledger's frontier — the manifest's
         # frontier is exact.  (No await point between the gate and
         # the increment, so the checkpointer cannot miss us.)
         await self._pause.wait()
@@ -847,9 +752,7 @@ class FleetService:
         """Resolve a cancelled in-flight batch's futures so submitters
         don't wait forever on a stop that skipped the drain."""
         for job in batch:
-            key = job.request.idempotency_key
-            if key is not None and self._inflight.get(key) is job.future:
-                del self._inflight[key]
+            self.ledger.release(job)
             if not job.future.done():
                 job.future.set_exception(
                     ServiceStoppedError(
@@ -861,67 +764,18 @@ class FleetService:
     def _finish(self, job: Job, outcome) -> None:
         if job.future.done():
             return
-        # Sheds (refused at admission/reroute, or drained at stop) never
-        # touched a device: journal them as such and keep their keys out
-        # of the cache so a client retry runs fresh.  Real errors *may*
-        # have aged silicon (a failed receive still burned captures), so
-        # they journal — and cache — like results do.
-        shed = isinstance(outcome, (AdmissionError, ServiceStoppedError))
         if isinstance(outcome, BaseException):
             self.failed += 1
-            status = "shed" if shed else "error"
-            _JOBS_TOTAL.inc(shard=job.shard, kind=job.kind, status=status)
             job.future.set_exception(outcome)
         else:
             self.completed += 1
-            status = "ok"
-            _JOBS_TOTAL.inc(shard=job.shard, kind=job.kind, status="ok")
             job.future.set_result(outcome)
-        if self.journal is not None and job.seq is not None:
-            t0 = time.perf_counter()
-            with trace_ctx.trace_context(
-                job.trace_id, job.parent_span_id, inherit=False
-            ), telemetry.trace(
-                "service.journal", seq=job.seq, status=status
-            ):
-                if shed:
-                    self.journal.complete(
-                        job.seq,
-                        job.key,
-                        "shed",
-                        shard=job.shard,
-                        trace=job.trace_id,
-                    )
-                elif isinstance(outcome, BaseException):
-                    # ``shard`` is recorded even without a result dict so
-                    # recovery can exempt faulted-lane errors from strict
-                    # replay verification.
-                    self.journal.complete(
-                        job.seq,
-                        job.key,
-                        "error",
-                        error=str(outcome),
-                        error_type=type(outcome).__name__,
-                        shard=job.shard,
-                        trace=job.trace_id,
-                    )
-                    self._completed_seqs.add(job.seq)
-                else:
-                    self.journal.complete(
-                        job.seq,
-                        job.key,
-                        "ok",
-                        result=outcome.to_dict(),
-                        shard=job.shard,
-                        trace=job.trace_id,
-                    )
-                    self._completed_seqs.add(job.seq)
-            if job.phases is not None:
-                job.phases["journal_fsync"] = (
-                    job.phases.get("journal_fsync", 0.0)
-                    + (time.perf_counter() - t0)
-                )
-        if not shed and job.enqueued_at is not None:
+        status = self.ledger.complete(job, outcome)
+        # A job refused before it had a home lane counts under "none".
+        _JOBS_TOTAL.inc(shard=job.shard or "none", kind=job.kind, status=status)
+        if status == "shed":
+            return
+        if job.enqueued_at is not None:
             latency = time.perf_counter() - job.enqueued_at
             _REQUEST_LATENCY.observe(latency, exemplar=job.trace_id)
             self._latency_total += latency
@@ -933,17 +787,8 @@ class FleetService:
                 self._phase_counts[phase] = (
                     self._phase_counts.get(phase, 0) + 1
                 )
-        key = job.request.idempotency_key
-        if key is not None:
-            if not shed:
-                self._idem[key] = outcome
-            if self._inflight.get(key) is job.future:
-                del self._inflight[key]
-        if (
-            self.journal is not None
-            and not shed
-            and self.config.checkpoint_every > 0
-        ):
+        # checkpoint_every > 0 implies a journal (ServiceConfig checks).
+        if self.config.checkpoint_every > 0:
             self._since_checkpoint += 1
             if (
                 self._since_checkpoint >= self.config.checkpoint_every
@@ -955,12 +800,18 @@ class FleetService:
                 self._bg_tasks.add(task)
                 task.add_done_callback(self._bg_tasks.discard)
 
+    def _shed(self, job: Job, exc: Exception) -> None:
+        """Refuse a job that never touched a device: count it, journal
+        it as ``shed`` and fail its future."""
+        self.admission.count_shed()
+        self._finish(job, exc)
+
     async def _reroute(self, jobs: "list[Job]", *, source: str) -> None:
         healthy = self.admission.healthy - {source}
         for job in jobs:
             job.reroutes += 1
             if job.reroutes > self.config.max_reroutes:
-                self._finish(
+                self._shed(
                     job,
                     AdmissionError(
                         f"job for {job.request.device_id!r} exceeded "
@@ -971,9 +822,7 @@ class FleetService:
                 continue
             target = self.router.route(job.request.device_id, healthy)
             if target is None:
-                self.admission.count_shed()
-                _SHED_TOTAL.inc()
-                self._finish(
+                self._shed(
                     job,
                     AdmissionError(
                         "no healthy shards left to reroute to", shard=source
@@ -987,9 +836,7 @@ class FleetService:
             except asyncio.QueueFull:
                 # Never block a worker on a sibling's full queue (two
                 # tripped lanes could deadlock face to face) — shed.
-                self.admission.count_shed()
-                _SHED_TOTAL.inc()
-                self._finish(
+                self._shed(
                     job,
                     AdmissionError(
                         f"reroute target {target} is saturated", shard=target
@@ -1002,6 +849,7 @@ class FleetService:
     # -- introspection ------------------------------------------------------------
 
     def stats(self) -> dict:
+        journal, report = self.ledger.journal, self.ledger.report
         return {
             "accepting": self.accepting,
             "completed": self.completed,
@@ -1028,16 +876,12 @@ class FleetService:
                 },
             },
             "durability": {
-                "journaled": self.journal is not None,
-                "journal_seq": (
-                    self.journal.next_seq - 1 if self.journal else 0
-                ),
+                "journaled": journal is not None,
+                "journal_seq": journal.next_seq - 1 if journal else 0,
                 "checkpoints": self.checkpoints,
-                "idempotency_cache": len(self._idem),
+                "idempotency_cache": len(self.ledger.cache),
                 "probes": self.probes,
-                "recovery": (
-                    self.recovery.to_dict() if self.recovery else None
-                ),
+                "recovery": report.to_dict() if report else None,
             },
             "queues": {
                 name: {

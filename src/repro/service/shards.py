@@ -170,8 +170,8 @@ class FleetHost:
         #: device_id -> on-disk .npz holding its state (LRU archive or a
         #: restored checkpoint); rehydrated lazily on next touch.
         self._cold: "dict[str, pathlib.Path]" = {}
-        #: device_id -> pin count; pinned devices are never evicted (a
-        #: shard thread is mutating them mid-batch).
+        #: device_id -> pin count; pinned devices are never evicted, so
+        #: a batch cannot archive its own earlier devices mid-batch.
         self._pins: "dict[str, int]" = {}
         self.evicted = 0
         self.rehydrated = 0
@@ -540,8 +540,8 @@ class Shard:
                 board.fault_injector = self.injector
             return channel
 
-        # Pin the batch's devices: the host LRU must not archive a device
-        # while this thread holds its channel mid-mutation.
+        # Pin the batch's devices: staging a later device must not make
+        # the host LRU archive an earlier one this batch still holds.
         with self.host.pinned({job.request.device_id for job in jobs}):
             try:
                 for job in jobs:

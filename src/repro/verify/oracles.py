@@ -1129,16 +1129,16 @@ def _mutant_journal_corruption(rng):
         )
         path.write_text("".join(lines), encoding="utf-8")
         try:
-            host, journal, _cache, report = recover_components(config)
+            _host, ledger = recover_components(config)
         except JournalError as exc:
             # Re-raise without the tmpdir path so the detection detail
             # (and therefore the mutation-smoke report) is run-stable.
             raise JournalError(
                 str(exc).replace(f"{path}: ", "")
             ) from None
-        journal.close()
+        ledger.journal.close()
         check_that(
-            report.admitted == 2 * n_messages,
+            ledger.report.admitted == 2 * n_messages,
             f"corrupt admit record silently dropped from replay "
-            f"({report.admitted} of {2 * n_messages} admits survived)",
+            f"({ledger.report.admitted} of {2 * n_messages} admits survived)",
         )

@@ -118,6 +118,37 @@ class TestSnapshotRestore:
                 assert mine.state_digest == theirs.state_digest
                 assert mine.message == theirs.message
 
+    def test_a_batch_never_evicts_its_own_devices(self, tmp_path):
+        """One receive group over 4 devices on a 2-resident host: the
+        batch pins all four, so staging the third cannot archive the
+        first while the capture is about to age it."""
+        capped = _host(tmp_path, max_resident=2)
+        uncapped = _host()
+        devices = [f"dev-{index}" for index in range(4)]
+        outcomes = {}
+        for host in (capped, uncapped):
+            _execute(
+                host,
+                [
+                    SendRequest(device_id=d, message=d.encode())
+                    for d in devices
+                ],
+            )
+            jobs = [
+                Job(
+                    kind="receive",
+                    request=ReceiveRequest(device_id=d),
+                    future=None,
+                )
+                for d in devices
+            ]
+            batch, _reason = Shard("lane", host).execute_batch(jobs)
+            outcomes[id(host)] = [outcome.to_dict() for _, outcome in batch]
+
+        assert capped.n_resident <= 2
+        assert capped.state_digest() == uncapped.state_digest()
+        assert outcomes[id(capped)] == outcomes[id(uncapped)]
+
 
 def _config(tmp_path, **overrides) -> ServiceConfig:
     base = dict(shards=1, seed=SEED, journal_dir=str(tmp_path / "jd"))
@@ -152,7 +183,7 @@ class TestCrashRestart:
 
         async def second_life():
             service = FleetService(_config(tmp_path))
-            report = service.recovery
+            report = service.ledger.report
             await service.start()
             results = []
             for index in range(2):
@@ -183,22 +214,24 @@ class TestCrashRestart:
             await service.submit(receive)
             # The crash window: admitted on disk, never executed.
             tail_send, _ = _keyed_pair(1)
-            service.journal.admit(
+            service.ledger.journal.admit(
                 "t-1-send", "send", tail_send.to_dict()
             )
             await service.abort()
 
         asyncio.run(crash())
-        host, journal, cache, report = recover_components(config)
-        journal.close()
+        host, ledger = recover_components(config)
+        ledger.journal.close()
+        report = ledger.report
         assert report.admitted == 3
         assert report.replayed == 1  # the dangling admit re-executed
         assert report.verified == 2  # completed ops replay digest-equal
-        assert "t-1-send" in cache
+        assert "t-1-send" in ledger.cache
         # The replay appended its own completion: a second recovery of
         # the same journal has nothing left to replay.
-        host2, journal2, _cache2, second = recover_components(config)
-        journal2.close()
+        host2, ledger2 = recover_components(config)
+        ledger2.journal.close()
+        second = ledger2.report
         assert second.replayed == 0
         assert host2.state_digest() == host.state_digest()
 
@@ -208,10 +241,11 @@ class TestCrashRestart:
         with Journal(journal_path(config.journal_dir)) as journal:
             seq = journal.admit("t-0-send", "send", send.to_dict())
             journal.complete(seq, "t-0-send", "shed")
-        host, journal, cache, report = recover_components(config)
-        journal.close()
+        host, ledger = recover_components(config)
+        ledger.journal.close()
+        report = ledger.report
         assert report.shed == 1 and report.replayed == 0
-        assert "t-0-send" not in cache  # a retry must run fresh
+        assert "t-0-send" not in ledger.cache  # a retry must run fresh
         assert host.n_devices == 0  # shed means no silicon was touched
 
     def test_cached_errors_resurface_on_resubmit(self, tmp_path):
@@ -303,12 +337,13 @@ def test_stop_without_drain_journals_queued_jobs_as_shed(tmp_path):
     ]
     assert len(shed) == 4  # the in-flight job journals no completion
 
-    host, journal, cache, report = recover_components(config)
-    journal.close()
+    host, ledger = recover_components(config)
+    ledger.journal.close()
+    report = ledger.report
     assert report.shed == 4
     assert report.replayed == 1  # the in-flight job's dangling admit
     for record in shed:
-        assert record["key"] not in cache
+        assert record["key"] not in ledger.cache
 
 
 def test_faulted_lane_error_completions_replay_unverified(tmp_path):
@@ -342,10 +377,11 @@ def test_faulted_lane_error_completions_replay_unverified(tmp_path):
             error="injected: flaky port",
             error_type="CaptureFaultError",
         )
-    host, journal, cache, report = recover_components(config)
-    journal.close()
+    host, ledger = recover_components(config)
+    ledger.journal.close()
+    report = ledger.report
     assert report.unverified == 2
     assert report.verified == 0
     # Both keys are cached with the fresh replay outcome; the rebuilt
     # host state reflects that successful re-execution.
-    assert "f-send" in cache and "f-legacy" in cache
+    assert "f-send" in ledger.cache and "f-legacy" in ledger.cache

@@ -262,17 +262,18 @@ class TestCrashReplayContinuity:
             # The crash window: admitted on disk under its trace, never
             # executed, never completed.
             dangling = SendRequest(device_id="crash-dev", message=b"lost")
-            service.journal.admit(
+            service.ledger.journal.admit(
                 "crash-k1", "send", dangling.to_dict(), trace=T_SEND
             )
             await service.abort()
 
         asyncio.run(crash())
         sink = _sink()
-        host, journal, cache, report = recover_components(config)
-        journal.close()
+        host, ledger = recover_components(config)
+        ledger.journal.close()
+        report = ledger.report
         assert report.replayed == 1
-        assert report.idem_traces == {"crash-k1": T_SEND}
+        assert ledger.traces == {"crash-k1": T_SEND}
         replay_spans = [
             r
             for r in sink.records(type="span")

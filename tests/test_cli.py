@@ -443,6 +443,45 @@ class TestServeAndLoadCommands:
         captured = capsys.readouterr()
         assert "soak failed" in captured.err
 
+    def test_recover_rebuilds_the_served_config(
+        self, tmp_path, monkeypatch, capsys
+    ):
+        """``serve --journal-dir`` persists exactly the listed fields, and
+        ``recover`` rebuilds the same config from them."""
+        import json
+
+        import repro.service
+        from repro.cli import _PERSISTED_CONFIG_FIELDS
+
+        built = {}
+
+        def fake_serve(config, **_kwargs):
+            built["serve"] = config
+            return {}
+
+        def spy_recover(config):
+            built["recover"] = config
+            return recover_components(config)
+
+        recover_components = repro.service.recover_components
+        monkeypatch.setattr(repro.service, "serve_forever", fake_serve)
+        monkeypatch.setattr(repro.service, "recover_components", spy_recover)
+        journal_dir = str(tmp_path / "jd")
+        assert main([
+            "serve", "--journal-dir", journal_dir, "--shards", "3",
+            "--queue-depth", "9", "--max-batch", "5", "--device", "MSP432P401",
+            "--sram-kib", "0.5", "--seed", "7", "--checkpoint-every", "4",
+            "--max-resident", "11",
+        ]) == 0
+        saved = json.loads((tmp_path / "jd" / "config.json").read_text())
+        assert list(saved) == list(_PERSISTED_CONFIG_FIELDS)
+        assert main(["recover", journal_dir]) == 0
+        capsys.readouterr()
+        for field in _PERSISTED_CONFIG_FIELDS:
+            assert getattr(built["recover"], field) == getattr(
+                built["serve"], field
+            ), field
+
 
 class TestTraceCommand:
     def test_search_lists_roundtrip_traces(self, traced_run, capsys):
