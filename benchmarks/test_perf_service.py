@@ -157,3 +157,63 @@ def test_perf_journal_overhead(record_metric, frozen_heap):
     # The acceptance gate: durability stays under a quarter of the
     # serving cost.  Measured ~1.1x locally at the default fsync batch.
     assert overhead <= 1.25
+
+
+# A checkpoint's cost should follow the devices touched since the last
+# one, not the fleet: a 400-device host with 25 of them touched.
+N_CHECKPOINT_DEVICES = 400
+N_CHECKPOINT_TOUCHED = 25
+
+
+def test_perf_checkpoint_incremental_speedup(record_metric, tmp_path):
+    """An incremental ``FleetHost.snapshot`` is >= 4x cheaper than a full one.
+
+    The full checkpoint serialises all 400 devices; each incremental one
+    follows a re-send to 25 of them, serialises those again and
+    hard-links the other 375 files from the checkpoint before.
+    ``checkpoint_incremental_speedup`` is the CPU-time ratio, full over
+    the best of three incremental checkpoints.
+    """
+    from repro.core.scheme import paper_end_to_end_scheme
+    from repro.service import FleetHost
+
+    host = FleetHost(
+        scheme=paper_end_to_end_scheme(copies=7, n_captures=5), seed=11
+    )
+
+    def send(device_id: str, message: bytes) -> None:
+        sent = host.channel(device_id).send(message, stress_hours=24)
+        host.store_payload(device_id, sent.payload_bits)
+
+    ids = [f"dev-{i:04d}" for i in range(N_CHECKPOINT_DEVICES)]
+    for device_id in ids:
+        send(device_id, b"8 bytes!")
+
+    def timed_snapshot(name: str) -> float:
+        start = time.process_time()
+        host.snapshot(tmp_path / name)
+        return time.process_time() - start
+
+    full_s = timed_snapshot("full")
+    assert host.checkpoint_written == N_CHECKPOINT_DEVICES
+    incremental_s = []
+    for rep in range(3):
+        before = (host.checkpoint_written, host.checkpoint_reused)
+        for device_id in ids[rep::N_CHECKPOINT_DEVICES // N_CHECKPOINT_TOUCHED]:
+            send(device_id, b"again!!!")
+        incremental_s.append(timed_snapshot(f"incremental-{rep}"))
+        assert (host.checkpoint_written, host.checkpoint_reused) == (
+            before[0] + N_CHECKPOINT_TOUCHED,
+            before[1] + N_CHECKPOINT_DEVICES - N_CHECKPOINT_TOUCHED,
+        )
+
+    speedup = full_s / min(incremental_s)
+    print(
+        f"\ncheckpoint of {N_CHECKPOINT_DEVICES} devices: full "
+        f"{full_s * 1e3:.0f} ms, incremental ({N_CHECKPOINT_TOUCHED} "
+        f"touched) {min(incremental_s) * 1e3:.0f} ms -> {speedup:.1f}x"
+    )
+    record_metric(
+        "checkpoint_incremental_speedup", speedup, better="higher", unit="x"
+    )
+    assert speedup >= 4.0

@@ -26,7 +26,7 @@ facade test suite locks the two together.
 from __future__ import annotations
 
 import hashlib
-from dataclasses import asdict, dataclass
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -172,7 +172,17 @@ class SendResult:
     shard: "str | None" = None
 
     def to_dict(self) -> dict:
-        return asdict(self)
+        # Explicit rather than ``dataclasses.asdict``: no deepcopy walk on
+        # every journal record and HTTP response; same keys, same order.
+        return {
+            "device_id": self.device_id,
+            "message_bytes": self.message_bytes,
+            "coded_bits": self.coded_bits,
+            "stress_hours": self.stress_hours,
+            "encrypted": self.encrypted,
+            "payload_digest": self.payload_digest,
+            "shard": self.shard,
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "SendResult":
@@ -247,9 +257,19 @@ class ReceiveResult:
     shard: "str | None" = None
 
     def to_dict(self) -> dict:
-        data = asdict(self)
-        data["message_hex"] = data.pop("message").hex()
-        return data
+        # Field order with ``message`` moved last as ``message_hex``.
+        return {
+            "device_id": self.device_id,
+            "n_captures": self.n_captures,
+            "total_captures": self.total_captures,
+            "raw_ber": self.raw_ber,
+            "ecc_corrections": self.ecc_corrections,
+            "escalation_rounds": self.escalation_rounds,
+            "degraded": self.degraded,
+            "state_digest": self.state_digest,
+            "shard": self.shard,
+            "message_hex": self.message.hex(),
+        }
 
     @classmethod
     def from_dict(cls, data: dict) -> "ReceiveResult":

@@ -879,6 +879,8 @@ class FleetService:
                 "journaled": journal is not None,
                 "journal_seq": journal.next_seq - 1 if journal else 0,
                 "checkpoints": self.checkpoints,
+                "checkpoint_devices_written": self.host.checkpoint_written,
+                "checkpoint_devices_reused": self.host.checkpoint_reused,
                 "idempotency_cache": len(self.ledger.cache),
                 "probes": self.probes,
                 "recovery": report.to_dict() if report else None,

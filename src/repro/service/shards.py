@@ -26,6 +26,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import os
 import pathlib
 import shutil
 import threading
@@ -68,6 +69,12 @@ _REHYDRATED_TOTAL = metrics.counter(
     "repro_service_devices_rehydrated_total",
     "Devices restored from archive/checkpoint on first touch",
 )
+_CHECKPOINT_DEVICES_TOTAL = metrics.counter(
+    "repro_service_checkpoint_devices_total",
+    "Device files placed in checkpoints: serialised again (written) or "
+    "linked from an unchanged earlier file (reused)",
+    labelnames=("mode",),
+)
 
 
 def stable_seed(*parts) -> int:
@@ -82,6 +89,42 @@ def stable_seed(*parts) -> int:
         h.update(str(part).encode())
         h.update(b"\x1f")
     return int.from_bytes(h.digest(), "big")
+
+
+def _temp_for(target: pathlib.Path) -> pathlib.Path:
+    """A fresh temp name beside ``target``.
+
+    A leftover from an interrupted write may be a hard link to a live
+    checkpoint file, so it is unlinked, never written through.
+    """
+    tmp = target.with_name(target.name + ".tmp")
+    tmp.unlink(missing_ok=True)
+    return tmp
+
+
+def _write_device_file(target: pathlib.Path, arrays: dict) -> None:
+    """Serialise a device to ``target`` on a new inode.
+
+    The old ``target`` may be linked from another checkpoint, so it is
+    replaced, never truncated.
+    """
+    tmp = _temp_for(target)
+    with open(tmp, "xb") as fh:
+        np.savez_compressed(fh, **arrays)
+    os.replace(tmp, target)
+
+
+def _link_device_file(source: pathlib.Path, target: pathlib.Path) -> None:
+    """Place ``source``'s bytes at ``target``: a hard link, else a copy."""
+    # Re-cutting the checkpoint a file came from: already in place.
+    if target.exists() and source.samefile(target):
+        return
+    tmp = _temp_for(target)
+    try:
+        os.link(source, tmp)
+    except OSError:
+        shutil.copyfile(source, tmp)
+    os.replace(tmp, target)
 
 
 class ShardRouter:
@@ -168,13 +211,20 @@ class FleetHost:
         self._channels: "OrderedDict[str, InvisibleBits]" = OrderedDict()
         self._payloads: "dict[str, np.ndarray]" = {}
         #: device_id -> on-disk .npz holding its state (LRU archive or a
-        #: restored checkpoint); rehydrated lazily on next touch.
+        #: checkpoint); rehydrated lazily on next touch.
         self._cold: "dict[str, pathlib.Path]" = {}
         #: device_id -> pin count; pinned devices are never evicted, so
         #: a batch cannot archive its own earlier devices mid-batch.
         self._pins: "dict[str, int]" = {}
+        #: Resident device_id -> the checkpoint file holding its current
+        #: state.  :meth:`channel` (the only way to reach a device),
+        #: eviction and :meth:`restore` clear the entry.
+        self._clean: "dict[str, pathlib.Path]" = {}
         self.evicted = 0
         self.rehydrated = 0
+        #: Device files :meth:`snapshot` serialised vs. linked unchanged.
+        self.checkpoint_written = 0
+        self.checkpoint_reused = 0
 
     def _device_file(self, device_id: str) -> str:
         """A filesystem-safe, collision-free file name for a device."""
@@ -205,6 +255,9 @@ class FleetHost:
         *and* the RNG stream position.
         """
         with self._lock:
+            # The caller may change the device; its last checkpoint file
+            # no longer vouches for it.
+            self._clean.pop(device_id, None)
             channel = self._channels.get(device_id)
             if channel is None:
                 channel = self._fresh_channel(device_id)
@@ -264,10 +317,12 @@ class FleetHost:
             if victim is None:
                 return
             channel = self._channels.pop(victim)
+            self._clean.pop(victim, None)
             self.archive_dir.mkdir(parents=True, exist_ok=True)
             path = self.archive_dir / self._device_file(victim)
-            np.savez_compressed(
-                path, **device_state_arrays(channel.board.device)
+            # Checkpoints link archive files: replace, never overwrite.
+            _write_device_file(
+                path, device_state_arrays(channel.board.device)
             )
             self._cold[victim] = path
             self.evicted += 1
@@ -296,36 +351,54 @@ class FleetHost:
     # -- checkpoint / restore -----------------------------------------------------
 
     def snapshot(self, directory, *, extra: "dict | None" = None) -> dict:
-        """Write the whole fleet's state under ``directory``.
+        """Write the whole fleet's state under ``directory``; incremental.
 
         One ``.npz`` per device (the :func:`repro.io.device_state_arrays`
-        format, RNG stream included) plus a ``manifest.json`` naming the
-        fleet parameters, per-device files, staged payloads, and any
-        ``extra`` bookkeeping the caller wants carried (the service puts
-        its completed-sequence frontier here).  Archived devices are
-        copied from the LRU archive without rehydrating them.  Returns
-        the manifest.
+        format, RNG stream position included) plus a ``manifest.json``
+        naming the fleet parameters, per-device files, staged payloads,
+        and any ``extra`` bookkeeping the caller wants carried (the
+        service puts its completed-sequence frontier here).  Returns the
+        manifest.
+
+        Only devices reached through :meth:`channel` since their last
+        checkpoint are serialised again.  Every other device's file is
+        hard-linked (copied where links are refused) from the checkpoint
+        or LRU archive file that already holds its state, so the cost
+        scales with the devices touched, not the fleet, and each
+        checkpoint directory stays self-contained.  Files are written
+        under a temp name and ``os.replace``d into place, so re-cutting a
+        checkpoint id never changes bytes another checkpoint links to.
+        The caller quiesces the fleet first (the service's lane thread).
         """
         directory = pathlib.Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         with self._lock:
             devices: "dict[str, str]" = {}
+            written = 0
             for device_id, channel in self._channels.items():
                 name = self._device_file(device_id)
-                np.savez_compressed(
-                    directory / name,
-                    **device_state_arrays(channel.board.device),
-                )
+                target = directory / name
+                clean = self._clean.get(device_id)
+                if clean is not None and clean.exists():
+                    _link_device_file(clean, target)
+                else:
+                    _write_device_file(
+                        target, device_state_arrays(channel.board.device)
+                    )
+                    written += 1
+                self._clean[device_id] = target
                 devices[device_id] = name
             for device_id, cold_path in self._cold.items():
                 name = self._device_file(device_id)
                 target = directory / name
-                # A no-new-work restart re-cuts the checkpoint it was
-                # restored from under the same id: the cold source *is*
-                # the target, and its content is already current.
-                if not target.exists() or not cold_path.samefile(target):
-                    shutil.copyfile(cold_path, target)
+                _link_device_file(cold_path, target)
+                # Follow the newest copy, so deleting an older checkpoint
+                # never strands a device this host has yet to rehydrate.
+                self._cold[device_id] = target
                 devices[device_id] = name
+            reused = len(devices) - written
+            self.checkpoint_written += written
+            self.checkpoint_reused += reused
             manifest = {
                 "format": CHECKPOINT_FORMAT,
                 "version": CHECKPOINT_VERSION,
@@ -349,6 +422,10 @@ class FleetHost:
         tmp.write_text(json.dumps(manifest, indent=1, sort_keys=True))
         tmp.replace(directory / "manifest.json")
         telemetry.count("service.checkpoint_devices", len(devices))
+        telemetry.count("service.checkpoint_devices_written", written)
+        telemetry.count("service.checkpoint_devices_reused", reused)
+        _CHECKPOINT_DEVICES_TOTAL.inc(written, mode="written")
+        _CHECKPOINT_DEVICES_TOTAL.inc(reused, mode="reused")
         return manifest
 
     def restore(self, directory) -> dict:
@@ -386,6 +463,7 @@ class FleetHost:
                 if not path.exists():
                     raise JournalError(f"{directory}: missing device file {name}")
                 self._channels.pop(device_id, None)
+                self._clean.pop(device_id, None)
                 self._cold[device_id] = path
             self._payloads.update(
                 {

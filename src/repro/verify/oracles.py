@@ -355,12 +355,16 @@ def service_crash_recovery(seed, n_messages):
     same fleet state digest, same receive results, no op lost or doubled.
 
     Run A soaks a journaled service to completion.  Run B soaks the same
-    traffic, takes an explicit checkpoint mid-soak, is killed dead
-    (``abort()`` — no drain, no final fsync) with the tail in flight,
-    then a fresh service boots on the same journal directory and the
-    whole soak is resubmitted under the same idempotency keys.  The
-    recovered fleet must end in the same analog state and serve the same
-    results as the twin that never crashed.
+    traffic but cuts two checkpoints mid-soak: between them some devices
+    are read back (touched, so serialised again) and one is left alone
+    (its file is reused from the first checkpoint).  It is then killed
+    dead (``abort()`` — no drain, no final fsync) with the tail in
+    flight, a fresh service boots on the same journal directory from the
+    second checkpoint, and the whole soak is resubmitted under the same
+    idempotency keys.  The recovered fleet must end in the same analog
+    state and serve the same results as the twin that never crashed.
+    Each device sees the same op sequence in both runs; only the order
+    across devices differs, and device state never depends on it.
     """
     import asyncio
     import tempfile
@@ -388,22 +392,34 @@ def service_crash_recovery(seed, n_messages):
         service = FleetService(_journaled_config(journal_dir, seed))
         await service.start()
         generator = LoadGenerator(seed=seed, message_bytes=4, idempotency=True)
-        # Phase 1 completes and is checkpointed; phase 2 is cut off with
-        # ops at every stage — unadmitted, admitted, mid-execution.
+        # Phase 1 completes across two checkpoints: every device is sent
+        # to before the first, all but the last are read back before the
+        # second.  Phase 2 is cut off with ops at every stage —
+        # unadmitted, admitted, mid-execution.
         for index in range(crash_at):
-            send, receive = _soak_requests(generator, index)
+            send, _ = _soak_requests(generator, index)
             await service.submit(send)
-            await service.submit(receive)
         await service.checkpoint()
+        for index in range(crash_at - 1):
+            _, receive = _soak_requests(generator, index)
+            await service.submit(receive)
+        second = await service.checkpoint()
+        check_that(
+            service.host.checkpoint_reused > 0,
+            "the second checkpoint reused no device file; the incremental "
+            "path went unexercised",
+        )
 
         async def one(index):
             send, receive = _soak_requests(generator, index)
             await service.submit(send)
             await service.submit(receive)
 
+        # The untouched device's send is answered from the idempotency
+        # cache; its receive joins the tail.
         tail = [
             asyncio.create_task(one(index))
-            for index in range(crash_at, n_messages)
+            for index in range(crash_at - 1, n_messages)
         ]
         # One scheduler pass: the tail is admitted/enqueued/mid-batch —
         # not done — when the plug is pulled.  The contract must hold
@@ -415,6 +431,11 @@ def service_crash_recovery(seed, n_messages):
         await asyncio.gather(*tail, return_exceptions=True)
 
         revived = FleetService(_journaled_config(journal_dir, seed))
+        check_that(
+            revived.ledger.report.checkpoint == second["checkpoint"],
+            f"recovery restored {revived.ledger.report.checkpoint}, not the "
+            f"newest checkpoint {second['checkpoint']}",
+        )
         await revived.start()
         results: "list[dict]" = []
         await soak(revived, generator, results)
@@ -1084,6 +1105,34 @@ def _mutant_kernel_decision_flip(rng):
             np.array_equal(fleet.frames[index], stack),
             f"kernel decision flip detected on slot {index}",
         )
+
+
+@mutant("service.crash_recovery", "touch-keeps-stale-file")
+def _mutant_touch_keeps_stale_file(rng):
+    """A touched device that keeps its stale checkpoint file must diverge.
+
+    The planted defect: ``FleetHost.channel`` no longer clears the
+    device's clean-file mark, so the second checkpoint links the file
+    from before the read-back.  Recovery from it serves that read-back
+    from cache without its aging, and the fleet state digest diverges
+    from the run that never crashed.
+    """
+    from ..service.shards import FleetHost
+
+    pristine = FleetHost.channel
+
+    def keeps_stale_file(self, device_id):
+        clean = self._clean.get(device_id)
+        channel = pristine(self, device_id)
+        if clean is not None:
+            self._clean[device_id] = clean  # the planted defect
+        return channel
+
+    FleetHost.channel = keeps_stale_file
+    try:
+        service_crash_recovery(int(rng.integers(0, 2**31)), 4)
+    finally:
+        FleetHost.channel = pristine
 
 
 @mutant("service.crash_recovery", "journal-byte-corruption")

@@ -2,7 +2,8 @@
 
 The differential twin of the ``service.crash_recovery`` oracle: these
 tests pin each recovery semantic individually — snapshot/restore
-bit-identity, LRU eviction transparency, replay of the crash window,
+bit-identity, incremental checkpoints that re-serialise only touched
+devices, LRU eviction transparency, replay of the crash window,
 shed skipping, divergence refusal, and idempotent resubmission after a
 graceful restart.
 """
@@ -148,6 +149,110 @@ class TestSnapshotRestore:
         assert capped.n_resident <= 2
         assert capped.state_digest() == uncapped.state_digest()
         assert outcomes[id(capped)] == outcomes[id(uncapped)]
+
+    def test_second_snapshot_rewrites_only_touched_devices(self, tmp_path):
+        host = _host()
+        _execute(host, _traffic(4))
+        host.snapshot(tmp_path / "a")
+        assert (host.checkpoint_written, host.checkpoint_reused) == (4, 0)
+        _execute(host, [SendRequest(device_id="dev-1", message=b"again")])
+        manifest = host.snapshot(tmp_path / "b")
+        assert (host.checkpoint_written, host.checkpoint_reused) == (5, 3)
+        for device_id, name in manifest["devices"].items():
+            shared = (tmp_path / "a" / name).samefile(tmp_path / "b" / name)
+            assert shared == (device_id != "dev-1"), device_id
+
+        # The same history, checkpointed once from scratch.
+        scratch = _host()
+        _execute(scratch, _traffic(4))
+        _execute(scratch, [SendRequest(device_id="dev-1", message=b"again")])
+        scratch.snapshot(tmp_path / "scratch")
+        assert scratch.checkpoint_written == 4
+        incremental, full = _host(), _host()
+        incremental.restore(tmp_path / "b")
+        full.restore(tmp_path / "scratch")
+        assert incremental.state_digest() == full.state_digest()
+        assert incremental.state_digest() == host.state_digest()
+
+    def test_deleting_the_older_checkpoint_keeps_the_newer_restorable(
+        self, tmp_path
+    ):
+        import shutil
+
+        origin = _host()
+        _execute(origin, _traffic(3))
+        origin.snapshot(tmp_path / "a")
+        # A restarted host: every device cold in "a" until touched.
+        host = _host()
+        host.restore(tmp_path / "a")
+        _execute(host, [ReceiveRequest(device_id="dev-0")])
+        host.snapshot(tmp_path / "b")
+        assert (host.checkpoint_written, host.checkpoint_reused) == (1, 2)
+        shutil.rmtree(tmp_path / "a")
+
+        twin = _host()
+        twin.restore(tmp_path / "b")
+        assert twin.state_digest() == host.state_digest()
+        # The live host needs nothing from the deleted directory either:
+        # its cold devices now rehydrate from "b".
+        _execute(host, [ReceiveRequest(device_id="dev-2")])
+        host.snapshot(tmp_path / "c")
+        twin = _host()
+        twin.restore(tmp_path / "c")
+        assert twin.state_digest() == host.state_digest()
+
+    def test_a_same_id_recut_leaves_linked_files_unchanged(self, tmp_path):
+        host = _host()
+        _execute(host, _traffic(3))
+        host.snapshot(tmp_path / "a")
+        digest_a = host.state_digest()
+        _execute(host, [ReceiveRequest(device_id="dev-0")])
+        host.snapshot(tmp_path / "b")
+        bytes_a = {
+            path.name: path.read_bytes() for path in (tmp_path / "a").iterdir()
+        }
+
+        # A restart restores "b" (two of whose files are "a"'s inodes),
+        # touches one of those devices and re-cuts "b" under the same id.
+        restarted = _host()
+        restarted.restore(tmp_path / "b")
+        _execute(restarted, [ReceiveRequest(device_id="dev-1")])
+        restarted.snapshot(tmp_path / "b")
+
+        assert {
+            path.name: path.read_bytes() for path in (tmp_path / "a").iterdir()
+        } == bytes_a
+        older = _host()
+        older.restore(tmp_path / "a")
+        assert older.state_digest() == digest_a
+        newer = _host()
+        newer.restore(tmp_path / "b")
+        assert newer.state_digest() == restarted.state_digest()
+
+    def test_an_evicted_then_touched_device_is_written_again(self, tmp_path):
+        capped = _host(tmp_path, max_resident=2)
+        uncapped = _host()
+        first = [SendRequest(device_id=f"dev-{i}", message=b"x") for i in (0, 1)]
+        # dev-2's send evicts dev-0; the receive rehydrates and ages it.
+        later = [
+            SendRequest(device_id="dev-2", message=b"y"),
+            ReceiveRequest(device_id="dev-0"),
+        ]
+        for host, root in ((capped, "capped"), (uncapped, "uncapped")):
+            _execute(host, first)
+            host.snapshot(tmp_path / root / "a")
+            _execute(host, later)
+            host.snapshot(tmp_path / root / "b")
+        assert capped.evicted >= 2 and capped.rehydrated == 1
+        name = capped._device_file("dev-0")
+        ckpt = tmp_path / "capped"
+        assert not (ckpt / "a" / name).samefile(ckpt / "b" / name)
+        # dev-0 and dev-2 serialised again; dev-1 linked from the archive.
+        assert (capped.checkpoint_written, capped.checkpoint_reused) == (4, 1)
+
+        restored = _host()
+        restored.restore(ckpt / "b")
+        assert restored.state_digest() == uncapped.state_digest()
 
 
 def _config(tmp_path, **overrides) -> ServiceConfig:
@@ -301,6 +406,33 @@ class TestCrashRestart:
         path.write_text("".join(lines))
         with pytest.raises(JournalError, match="diverged"):
             recover_components(config)
+
+
+def test_checkpoint_device_counts_reach_stats_and_metrics(tmp_path):
+    from repro import metrics
+
+    async def scenario():
+        service = FleetService(_config(tmp_path))
+        await service.start()
+        for index in range(3):
+            send, _ = _keyed_pair(index)
+            await service.submit(send)
+        await service.checkpoint()
+        _, receive = _keyed_pair(0)
+        await service.submit(receive)
+        await service.checkpoint()
+        durability = service.stats()["durability"]
+        exposition = metrics.registry.expose()
+        await service.stop()
+        return durability, exposition
+
+    durability, exposition = asyncio.run(scenario())
+    # Three new devices, then the one read back; two linked unchanged.
+    assert durability["checkpoint_devices_written"] == 4
+    assert durability["checkpoint_devices_reused"] == 2
+    for mode, count in (("written", 4), ("reused", 2)):
+        line = f'repro_service_checkpoint_devices_total{{mode="{mode}"}} {count}'
+        assert line in exposition.splitlines()
 
 
 def test_stop_without_drain_journals_queued_jobs_as_shed(tmp_path):

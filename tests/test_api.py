@@ -132,6 +132,53 @@ def test_receive_result_dict_roundtrip():
     assert ReceiveResult.from_dict(data) == result
 
 
+def _asdict_reference(result) -> dict:
+    """The ``dataclasses.asdict`` wire form the explicit ``to_dict``
+    replaced: every field in declaration order, ``message`` last as hex."""
+    from dataclasses import asdict
+
+    data = asdict(result)
+    if "message" in data:
+        data["message_hex"] = data.pop("message").hex()
+    return data
+
+
+@pytest.mark.parametrize(
+    "result",
+    [
+        SendResult(
+            device_id="dev-3", message_bytes=8, coded_bits=1024,
+            stress_hours=12.0, encrypted=True, payload_digest="ab" * 8,
+            shard="shard-1",
+        ),
+        SendResult(
+            device_id="d", message_bytes=0, coded_bits=0, stress_hours=0.0,
+            encrypted=False, payload_digest="", shard=None,
+        ),
+        ReceiveResult(
+            device_id="dev-4", message=b"hi", n_captures=5, total_captures=7,
+            raw_ber=0.06, ecc_corrections=3, escalation_rounds=1,
+            degraded=True, state_digest="cd" * 8, shard="replay",
+        ),
+        ReceiveResult(
+            device_id="dev-5", message=b"", n_captures=1, total_captures=1,
+            raw_ber=None, ecc_corrections=None, escalation_rounds=0,
+            degraded=False, state_digest="", shard=None,
+        ),
+    ],
+    ids=["send", "send-empty", "receive", "receive-none-empty"],
+)
+def test_result_to_dict_matches_the_asdict_wire_form(result):
+    """Journal records and HTTP bodies stay byte-identical: same keys,
+    same order, same values as the ``asdict`` form."""
+    import json
+
+    data = result.to_dict()
+    reference = _asdict_reference(result)
+    assert list(data) == list(reference)
+    assert json.dumps(data) == json.dumps(reference)
+
+
 # -- converters against the real pipeline ------------------------------------------
 
 
