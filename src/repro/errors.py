@@ -166,8 +166,9 @@ class JournalError(ServiceError):
 
     Raised on CRC corruption *before* the final record (a torn tail is
     tolerated — that is the expected signature of a crash mid-append),
-    on a manifest referencing device files that do not exist, or on a
-    replay whose re-executed result diverges from the journaled one.
+    on a device file that is missing, truncated, corrupt, of a foreign
+    format or cut from other silicon, or on a replay whose re-executed
+    result diverges from the journaled one.
     """
 
 

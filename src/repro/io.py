@@ -9,6 +9,7 @@ boundaries).
 
 from __future__ import annotations
 
+import hashlib
 import json
 import pathlib
 
@@ -18,6 +19,10 @@ from .bitutils import Captures, bits_to_bytes, bytes_to_bits
 from .errors import ConfigurationError
 
 FORMAT_VERSION = 1
+#: Format tag of a :func:`device_state_arrays` mapping.
+DEVICE_STATE_FORMAT = "invisible-bits/device-state"
+#: The per-cell NBTI clock arrays of a device-state mapping, in order.
+AGING_CLOCKS = ("stress_1", "relax_1", "stress_0", "relax_0")
 
 
 def _check_path(path) -> pathlib.Path:
@@ -115,12 +120,40 @@ def load_enrollment(path):
     )
 
 
+def silicon_digest(mismatch: np.ndarray) -> str:
+    """A short digest naming a device's manufacture-time silicon.
+
+    The static ``mismatch`` array is fixed at manufacture (a pure
+    function of the device's seed); only the aging clocks change.  The
+    fleet service stores this digest in place of the array.
+    """
+    return hashlib.blake2b(
+        np.ascontiguousarray(mismatch).tobytes(), digest_size=8
+    ).hexdigest()
+
+
+def _aging_clocks(sram) -> dict:
+    """The device's live NBTI clock arrays, keyed by :data:`AGING_CLOCKS`."""
+    return dict(
+        zip(
+            AGING_CLOCKS,
+            (
+                sram.age_when_1.stress_seconds,
+                sram.age_when_1.relax_seconds,
+                sram.age_when_0.stress_seconds,
+                sram.age_when_0.relax_seconds,
+            ),
+        )
+    )
+
+
 def device_state_arrays(device, *, rng_state: bool = True) -> dict:
     """The self-contained array mapping behind a device-state snapshot.
 
     Shared by :func:`save_device_state` (which writes it to ``.npz``) and
-    the fleet service's checkpointer (which stores the same mapping per
-    device under a checkpoint directory).  The device must be powered off.
+    the fleet service's device files (which store everything but
+    ``mismatch``, named by :func:`silicon_digest` instead, and rebuild
+    the rest into this mapping on read).  The device must be powered off.
 
     ``rng_state=True`` additionally captures the exact position of the
     device's noise RNG stream (as a JSON-encoded bit-generator state), so
@@ -139,16 +172,13 @@ def device_state_arrays(device, *, rng_state: bool = True) -> dict:
     sram.age_when_1.flush_relax()
     sram.age_when_0.flush_relax()
     arrays = {
-        "format": np.array("invisible-bits/device-state"),
+        "format": np.array(DEVICE_STATE_FORMAT),
         "version": np.array(FORMAT_VERSION),
         "device_name": np.array(device.spec.name),
         "device_id": np.frombuffer(device.device_id, dtype=np.uint8),
         "n_bits": np.array(sram.n_bits),
         "mismatch": sram.mismatch,
-        "stress_1": sram.age_when_1.stress_seconds,
-        "relax_1": sram.age_when_1.relax_seconds,
-        "stress_0": sram.age_when_0.stress_seconds,
-        "relax_0": sram.age_when_0.relax_seconds,
+        **_aging_clocks(sram),
         "toggle_count": np.array(sram.toggle_count),
     }
     if rng_state:
@@ -166,7 +196,7 @@ def apply_device_state(device, raw, *, source: str = "snapshot") -> None:
     the captured position; otherwise the target keeps its own stream and
     only the analog state is replaced.
     """
-    if str(raw["format"]) != "invisible-bits/device-state":
+    if str(raw["format"]) != DEVICE_STATE_FORMAT:
         raise ConfigurationError(f"{source}: not a device-state file")
     if int(raw["version"]) != FORMAT_VERSION:
         raise ConfigurationError(f"{source}: unsupported version")
@@ -179,10 +209,8 @@ def apply_device_state(device, raw, *, source: str = "snapshot") -> None:
         raise ConfigurationError(f"{source}: SRAM size mismatch")
     sram = device.sram
     sram.mismatch[...] = raw["mismatch"]
-    sram.age_when_1.stress_seconds[...] = raw["stress_1"]
-    sram.age_when_1.relax_seconds[...] = raw["relax_1"]
-    sram.age_when_0.stress_seconds[...] = raw["stress_0"]
-    sram.age_when_0.relax_seconds[...] = raw["relax_0"]
+    for key, clock in _aging_clocks(sram).items():
+        clock[...] = raw[key]
     # The snapshot's clocks are authoritative: discard any deferred relax
     # the target accumulated, and drop its memoised analog state.
     sram.age_when_1.pending_relax = 0.0

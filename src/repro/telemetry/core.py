@@ -296,7 +296,9 @@ class TelemetryRegistry:
                 parent = parent_stack[-1]
                 for key, value in span.counters.items():
                     parent.counters[key] = parent.counters.get(key, 0) + value
-            self._emit(span.to_record())
+            # A forced span with no sink only collects: skip the record.
+            if self._sinks:
+                self._emit(span.to_record())
 
     def count(self, name: str, value: float = 1) -> None:
         """Bump a typed counter on the innermost span (and emit it)."""
@@ -308,6 +310,8 @@ class TelemetryRegistry:
         if stack:
             span = stack[-1]
             span.counters[name] = span.counters.get(name, 0) + value
+            if not self._sinks:
+                return
             span_id = span.span_id
             trace_id = span.trace_id
         else:
@@ -334,6 +338,8 @@ class TelemetryRegistry:
         if stack:
             span = stack[-1]
             span.attrs[name] = value
+            if not self._sinks:
+                return
             span_id = span.span_id
             trace_id = span.trace_id
         else:

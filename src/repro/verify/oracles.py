@@ -469,6 +469,99 @@ def service_crash_recovery(seed, n_messages):
 
 
 @oracle(
+    "service.device_file_roundtrip",
+    gens=(g.seeds(), g.integers(3, 7, name="n_ops")),
+    examples=3,
+)
+def service_device_file_roundtrip(seed, n_ops):
+    """A device file restores a device bit-for-bit; other silicon is refused.
+
+    A seeded history — a send to each device, then capture bursts,
+    shelving and re-sends — runs on a host that keeps one device
+    resident, so every step evicts a device to the archive and
+    rehydrates another, and on an uncapped twin.  The two must digest
+    equal.  Then each device's file is read into a freshly seeded
+    device: every :func:`repro.io.device_state_arrays` key, ``rng_state``
+    and ``toggle_count`` included, must come back bit-for-bit, and the
+    same file read into a device built from another seed must raise
+    :class:`~repro.errors.JournalError`.
+    """
+    import pathlib
+    import tempfile
+
+    from ..core.scheme import paper_end_to_end_scheme
+    from ..errors import JournalError
+    from ..io import device_state_arrays
+    from ..service.shards import (
+        FleetHost,
+        _load_device_file,
+        _write_device_file,
+    )
+
+    rng = np.random.default_rng(seed)
+    ids = ("a", "b")
+    fleet = dict(
+        scheme=paper_end_to_end_scheme(copies=7, n_captures=5),
+        device_name=_DEVICE,
+        sram_kib=0.25,
+    )
+    with tempfile.TemporaryDirectory() as tmp:
+        root = pathlib.Path(tmp)
+        capped = FleetHost(
+            seed=seed, max_resident=1, archive_dir=root / "archive", **fleet
+        )
+        twin = FleetHost(seed=seed, **fleet)
+        for step in range(n_ops):
+            device_id = ids[step % len(ids)]
+            action = "send" if step < len(ids) else rng.choice(
+                ["send", "capture", "shelve"]
+            )
+            hours = float(rng.uniform(0.5, 24.0))
+            n_captures = int(rng.integers(1, 6))
+            for host in (capped, twin):
+                channel = host.channel(device_id)
+                if action == "send":
+                    channel.send(b"m%d" % step, stress_hours=hours)
+                elif action == "capture":
+                    channel.board.capture_power_on_states(n_captures)
+                else:
+                    channel.board.device.sram.shelve(hours * 3600.0)
+        check_that(
+            capped.evicted > 0 and capped.rehydrated > 0,
+            "the history never went through the archive",
+        )
+        check_that(
+            capped.state_digest() == twin.state_digest(),
+            "eviction and rehydration changed a device's state",
+        )
+        stranger = FleetHost(seed=seed + 1, **fleet)
+        for device_id in ids:
+            before = device_state_arrays(twin.channel(device_id).board.device)
+            path = root / twin._device_file(device_id)
+            _write_device_file(path, before)
+            fresh = twin._fresh_channel(device_id).board.device
+            _load_device_file(path, fresh)
+            after = device_state_arrays(fresh)
+            check_that(sorted(after) == sorted(before), "key set changed")
+            for key, value in before.items():
+                check_that(
+                    value.dtype == after[key].dtype
+                    and value.tobytes() == after[key].tobytes(),
+                    f"device {device_id}: {key} did not round-trip",
+                )
+            other = stranger._fresh_channel(device_id).board.device
+            try:
+                _load_device_file(path, other)
+            except JournalError:
+                continue
+            check_that(
+                False,
+                f"device {device_id}: a file from seed {seed} was accepted "
+                f"by a device from seed {seed + 1}",
+            )
+
+
+@oracle(
     "faults.disabled_identity",
     gens=(
         g.seeds(),
@@ -1133,6 +1226,40 @@ def _mutant_touch_keeps_stale_file(rng):
         service_crash_recovery(int(rng.integers(0, 2**31)), 4)
     finally:
         FleetHost.channel = pristine
+
+
+@mutant("service.device_file_roundtrip", "silicon-digest-unchecked")
+def _mutant_silicon_digest_unchecked(rng):
+    """A reader that skips the silicon digest accepts a foreign file."""
+    from ..service import shards
+
+    pristine = shards._check_silicon
+    shards._check_silicon = lambda arrays, device, source: None
+    try:
+        service_device_file_roundtrip(int(rng.integers(0, 2**31)), 3)
+    finally:
+        shards._check_silicon = pristine
+
+
+@mutant("service.device_file_roundtrip", "relax-clocks-swapped")
+def _mutant_relax_clocks_swapped(rng):
+    """A writer that stores ``relax_1`` and ``relax_0`` crosswise must
+    fail the round trip (a send leaves the two clocks unequal)."""
+    from ..service import shards
+
+    pristine = shards._encode_device_file
+
+    def swapped(arrays):
+        crossed = dict(
+            arrays, relax_1=arrays["relax_0"], relax_0=arrays["relax_1"]
+        )
+        return pristine(crossed)  # the planted defect
+
+    shards._encode_device_file = swapped
+    try:
+        service_device_file_roundtrip(int(rng.integers(0, 2**31)), 3)
+    finally:
+        shards._encode_device_file = pristine
 
 
 @mutant("service.crash_recovery", "journal-byte-corruption")

@@ -517,3 +517,98 @@ def test_faulted_lane_error_completions_replay_unverified(tmp_path):
     # Both keys are cached with the fresh replay outcome; the rebuilt
     # host state reflects that successful re-execution.
     assert "f-send" in ledger.cache and "f-legacy" in ledger.cache
+
+
+def _spoil(path, case: str) -> None:
+    """Damage one device file the way ``case`` names."""
+    blob = path.read_bytes()
+    head, _, body = blob.partition(b"\n")
+    if case == "truncated":
+        path.write_bytes(blob[: len(head) + 1 + len(body) // 2])
+    elif case == "corrupt":
+        flipped = bytearray(body)
+        flipped[len(flipped) // 2] ^= 0xFF
+        path.write_bytes(head + b"\n" + bytes(flipped))
+    elif case == "wrong-format":
+        header = json.loads(head)
+        header["format"] = "invisible-bits/captures"
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+    else:  # a v1 checkpoint's .npz under the v2 name
+        import numpy as np
+
+        from repro.io import device_state_arrays
+
+        device = _host()._fresh_channel("dev-0").board.device
+        with open(path, "wb") as fh:
+            np.savez_compressed(fh, **device_state_arrays(device))
+
+
+class TestBadDeviceFiles:
+    """Every reader of a device file refuses a bad one with a typed
+    JournalError naming the file: restore, rehydration, state_digest
+    and ``repro recover --digest``."""
+
+    @pytest.mark.parametrize(
+        "case", ["truncated", "corrupt", "wrong-format", "v1-npz"]
+    )
+    def test_bad_device_file_is_refused(self, tmp_path, case):
+        from repro.cli import _write_service_config_json, main
+
+        config = _config(tmp_path)
+        _write_service_config_json(config)  # as `repro serve` does
+
+        async def life():
+            service = FleetService(config)
+            await service.start()
+            for index in range(2):
+                send, _ = _keyed_pair(index)
+                await service.submit(send)
+            await service.stop()  # leaves a final checkpoint behind
+
+        asyncio.run(life())
+        ckpt = latest_checkpoint(config.journal_dir)
+        # A host that adopted the checkpoint before the damage: its
+        # device files are cold, so reads happen on demand.
+        host = _host()
+        host.restore(ckpt)
+        name = host._device_file("dev-0")
+        _spoil(ckpt / name, case)
+        pattern = name.replace(".", r"\.")
+
+        with pytest.raises(JournalError, match=pattern):
+            _host().restore(ckpt)
+        with pytest.raises(JournalError, match=pattern):
+            host.state_digest()
+        for _ in range(2):  # a failed rehydration leaves the device cold
+            with pytest.raises(JournalError, match=pattern):
+                host.channel("dev-0")
+        with pytest.raises(JournalError, match=pattern):
+            main(["recover", config.journal_dir, "--digest"])
+
+    def test_a_file_from_other_silicon_is_refused(self, tmp_path):
+        import shutil
+
+        host = _host()
+        _execute(host, _traffic(2))
+        host.snapshot(tmp_path / "ckpt")
+        twin = _host()
+        twin.restore(tmp_path / "ckpt")
+        # dev-1's aging state under dev-0's name: a valid file, but cut
+        # from silicon that dev-0's seed does not rebuild.
+        shutil.copyfile(
+            tmp_path / "ckpt" / host._device_file("dev-1"),
+            tmp_path / "ckpt" / host._device_file("dev-0"),
+        )
+        with pytest.raises(JournalError, match="silicon digest"):
+            twin.channel("dev-0")
+
+    def test_a_v1_checkpoint_is_refused(self, tmp_path):
+        host = _host()
+        _execute(host, _traffic(1))
+        host.snapshot(tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = 1
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(JournalError, match="checkpoint version 1"):
+            _host().restore(tmp_path / "ckpt")

@@ -97,6 +97,22 @@ class TestSpans:
         assert span.counters["k"] == 7
         assert not telemetry.active()
 
+    def test_forced_span_without_sink_builds_no_record(self, monkeypatch):
+        from repro.telemetry.core import Span
+
+        def no_record(self):
+            raise AssertionError(f"record built for {self.name} with no sink")
+
+        monkeypatch.setattr(Span, "to_record", no_record)
+        with telemetry.trace("outer", force=True) as outer:
+            with telemetry.trace("inner") as inner:
+                telemetry.count("k", 2)
+                telemetry.gauge("level", 0.5)
+            assert inner.attrs["level"] == 0.5
+        # Counters still fold into the parent with nobody listening.
+        assert inner.counters == {"k": 2}
+        assert outer.counters == {"k": 2}
+
     def test_gauge_sets_span_attr(self):
         sink = RingBufferSink()
         telemetry.add_sink(sink)
