@@ -28,6 +28,8 @@ from __future__ import annotations
 import asyncio
 import gc
 import os
+import subprocess
+import sys
 import tempfile
 import time
 
@@ -294,3 +296,39 @@ def test_perf_checkpoint_device_write_speedup(record_metric, tmp_path):
         unit="B",
     )
     assert speedup >= 5.0
+
+
+def _import_cpu_s(module: str) -> float:
+    """CPU seconds a fresh interpreter spends on ``import module``."""
+    probe = (
+        "import time; start = time.process_time(); "
+        f"import {module}; print(time.process_time() - start)"
+    )
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, text=True, check=True
+    )
+    return float(done.stdout)
+
+
+def test_perf_service_import_cpu(record_metric):
+    """``import repro.service`` costs <= 6x the CPU of ``import numpy``.
+
+    Cold start (``repro serve``, a restart, every perfbench round) is
+    import-bound, and numpy is the one heavy module the serving path
+    needs: Phi and Phi^-1 come from the pure-Python ``repro.stats.normal``
+    and scipy is imported only by experiments and statistics.  Each side
+    is the best of three fresh interpreters, interleaved;
+    ``service_import_cpu_ratio`` is service over numpy (about 10x while
+    the service still loaded ``scipy.stats``, 3-4x without it).
+    """
+    numpy_s, service_s = [], []
+    for _ in range(3):
+        numpy_s.append(_import_cpu_s("numpy"))
+        service_s.append(_import_cpu_s("repro.service"))
+    ratio = min(service_s) / min(numpy_s)
+    print(
+        f"\nimport cpu: numpy {min(numpy_s) * 1e3:.0f} ms, repro.service "
+        f"{min(service_s) * 1e3:.0f} ms -> {ratio:.1f}x"
+    )
+    record_metric("service_import_cpu_ratio", ratio, better="lower", unit="x")
+    assert ratio <= 6.0

@@ -12,7 +12,6 @@ import itertools
 import math
 
 import numpy as np
-from scipy.stats import binom
 
 from ..errors import ConfigurationError
 from .base import Code
@@ -30,6 +29,8 @@ def repetition_residual_error(p_error: float, copies: int) -> float:
         raise ConfigurationError(f"error rate must be in [0, 1], got {p_error}")
     if copies < 1 or copies % 2 == 0:
         raise ConfigurationError(f"copies must be positive odd, got {copies}")
+    from scipy.stats import binom
+
     p_success = 1.0 - p_error
     majority = (copies + 1) // 2
     return float(1.0 - binom.sf(majority - 1, copies, p_success))
@@ -147,6 +148,8 @@ def vote_channel_capacity(
         return bsc_capacity(repetition_residual_error(p_flip, n_captures))
     if decision != "soft":
         raise ConfigurationError(f"unknown decision {decision!r}")
+    from scipy.stats import binom
+
     k = np.arange(n_captures + 1)
     pmf0 = binom.pmf(k, n_captures, p_flip)  # X=0: captures flip toward 1
     pmf1 = binom.pmf(k, n_captures, 1.0 - p_flip)

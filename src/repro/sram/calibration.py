@@ -26,16 +26,20 @@ Recovery constants come from Figure 7: error grows ≈1.4x after one week,
 time.  With ``f_rec(t) = c * ln(1 + t / tau)``, ``tau`` = 1 day and
 ``c = 0.055`` reproduce those three points within a few percent (see
 tests/sram/test_calibration.py).
+
+``Phi`` and ``Phi^-1`` come from :mod:`repro.stats.normal`, pure-Python
+ports of the Cephes ``ndtr``/``ndtri`` that scipy uses.  Tests pin them
+bit-identical to scipy (and every catalog ``nbti_k_scale`` to its pinned
+bits), so calibration needs no scipy import.
 """
 
 from __future__ import annotations
 
 import math
 
-from scipy.stats import norm
-
 from ..errors import ConfigurationError
 from ..physics.acceleration import AccelerationModel
+from ..stats.normal import ndtr, ndtri
 from ..units import celsius_to_kelvin
 from .technology import TechnologyProfile
 
@@ -50,14 +54,14 @@ def error_to_shift(target_error: float) -> float:
         raise ConfigurationError(
             f"target error must be in (0, 0.5), got {target_error}"
         )
-    return float(-norm.ppf(target_error))
+    return -ndtri(target_error)
 
 
 def shift_to_error(shift: float) -> float:
     """Predicted single-copy bit error rate for an aging shift ``shift``."""
     if shift < 0:
         raise ConfigurationError(f"shift must be >= 0, got {shift}")
-    return float(norm.cdf(-shift))
+    return ndtr(-shift)
 
 
 def solve_k_scale(

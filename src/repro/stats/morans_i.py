@@ -18,10 +18,10 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import norm
 
 from ..errors import ConfigurationError
 from ..rng import make_rng
+from .normal import ndtr
 
 
 @dataclass(frozen=True)
@@ -134,7 +134,7 @@ def morans_i(
         p_value = (exceed + 1) / (permutations + 1)
         method = "permutation"
     else:
-        p_value = 2.0 * float(norm.sf(abs(z_score)))
+        p_value = 2.0 * ndtr(-abs(z_score))
         method = "analytic"
 
     return MoransIResult(

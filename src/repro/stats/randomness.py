@@ -11,7 +11,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import chi2
 
 from ..bitutils import as_bit_array
 from ..errors import ConfigurationError
@@ -49,6 +48,8 @@ def block_frequency_test(bits: np.ndarray, block_bits: int = 128) -> RandomnessV
     blocks = arr[: n_blocks * block_bits].reshape(n_blocks, block_bits)
     proportions = blocks.mean(axis=1)
     statistic = 4.0 * block_bits * float(((proportions - 0.5) ** 2).sum())
+    from scipy.stats import chi2
+
     p = float(chi2.sf(statistic, df=n_blocks))
     return RandomnessVerdict("block_frequency", p)
 

@@ -12,7 +12,6 @@ import math
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.stats import t as student_t
 
 from ..errors import ConfigurationError
 
@@ -58,6 +57,8 @@ def welch_t_test(sample_a: np.ndarray, sample_b: np.ndarray) -> WelchResult:
     dof = se**2 / (
         se_a**2 / (a.size - 1) + se_b**2 / (b.size - 1)
     )
+    from scipy.stats import t as student_t
+
     p_one = float(student_t.sf(abs(t_stat), dof))
     return WelchResult(
         t_statistic=float(t_stat),

@@ -10,7 +10,8 @@ AES reference, and so on.  This package makes those contracts *executable*: type
 (:mod:`~repro.verify.suite`) behind ``repro verify`` on the CLI.
 
 There is deliberately no dependency beyond numpy — no hypothesis, no
-pytest import at runtime.  Everything is replayable from two integers:
+pytest import at runtime; scipy is imported only while the
+``stats.normal_vs_scipy`` oracle, whose reference it is, runs.  Everything is replayable from two integers:
 the sweep seed and the failing example index.
 """
 

@@ -890,6 +890,39 @@ def stats_morans_agreement(grid, seed):
     )
 
 
+@oracle("stats.normal_vs_scipy", gens=(g.seeds(),))
+def stats_normal_vs_scipy(seed):
+    """The Cephes Phi / Phi^-1 ports equal scipy's ndtr / ndtri bit-for-bit."""
+    from scipy import special  # the reference only; the serving path never imports it
+
+    from ..stats import normal
+
+    rng = np.random.default_rng(seed)
+    tail = 10.0 ** -rng.uniform(0.0, 300.0, 64)
+    probs = np.concatenate(
+        [
+            rng.uniform(0.0, 1.0, 64),
+            tail,
+            1.0 - tail,
+            np.exp(-rng.uniform(0.0, 40.0, 64)),  # every ndtri branch
+        ]
+    )
+    shifts = np.concatenate(
+        [rng.standard_normal(64), rng.uniform(-40.0, 40.0, 64)]
+    )
+    for name, ours, reference, inputs in (
+        ("ndtri", normal.ndtri, special.ndtri, probs),
+        ("ndtr", normal.ndtr, special.ndtr, shifts),
+    ):
+        expected = reference(inputs)
+        for x, want in zip(inputs.tolist(), expected.tolist()):
+            got = ours(x)
+            check_that(
+                got == want or (got != got and want != want),
+                f"{name}({x!r}) = {got!r}, scipy gives {want!r}",
+            )
+
+
 # -- physics contracts -------------------------------------------------------
 
 
@@ -1260,6 +1293,21 @@ def _mutant_relax_clocks_swapped(rng):
         service_device_file_roundtrip(int(rng.integers(0, 2**31)), 3)
     finally:
         shards._encode_device_file = pristine
+
+
+@mutant("stats.normal_vs_scipy", "tail-branch-at-4")
+def _mutant_tail_branch_at_4(rng):
+    """An ``ndtri`` that leaves its middle-tail approximation at
+    ``z = 4`` instead of 8 must disagree with scipy for exp(-32) < p <
+    exp(-8)."""
+    from ..stats import normal
+
+    pristine = normal._NDTRI_TAIL_Z
+    normal._NDTRI_TAIL_Z = 4.0  # the planted defect
+    try:
+        stats_normal_vs_scipy(int(rng.integers(0, 2**31)))
+    finally:
+        normal._NDTRI_TAIL_Z = pristine
 
 
 @mutant("service.crash_recovery", "journal-byte-corruption")

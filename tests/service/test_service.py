@@ -314,3 +314,20 @@ def test_importing_the_service_skips_the_experiments_package():
     )
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True)
     assert done.returncode == 0, done.stderr.decode()
+
+
+@pytest.mark.parametrize("module", ["repro", "repro.service"])
+def test_importing_the_package_loads_no_scipy(module):
+    """The serving path needs Phi and Phi^-1 only, from ``repro.stats.normal``;
+    scipy stays an experiments-and-statistics dependency."""
+    import subprocess
+    import sys
+
+    probe = (
+        f"import sys, {module}; "
+        "loaded = sorted(m for m in sys.modules "
+        "if m == 'scipy' or m.startswith('scipy.')); "
+        "sys.exit(' '.join(loaded[:5]) or None)"
+    )
+    done = subprocess.run([sys.executable, "-c", probe], capture_output=True)
+    assert done.returncode == 0, done.stderr.decode()

@@ -4,9 +4,11 @@ These tests pin the simulator to the paper: Table 4 bit rates, the Figure 6
 error-vs-time shape, and the Figure 7 recovery multipliers.
 """
 
+import math
+
 import pytest
 
-from repro.device.catalog import TABLE4_DEVICES, device_spec
+from repro.device.catalog import TABLE4_DEVICES, all_device_specs, device_spec
 from repro.errors import ConfigurationError
 from repro.sram.calibration import (
     calibrate_profile,
@@ -28,12 +30,38 @@ class TestShiftErrorMapping:
         assert shift_to_error(0.0) == pytest.approx(0.5)
 
     def test_out_of_range_rejected(self):
-        with pytest.raises(ConfigurationError):
-            error_to_shift(0.5)
-        with pytest.raises(ConfigurationError):
-            error_to_shift(0.0)
-        with pytest.raises(ConfigurationError):
-            shift_to_error(-1.0)
+        for err in (-0.1, 0.0, 0.5, 0.75, 1.0, 1.5, math.inf, -math.inf, math.nan):
+            with pytest.raises(ConfigurationError):
+                error_to_shift(err)
+        for shift in (-1e-300, -1.0, -math.inf):
+            with pytest.raises(ConfigurationError):
+                shift_to_error(shift)
+
+
+# ``nbti_k_scale`` of every catalog device, as computed through
+# ``scipy.stats.norm.ppf`` before calibration moved to the Cephes port in
+# ``repro.stats.normal``: a single changed bit would shift every aged cell.
+PINNED_K_SCALE_HEX = {
+    "MSP430G2553": "0x1.83287ab75e7d8p-19",
+    "MSP432P401": "0x1.bbb48463bf1a0p-20",
+    "EFM32WG990F256": "0x1.19379b5dd56d3p-20",
+    "ATSAML11E16A": "0x1.bc9aaa98914c6p-22",
+    "M263KIAAE": "0x1.fa6b4103ff800p-22",
+    "M2351SFSIAAP": "0x1.ea6cfe9774dc5p-22",
+    "M252KG6AE": "0x1.dbce0fecb8bb7p-22",
+    "M251SD2AE": "0x1.dbce0fecb8bb7p-22",
+    "R7FS1JA783A01CFM": "0x1.39bb5ddc30ad7p-21",
+    "STM32L562": "0x1.052cbd56bab55p-22",
+    "LPC55S69JBD100": "0x1.8417df81dfe5ap-24",
+    "BCM2837": "0x1.2286ad08c0efdp-21",
+}
+
+
+def test_catalog_k_scales_are_pinned_bit_for_bit():
+    specs = {spec.name: spec for spec in all_device_specs()}
+    assert set(specs) == set(PINNED_K_SCALE_HEX)
+    got = {name: spec.technology.nbti_k_scale.hex() for name, spec in specs.items()}
+    assert got == PINNED_K_SCALE_HEX
 
 
 class TestTable4Anchors:

@@ -31,6 +31,7 @@ class TestRegistry:
             "crypto.ctr_involution",
             "crypto.ctr_keystream",
             "stats.morans_agreement",
+            "stats.normal_vs_scipy",
             "physics.nbti_monotone",
         } <= names
 
