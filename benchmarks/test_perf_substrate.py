@@ -391,6 +391,64 @@ def test_perf_fleet_capture_speedup(record_metric):
     assert speedup >= 10.0
 
 
+def test_perf_fleet_decode_speedup(record_metric):
+    """The stacked group decode must beat the per-device decode loop by
+    >= 2x in CPU per message, on one 16-device receive group of
+    24 h-stressed service devices (paper scheme, framed, 5 captures).
+
+    Both sides do the same work per device: invert, header vote, ECC
+    decode, message bytes and counters.  The loop is the per-device
+    reference the ``fleet.decode_vs_device_loop`` oracle compares
+    against; that oracle pins bit-identity, this bench only the cost.
+    """
+    from repro.core.fleetcapture import capture_fleet
+    from repro.core.pipeline import decode_group
+    from repro.service import ServiceConfig
+    from repro.verify.oracles import _reference_decode_state
+
+    n_devices = 16
+    host = FleetHost(scheme=ServiceConfig().resolved_scheme(), seed=5)
+    channels = [host.channel(f"dev-{i}") for i in range(n_devices)]
+    payloads = [
+        channel.send(b"msg %03d" % i, stress_hours=24.0).payload_bits
+        for i, channel in enumerate(channels)
+    ]
+    fleet = capture_fleet(
+        [channel.board for channel in channels], 5, payloads=payloads
+    )
+    lens = [None] * n_devices
+
+    def stacked():
+        return decode_group(channels, fleet.states, message_lens=lens)
+
+    def loop():
+        return [
+            _reference_decode_state(channel, state, None)
+            for channel, state in zip(channels, fleet.states)
+        ]
+
+    rows, reference = stacked(), loop()
+    for row, (message, _, counts) in zip(rows, reference):
+        assert row.message == message and list(row.counts) == counts
+
+    def best_of(fn, reps=30):
+        best = float("inf")
+        for _ in range(reps):
+            t0 = time.process_time()
+            fn()
+            best = min(best, time.process_time() - t0)
+        return best
+
+    t_loop, t_stacked = best_of(loop), best_of(stacked)
+    speedup = t_loop / t_stacked
+    print(f"\nfleet decode speedup: {speedup:.1f}x "
+          f"({t_loop / n_devices * 1e3:.3f} -> "
+          f"{t_stacked / n_devices * 1e3:.3f} ms CPU per message)")
+    record_metric("fleet_decode_speedup", speedup, better="higher", unit="x")
+    record_metric("fleet_decode_ms_per_msg", t_stacked / n_devices * 1e3, unit="ms")
+    assert speedup >= 2.0
+
+
 def test_perf_morans_i_full_grid(benchmark):
     """Moran's I over a full 64 KiB die grid (2048 x 256)."""
     rng = np.random.default_rng(1)

@@ -14,7 +14,7 @@ from .adversary import (
     restore_encoding,
 )
 from .channel import ChannelModel, bsc_capacity, measure_channel_error
-from .message import FrameFormat, build_payload, extract_message
+from .message import FrameFormat, build_payload, extract_message, extract_messages
 from .pipeline import DecodeResult, EncodeResult, InvisibleBits
 from .scheme import CodingScheme, paper_end_to_end_scheme
 from .planner import (
@@ -43,6 +43,7 @@ __all__ = [
     "capacity_error_tradeoff",
     "compare_device_populations",
     "extract_message",
+    "extract_messages",
     "measure_channel_error",
     "normal_operation_effect",
     "paper_end_to_end_scheme",

@@ -18,13 +18,20 @@ from a fresh power-on state, which is the point of §6).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import Sequence
 
 import numpy as np
 
+from .. import telemetry
 from ..bitutils import as_bit_array, bits_to_bytes, bytes_to_bits
 from ..ecc.base import Code, IdentityCode
 from ..ecc.repetition import RepetitionCode
-from ..errors import CapacityError, ConfigurationError, ExtractionError
+from ..errors import (
+    BlockLengthError,
+    CapacityError,
+    ConfigurationError,
+    ExtractionError,
+)
 
 
 @dataclass(frozen=True)
@@ -102,6 +109,100 @@ def build_payload(
     return np.concatenate([header, coded, fill]).astype(np.uint8)
 
 
+def _coded_bits(length: int, code: Code) -> int:
+    """Code bits a ``length``-byte message occupies after padding to ``k``."""
+    return -(-length * 8 // code.k) * code.n
+
+
+def _overlong(length: int, body_bits: int) -> ExtractionError:
+    return ExtractionError(
+        f"header claims {length} bytes but only {body_bits} coded bits "
+        "are present — header corrupted beyond repair?"
+    )
+
+
+def extract_messages(
+    rows: np.ndarray,
+    *,
+    ecc: "Code | None" = None,
+    frame: "FrameFormat | None" = None,
+    message_lens: "Sequence[int | None] | None" = None,
+) -> "tuple[list[bytes | ExtractionError], list[list[tuple[str, int]]]]":
+    """Post-process a stack of recovered payloads, one per row.
+
+    Returns ``(outcomes, counts)``: ``outcomes[i]`` is row ``i``'s message
+    bytes, or the :class:`ExtractionError` that row raises in
+    :func:`extract_message` (its neighbours still decode);
+    ``counts[i]`` is row ``i``'s ``(counter, value)`` sequence, in the
+    order :func:`extract_message` counts it.  Framed rows vote their
+    headers together and decode in groups of equal length; raw rows use
+    ``message_lens[i]``.
+    """
+    bits = np.asarray(rows, dtype=np.uint8)
+    if bits.ndim != 2:
+        raise ConfigurationError(
+            f"expected (n_rows, n_bits) payloads, got {bits.shape}"
+        )
+    if bits.size and bits.max() > 1:
+        raise BlockLengthError("bit array contains values other than 0/1")
+    code = ecc or IdentityCode()
+    frame = frame or FrameFormat()
+    n_rows = bits.shape[0]
+    outcomes: "list[bytes | ExtractionError]" = [b""] * n_rows
+    counts: "list[list[tuple[str, int]]]" = [[] for _ in range(n_rows)]
+
+    # Header and body widths are whole blocks by construction, and the
+    # stack was range-checked above, so both decode unchecked.
+    if frame.framed:
+        if bits.shape[1] < frame.header_bits:
+            short = [
+                ExtractionError("payload shorter than the frame header")
+                for _ in range(n_rows)
+            ]
+            return short, counts
+        raw, header_counts = frame._header_code()._decode_rows(
+            bits[:, : frame.header_bits]
+        )
+        for name, values in header_counts:
+            for row_counts, value in zip(counts, values.tolist()):
+                row_counts.append((name, value))
+        lengths = np.packbits(raw, axis=1).view(">u4")[:, 0].tolist()
+        body = bits[:, frame.header_bits :]
+    else:
+        lengths = list(message_lens) if message_lens is not None else [None] * n_rows
+        if len(lengths) != n_rows:
+            raise ConfigurationError(
+                f"{len(lengths)} message lengths for {n_rows} payload rows"
+            )
+        body = bits
+
+    by_length: "dict[int | None, list[int]]" = {}
+    for index, length in enumerate(lengths):
+        by_length.setdefault(length, []).append(index)
+    for length, members in by_length.items():
+        if length is None:
+            for index in members:
+                outcomes[index] = ExtractionError(
+                    "raw mode needs the pre-shared message length"
+                )
+            continue
+        coded_bits = _coded_bits(length, code)
+        if coded_bits > body.shape[1]:
+            for index in members:
+                outcomes[index] = _overlong(length, body.shape[1])
+            continue
+        if not coded_bits:
+            continue  # a zero-length message is b"", with no body decode
+        group = slice(None) if len(members) == n_rows else members
+        decoded, body_counts = code._decode_rows(body[group, :coded_bits])
+        packed = np.packbits(decoded[:, : length * 8], axis=1)
+        body_counts = [(name, values.tolist()) for name, values in body_counts]
+        for slot, index in enumerate(members):
+            outcomes[index] = packed[slot].tobytes()
+            counts[index] += [(name, values[slot]) for name, values in body_counts]
+    return outcomes, counts
+
+
 def extract_message(
     payload_bits: np.ndarray,
     *,
@@ -112,34 +213,22 @@ def extract_message(
     """Post-process recovered payload bits back into message bytes.
 
     ``message_len`` overrides the header in raw mode (and is required
-    there); in framed mode the header is authoritative.
+    there); in framed mode the header is authoritative.  The one-row case
+    of :func:`extract_messages`: the row's ECC counters are counted on the
+    active telemetry span, then its error (if any) is raised.
     """
-    bits = as_bit_array(payload_bits)
-    code = ecc or IdentityCode()
-    frame = frame or FrameFormat()
-
-    if frame.framed:
-        if bits.size < frame.header_bits:
-            raise ExtractionError("payload shorter than the frame header")
-        length = frame.decode_header(bits[: frame.header_bits])
-        body = bits[frame.header_bits :]
-    else:
-        if message_len is None:
-            raise ExtractionError("raw mode needs the pre-shared message length")
-        length = message_len
-        body = bits
-
-    data_bits_padded = -(-length * 8 // code.k) * code.k
-    coded_bits = data_bits_padded // code.k * code.n
-    if coded_bits > body.size:
-        raise ExtractionError(
-            f"header claims {length} bytes but only {body.size} coded bits "
-            "are present — header corrupted beyond repair?"
-        )
-    decoded = (
-        code.decode(body[:coded_bits]) if coded_bits else np.zeros(0, dtype=np.uint8)
+    (outcome,), (counts,) = extract_messages(
+        as_bit_array(payload_bits)[None, :],
+        ecc=ecc,
+        frame=frame,
+        message_lens=[message_len],
     )
-    return bits_to_bytes(decoded[: length * 8]) if length else b""
+    if counts and telemetry.active():
+        for name, value in counts:
+            telemetry.count(name, value)
+    if isinstance(outcome, ExtractionError):
+        raise outcome
+    return outcome
 
 
 def extract_message_soft(
@@ -173,13 +262,9 @@ def extract_message_soft(
         length = message_len
         body = llrs
 
-    data_bits_padded = -(-length * 8 // code.k) * code.k
-    coded_bits = data_bits_padded // code.k * code.n
+    coded_bits = _coded_bits(length, code)
     if coded_bits > body.size:
-        raise ExtractionError(
-            f"header claims {length} bytes but only {body.size} coded bits "
-            "are present — header corrupted beyond repair?"
-        )
+        raise _overlong(length, body.size)
     decoded = (
         soft_decode(code, body[:coded_bits])
         if coded_bits

@@ -36,6 +36,7 @@ from ..api import (
 )
 from ..bitutils import (
     Captures,
+    as_bit_array,
     bit_error_rate,
     invert_bits,
     majority_vote,
@@ -56,6 +57,7 @@ from .message import (
     build_payload,
     extract_message,
     extract_message_soft,
+    extract_messages,
 )
 from .scheme import CodingScheme
 
@@ -84,6 +86,87 @@ def _vote_stats(
         float(np.count_nonzero(row != state)) / state.size for row in samples
     )
     return ones, margin_hist, flip_rate
+
+
+def _payload_rows(
+    ciphers: "list[AesCtr | None]", states: np.ndarray
+) -> "tuple[np.ndarray, np.ndarray]":
+    """Invert (§4.3's photographic negative) and decrypt voted states,
+    one row per device: returns ``(recovered, payload)``, ``recovered``
+    being the hard inverted states the raw-BER diagnostics use."""
+    recovered = (1 - states).astype(np.uint8, copy=False)
+    if all(cipher is None for cipher in ciphers):
+        return recovered, recovered
+    payload = recovered.copy()
+    for row, cipher in zip(payload, ciphers):
+        if cipher is not None:
+            row[:] = cipher.process_bits(row)
+    return recovered, payload
+
+
+@dataclass(frozen=True)
+class DecodedRow:
+    """One device's share of a stacked hard decode (:func:`decode_group`).
+
+    ``message`` is the decoded message, or ``None`` when the row raised
+    ``error`` (the :class:`~repro.errors.ExtractionError`
+    :func:`extract_messages` reports for it).  ``counts`` is the row's
+    ``(counter, value)`` sequence, counted when
+    :meth:`InvisibleBits.decode_state` consumes the row.  ``raw_error`` is
+    the truth-referenced raw BER when the caller already measured it.
+    """
+
+    message: "bytes | None"
+    recovered: np.ndarray
+    counts: "tuple[tuple[str, int], ...]"
+    error: "ExtractionError | None" = None
+    raw_error: "float | None" = None
+
+
+def decode_group(
+    channels: "list[InvisibleBits]",
+    states: "list[np.ndarray]",
+    *,
+    message_lens: "list[int | None]",
+    raw_errors: "list[float | None] | None" = None,
+) -> "list[DecodedRow]":
+    """Invert, decrypt and ECC-decode many devices' voted states at once.
+
+    Every channel must share one hard-decision scheme (a service host's
+    fleet, the §5.3 rack); only the AES keystream is per device.  The
+    states, all of one length, are stacked into one
+    ``(n_devices, n_bits)`` array and run through
+    :func:`~repro.core.message.extract_messages`, so row ``i`` equals what
+    :meth:`InvisibleBits.decode_state` computes for ``channels[i]``
+    alone.  Nothing is counted here: each row carries its counters for
+    ``decode_state(..., decoded=row)`` to count on that device's own
+    span.
+    """
+    if not channels:
+        return []
+    scheme = channels[0].scheme
+    if scheme.decision != "hard" or any(c.scheme is not scheme for c in channels):
+        raise ConfigurationError(
+            "decode_group decodes channels that share one hard-decision scheme"
+        )
+    if raw_errors is None:
+        raw_errors = [None] * len(channels)
+    recovered, payload = _payload_rows(
+        [channel._cipher() for channel in channels], np.array(states)
+    )
+    outcomes, counts = extract_messages(
+        payload, ecc=scheme.ecc, frame=scheme.frame, message_lens=message_lens
+    )
+    return [
+        DecodedRow(
+            message=None if isinstance(outcome, ExtractionError) else outcome,
+            recovered=recovered[index],
+            counts=tuple(counts[index]),
+            error=outcome if isinstance(outcome, ExtractionError) else None,
+            raw_error=raw_errors[index],
+        )
+        for index, outcome in enumerate(outcomes)
+    ]
 
 
 @dataclass(frozen=True)
@@ -392,13 +475,16 @@ class InvisibleBits:
         ones: "np.ndarray | None" = None,
         n_votes: int = 0,
         p_flip: "float | None" = None,
+        decoded: "DecodedRow | None" = None,
     ) -> "tuple[bytes, np.ndarray, int]":
         """Invert, decrypt and ECC-decode one voted state.
 
-        Hard decisions (``ones=None``) decode the voted bits.  Soft
-        decisions decode per-cell LLRs derived from the vote counts
-        ``ones`` over ``n_votes`` captures instead, and the stages map
-        cleanly into the LLR domain:
+        Hard decisions (``ones=None``) decode the voted bits: the one-row
+        case of :func:`decode_group`, or — given ``decoded`` — that
+        group's precomputed row, whose counters are counted here and
+        whose error is raised here.  Soft decisions decode per-cell LLRs
+        derived from the vote counts ``ones`` over ``n_votes`` captures
+        instead, and the stages map cleanly into the LLR domain:
 
         - **invert** (§4.3's photographic negative) negates every LLR;
         - **decrypt**: AES-CTR XORs a keystream bit into each payload bit,
@@ -411,25 +497,38 @@ class InvisibleBits:
         ``recovered`` is the *hard* inverted state in both modes, so
         raw-BER diagnostics are mode-independent.
         """
-        recovered = invert_bits(state)
         soft = ones is not None
-        payload = -votes_to_llrs(ones, n_votes, p_flip) if soft else recovered
-        cipher = self._cipher()
-        with telemetry.trace("channel.decrypt", encrypted=cipher is not None):
-            if cipher is not None and soft:
-                ks_bits = np.unpackbits(cipher.keystream(payload.size // 8))
-                payload = payload * (1.0 - 2.0 * ks_bits)
-            elif cipher is not None:
-                payload = cipher.process_bits(payload)
+        cipher = self._cipher() if decoded is None else None
+        with telemetry.trace("channel.decrypt", encrypted=self.scheme.encrypted):
+            if soft:
+                recovered = invert_bits(state)
+                payload = -votes_to_llrs(ones, n_votes, p_flip)
+                if cipher is not None:
+                    ks_bits = np.unpackbits(cipher.keystream(payload.size // 8))
+                    payload = payload * (1.0 - 2.0 * ks_bits)
+            elif decoded is None:
+                recovered, payload = _payload_rows(
+                    [cipher], as_bit_array(state)[None, :]
+                )
+                recovered, payload = recovered[0], payload[0]
+            else:
+                recovered = decoded.recovered
         with telemetry.trace(
             "channel.ecc_decode",
             code=self.ecc.name if self.ecc is not None else "identity",
             decision="soft" if soft else "hard",
         ) as ecc_span:
-            extract = extract_message_soft if soft else extract_message
-            message = extract(
-                payload, ecc=self.ecc, frame=self.frame, message_len=message_len
-            )
+            if decoded is not None:
+                for name, value in decoded.counts:
+                    telemetry.count(name, value)
+                if decoded.error is not None:
+                    raise decoded.error
+                message = decoded.message
+            else:
+                extract = extract_message_soft if soft else extract_message
+                message = extract(
+                    payload, ecc=self.ecc, frame=self.frame, message_len=message_len
+                )
             corrections = int(
                 sum(
                     count
@@ -440,12 +539,16 @@ class InvisibleBits:
         return message, recovered, corrections
 
     def _decoded(
-        self, span, expected_payload: "np.ndarray | None", **fields
+        self,
+        span,
+        expected_payload: "np.ndarray | None",
+        raw_error: "float | None" = None,
+        **fields,
     ) -> DecodeResult:
-        """Finish a decode: the truth-referenced raw BER, the span fields,
-        the ``repro_messages_total`` tick and the :class:`DecodeResult`."""
-        raw_error = None
-        if expected_payload is not None:
+        """Finish a decode: the truth-referenced raw BER (unless the
+        caller already measured it), the span fields, the
+        ``repro_messages_total`` tick and the :class:`DecodeResult`."""
+        if raw_error is None and expected_payload is not None:
             raw_error = bit_error_rate(expected_payload, fields["recovered_payload"])
         result = DecodeResult(raw_error_vs=raw_error, **fields)
         span.set(
@@ -469,6 +572,7 @@ class InvisibleBits:
         n_captures: "int | None" = None,
         ones: "np.ndarray | None" = None,
         p_flip: "float | None" = None,
+        decoded: "DecodedRow | None" = None,
     ) -> DecodeResult:
         """Decode an already-voted power-on state (no new captures).
 
@@ -491,6 +595,12 @@ class InvisibleBits:
         the LLR scale (decode decisions are scale-invariant, so omitting
         it is safe — a conservative floor is used).  Hard schemes ignore
         ``ones``.
+
+        ``decoded`` is this state's row of a stacked :func:`decode_group`
+        pass (the lane decodes a receive group in one): the row's message,
+        counters and raw BER are used as they are, and its stored error is
+        raised here.  Without it a hard scheme decodes the state as a
+        one-row group.
         """
         votes = self.n_captures if n_captures is None else int(n_captures)
         soft = self.scheme.decision == "soft"
@@ -498,6 +608,10 @@ class InvisibleBits:
             raise ConfigurationError(
                 "a soft-decision scheme decodes vote margins: pass ones= "
                 "(per-cell count of captures that read 1) to decode_state"
+            )
+        if soft and decoded is not None:
+            raise ConfigurationError(
+                "a stacked hard-decision row cannot decode a soft scheme"
             )
         p_flip_est = (
             estimate_p_flip(() if p_flip is None else (p_flip,)) if soft else None
@@ -511,10 +625,12 @@ class InvisibleBits:
                 ones=ones if soft else None,
                 n_votes=votes,
                 p_flip=p_flip_est,
+                decoded=decoded,
             )
             return self._decoded(
                 span,
                 expected_payload,
+                None if decoded is None else decoded.raw_error,
                 message=message,
                 power_on_state=state,
                 recovered_payload=recovered,

@@ -9,7 +9,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import telemetry
 from ..errors import ConfigurationError
 from .base import Code
 
@@ -49,6 +48,13 @@ class HammingCode(Code):
         self._data_positions = np.array(
             [p for p in positions if (p & (p - 1)) != 0]
         )
+        #: Codeword positions 1..n, in a dtype the syndrome XOR fits,
+        #: and the data bits' indices and positions.
+        self._positions = np.arange(
+            1, self._n + 1, dtype=np.min_scalar_type(self._n)
+        )
+        self._data_index = self._data_positions - 1
+        self._data_codes = self._positions[self._data_index]
         self.name = f"hamming({self._n},{self._k})"
 
     @property
@@ -64,25 +70,27 @@ class HammingCode(Code):
         blocks = bits.reshape(-1, self._k)
         n_blocks = blocks.shape[0]
         code = np.zeros((n_blocks, self._n), dtype=np.uint8)
-        code[:, self._data_positions - 1] = blocks
+        code[:, self._data_index] = blocks
         # Parity bit at position 2^i covers codeword positions with bit i set.
         syndrome = (code @ self._h.T) % 2  # (n_blocks, r)
         code[:, self._parity_positions - 1] = syndrome
         return code.ravel()
 
-    def decode(self, code) -> np.ndarray:
-        bits = self._check_decode_input(code)
-        blocks = bits.reshape(-1, self._n).copy()
-        syndrome = (blocks @ self._h.T) % 2  # (n_blocks, r)
-        error_pos = (syndrome.astype(np.int64) << np.arange(self.r)).sum(axis=1)
-        has_error = error_pos > 0
-        rows = np.nonzero(has_error)[0]
-        cols = error_pos[rows] - 1
-        blocks[rows, cols] ^= 1
-        if telemetry.active():
-            telemetry.count("ecc.hamming.corrections", int(rows.size))
-            telemetry.count("ecc.hamming.blocks", int(blocks.shape[0]))
-        return blocks[:, self._data_positions - 1].ravel()
+    def _decode_rows(self, bits):
+        n_rows, width = bits.shape
+        blocks = bits.reshape(n_rows, width // self._n, self._n)
+        # Column j of H is the binary expansion of j+1, so the syndrome is
+        # the XOR of the set bits' positions: the position of a single
+        # flipped bit, 0 when the block is a codeword.
+        error_pos = np.bitwise_xor.reduce(blocks * self._positions, axis=2)
+        decoded = blocks.take(self._data_index, axis=2) ^ (
+            error_pos[..., None] == self._data_codes
+        )
+        counts = [
+            ("ecc.hamming.corrections", (error_pos > 0).sum(axis=1)),
+            ("ecc.hamming.blocks", np.full(n_rows, blocks.shape[1])),
+        ]
+        return decoded.reshape(n_rows, blocks.shape[1] * self._k), counts
 
 
 def hamming_7_4() -> HammingCode:

@@ -43,10 +43,10 @@ class BlockInterleaver(Code):
         blocks = bits.reshape(-1, self.depth, self.span)
         return blocks.transpose(0, 2, 1).reshape(-1).astype(np.uint8)
 
-    def decode(self, code) -> np.ndarray:
-        bits = self._check_decode_input(code)
-        blocks = bits.reshape(-1, self.span, self.depth)
-        return blocks.transpose(0, 2, 1).reshape(-1).astype(np.uint8)
+    def _decode_rows(self, bits):
+        n_rows, width = bits.shape
+        blocks = bits.reshape(n_rows, width // self.n, self.span, self.depth)
+        return blocks.transpose(0, 1, 3, 2).reshape(n_rows, width), []
 
 
 def spread_burst_errors(bits: np.ndarray, interleaver: BlockInterleaver) -> np.ndarray:

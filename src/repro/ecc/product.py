@@ -45,9 +45,12 @@ class ConcatenatedCode(Code):
         bits = self._check_encode_input(data)
         return self.inner.encode(self.outer.encode(bits))
 
-    def decode(self, code) -> np.ndarray:
-        bits = self._check_decode_input(code)
-        return self.outer.decode(self.inner.decode(bits))
+    def _decode_rows(self, bits):
+        # The inner stage's output tiles the outer input (the lcm above),
+        # so neither stage re-validates its stack.
+        inner, inner_counts = self.inner._decode_rows(bits)
+        outer, outer_counts = self.outer._decode_rows(inner)
+        return outer, inner_counts + outer_counts
 
 
 def paper_end_to_end_code(copies: int = 7) -> ConcatenatedCode:

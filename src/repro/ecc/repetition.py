@@ -13,8 +13,6 @@ from __future__ import annotations
 
 import numpy as np
 
-from .. import telemetry
-from ..bitutils import majority_vote
 from ..errors import ConfigurationError
 from .base import Code
 
@@ -48,27 +46,25 @@ class RepetitionCode(Code):
             return np.tile(bits, self.copies)
         return np.repeat(bits, self.copies)
 
-    def decode(self, code) -> np.ndarray:
-        bits = self._check_decode_input(code)
+    def _decode_rows(self, bits):
+        n_rows, width = bits.shape
         if self.layout == "block":
-            samples = bits.reshape(self.copies, -1)
-            voted = majority_vote(samples)
+            copies = bits.reshape(n_rows, self.copies, width // self.copies)
+            ones = copies.sum(axis=1)
         else:
-            samples = bits.reshape(-1, self.copies).T
-            voted = majority_vote(samples)
-        if telemetry.active():
-            # Two different units, kept apart: ``overruled`` counts every
-            # copy the vote outvoted (the paper's per-copy disagreement
-            # accounting), ``corrections`` counts data bits that needed
-            # repair at all — the unit Hamming's per-block corrections
-            # use, so the pipeline's ``*.corrections`` total is coherent.
-            overruled = samples != voted[None, :]
-            telemetry.count(
-                "ecc.repetition.overruled", int(np.count_nonzero(overruled))
-            )
-            telemetry.count(
-                "ecc.repetition.corrections",
-                int(np.count_nonzero(overruled.any(axis=0))),
-            )
-            telemetry.count("ecc.repetition.bits", int(voted.size))
-        return voted
+            copies = bits.reshape(n_rows, width // self.copies, self.copies)
+            ones = copies.sum(axis=2)
+        # The majority_vote rule (copies is odd, so no tie can occur).
+        voted = (ones > self.copies // 2).view(np.uint8)
+        # Two different units, kept apart: ``overruled`` counts every copy
+        # the vote outvoted (the paper's per-copy disagreement
+        # accounting), ``corrections`` counts data bits that needed repair
+        # at all — the unit Hamming's per-block corrections use, so the
+        # pipeline's ``*.corrections`` total is coherent.
+        overruled = np.minimum(ones, self.copies - ones)
+        counts = [
+            ("ecc.repetition.overruled", overruled.sum(axis=1)),
+            ("ecc.repetition.corrections", (overruled > 0).sum(axis=1)),
+            ("ecc.repetition.bits", np.full(n_rows, voted.shape[1])),
+        ]
+        return voted, counts

@@ -41,7 +41,7 @@ from .. import metrics, telemetry
 from ..telemetry import context as trace_ctx
 from ..api import receive_result, send_result
 from ..core.fleetcapture import capture_fleet
-from ..core.pipeline import InvisibleBits
+from ..core.pipeline import InvisibleBits, decode_group
 from ..device.catalog import make_varied_device
 from ..errors import (
     CodecError,
@@ -854,6 +854,25 @@ class Shard:
                 resilient=True,
             )
         capture_s = time.perf_counter() - t_capture
+        # Decode the group's hard states as one array; each job's
+        # decode_state below consumes its row (soft schemes decode per
+        # device from the vote margins).
+        t_stacked = time.perf_counter()
+        decoded = {}
+        if self.host.scheme.decision == "hard":
+            live = [
+                pos
+                for pos in range(len(staged))
+                if fleet.slot_errors[pos] is None
+            ]
+            rows = decode_group(
+                [staged[pos][1] for pos in live],
+                [fleet.states[pos] for pos in live],
+                message_lens=[staged[pos][0].request.message_len for pos in live],
+                raw_errors=[fleet.errors[pos] for pos in live],
+            )
+            decoded = dict(zip(live, rows))
+        stacked_s = time.perf_counter() - t_stacked
         for pos, (job, channel, payload) in enumerate(staged):
             request = job.request
             extra += fleet.attempts[pos] - 1
@@ -887,6 +906,7 @@ class Shard:
                             expected_payload=payload,
                             n_captures=fleet.n_captures,
                             ones=fleet.ones[pos],
+                            decoded=decoded.get(pos),
                         )
                     except (CodecError, ExtractionError):
                         # The kernel's vote was undecodable; fall back to
@@ -907,8 +927,11 @@ class Shard:
                 continue
             finally:
                 if job.phases is not None:
+                    # Like capture, the shared stacked decode counts in
+                    # full for every job that waited on it.
                     job.phases["decode"] = (
                         job.phases.get("decode", 0.0)
+                        + stacked_s
                         + (time.perf_counter() - t_decode)
                     )
             outcomes[id(job)] = receive_result(

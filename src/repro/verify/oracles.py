@@ -324,6 +324,199 @@ def fleet_capture_vs_device_loop(seed, n_devices, n_captures, kib):
         )
 
 
+# -- stacked decode contract --------------------------------------------------
+
+
+def _reference_decode(code, bits: np.ndarray):
+    """The per-device hard decoders a stacked decode replaced, kept as the
+    reference: one word in, ``(decoded, [(counter, value), ...])`` out."""
+    from ..bitutils import majority_vote
+    from ..ecc.base import IdentityCode
+    from ..ecc.hamming import HammingCode
+    from ..ecc.interleave import BlockInterleaver
+    from ..ecc.product import ConcatenatedCode
+    from ..ecc.repetition import RepetitionCode
+
+    if isinstance(code, ConcatenatedCode):
+        inner, inner_counts = _reference_decode(code.inner, bits)
+        outer, outer_counts = _reference_decode(code.outer, inner)
+        return outer, inner_counts + outer_counts
+    if isinstance(code, RepetitionCode):
+        if code.layout == "block":
+            samples = bits.reshape(code.copies, -1)
+        else:
+            samples = bits.reshape(-1, code.copies).T
+        voted = majority_vote(samples)
+        overruled = samples != voted[None, :]
+        return voted, [
+            ("ecc.repetition.overruled", int(np.count_nonzero(overruled))),
+            (
+                "ecc.repetition.corrections",
+                int(np.count_nonzero(overruled.any(axis=0))),
+            ),
+            ("ecc.repetition.bits", int(voted.size)),
+        ]
+    if isinstance(code, HammingCode):
+        blocks = bits.reshape(-1, code.n).copy()
+        syndrome = (blocks @ code._h.T) % 2
+        error_pos = (syndrome.astype(np.int64) << np.arange(code.r)).sum(axis=1)
+        rows = np.nonzero(error_pos > 0)[0]
+        blocks[rows, error_pos[rows] - 1] ^= 1
+        return blocks[:, code._data_positions - 1].ravel(), [
+            ("ecc.hamming.corrections", int(rows.size)),
+            ("ecc.hamming.blocks", int(blocks.shape[0])),
+        ]
+    if isinstance(code, BlockInterleaver):
+        blocks = bits.reshape(-1, code.span, code.depth)
+        return blocks.transpose(0, 2, 1).reshape(-1).astype(np.uint8), []
+    if isinstance(code, IdentityCode):
+        return bits.copy(), []
+    return code.decode(bits), []  # no vectorised form (BCH): one code path
+
+
+def _reference_decode_state(channel, state: np.ndarray, message_len):
+    """The deleted per-device hard decode of one voted state: invert,
+    decrypt, vote the header, ECC-decode the body.  Returns
+    ``(message or exception, recovered, counts)``."""
+    from ..bitutils import bits_to_bytes, invert_bits
+    from ..errors import ExtractionError
+
+    recovered = invert_bits(state)
+    cipher = channel._cipher()
+    bits = cipher.process_bits(recovered) if cipher is not None else recovered
+    frame, code = channel.frame, channel.ecc
+    counts: "list[tuple[str, int]]" = []
+    if frame.framed:
+        if bits.size < frame.header_bits:
+            return ExtractionError("short"), recovered, counts
+        raw, header_counts = _reference_decode(
+            frame._header_code(), bits[: frame.header_bits]
+        )
+        counts += header_counts
+        length = int.from_bytes(bits_to_bytes(raw), "big")
+        body = bits[frame.header_bits :]
+    else:
+        if message_len is None:
+            return ExtractionError("no length"), recovered, counts
+        length, body = message_len, bits
+    k, n = (code.k, code.n) if code is not None else (1, 1)
+    coded_bits = -(-length * 8 // k) * n
+    if coded_bits > body.size:
+        return ExtractionError("overlong"), recovered, counts
+    if not coded_bits:
+        return b"", recovered, counts
+    if code is None:
+        decoded = body[:coded_bits].copy()
+    else:
+        decoded, body_counts = _reference_decode(code, body[:coded_bits])
+        counts += body_counts
+    return bits_to_bytes(decoded[: length * 8]), recovered, counts
+
+
+def _decode_group_rig(
+    seed: int, n_devices: int, code_name: str, framed: bool, keyed: bool
+):
+    """Seeded channels with noisy voted states (no physics: the decode is
+    what is under test), one row planted with a corrupt length."""
+    from ..bitutils import invert_bits
+    from ..core.message import FrameFormat
+    from ..core.pipeline import InvisibleBits
+    from ..core.scheme import CodingScheme
+
+    rng = np.random.default_rng(seed)
+    scheme = CodingScheme(
+        key=_KEY16 if keyed else None,
+        ecc=_code_catalog()[code_name](),
+        frame=FrameFormat(framed=framed),
+        n_captures=3,
+    )
+    corrupt = int(rng.integers(0, n_devices))
+    # Two message lengths per group, so rows share a decode stack.
+    lengths = rng.integers(0, 13, size=2)
+    channels, states, lens = [], [], []
+    for index in range(n_devices):
+        channel = InvisibleBits(
+            _board(seed + index, kib=0.25), scheme=scheme, use_firmware=False
+        )
+        message = rng.integers(0, 256, int(rng.choice(lengths)), dtype=np.uint8)
+        plain = channel.prepare_payload(message.tobytes())
+        cipher = channel._cipher()
+        if cipher is not None:
+            plain = cipher.process_bits(plain)  # CTR is an involution
+        message_len = int(message.size)
+        if index == corrupt:
+            if framed:
+                plain[: scheme.frame.header_bits] = 1  # claims 2**32 - 1 bytes
+            else:
+                message_len = plain.size  # more bytes than the body holds
+        payload = cipher.process_bits(plain) if cipher is not None else plain
+        flips = rng.random(payload.size) < float(rng.choice([0.0, 0.02, 0.06]))
+        channels.append(channel)
+        states.append(invert_bits(payload ^ flips.astype(np.uint8)))
+        lens.append(None if framed else message_len)
+    return channels, states, lens
+
+
+@oracle(
+    "fleet.decode_vs_device_loop",
+    gens=(
+        g.seeds(),
+        g.integers(1, 16, name="n_devices"),
+        g.sampled_from(list(_code_catalog()), name="code"),
+        g.sampled_from([True, False], name="framed"),
+        g.sampled_from([False, True], name="keyed"),
+    ),
+    examples=6,
+)
+def fleet_decode_vs_device_loop(seed, n_devices, code, framed, keyed):
+    """The stacked group decode equals the per-device decode loop: per
+    row the message bytes or exception type, ``recovered_payload``, every
+    ECC counter in order, and the ``ecc_corrections`` and raw BER that
+    ``decode_state`` reports from the row."""
+    from ..bitutils import bit_error_rate, invert_bits
+    from ..core.pipeline import decode_group
+
+    channels, states, lens = _decode_group_rig(seed, n_devices, code, framed, keyed)
+    truths = [invert_bits(state) for state in states]
+    raw_errors = [float(index) / 64 for index in range(n_devices)]
+    rows = decode_group(channels, states, message_lens=lens, raw_errors=raw_errors)
+    check_that(len(rows) == n_devices, f"{len(rows)} rows for {n_devices} states")
+    for index, row in enumerate(rows):
+        expected, recovered, counts = _reference_decode_state(
+            channels[index], states[index], lens[index]
+        )
+        got = row.message if row.error is None else row.error
+        check_that(
+            type(got) is type(expected)
+            and (not isinstance(got, bytes) or got == expected),
+            f"row {index}: stacked {got!r} != loop {expected!r}",
+        )
+        check_that(
+            np.array_equal(row.recovered, recovered),
+            f"row {index}: recovered payload diverged",
+        )
+        check_that(
+            list(row.counts) == counts,
+            f"row {index}: counters {list(row.counts)} != loop {counts}",
+        )
+        if row.error is not None:
+            continue
+        result = channels[index].decode_state(
+            states[index],
+            message_len=lens[index],
+            expected_payload=truths[index],
+            decoded=row,
+        )
+        corrections = sum(v for name, v in counts if name.endswith(".corrections"))
+        check_that(
+            result.ecc_corrections == corrections
+            and result.message == expected
+            and result.raw_error_vs == raw_errors[index]
+            and bit_error_rate(truths[index], result.recovered_payload) == 0.0,
+            f"row {index}: decode_state did not report its own row",
+        )
+
+
 # -- service durability contract ---------------------------------------------
 
 
@@ -1231,6 +1424,27 @@ def _mutant_kernel_decision_flip(rng):
             np.array_equal(fleet.frames[index], stack),
             f"kernel decision flip detected on slot {index}",
         )
+
+
+@mutant("fleet.decode_vs_device_loop", "corrections-to-next-row")
+def _mutant_corrections_to_next_row(rng):
+    """A stacked Hamming decoder that credits row i's corrections to row
+    i+1 must break per-row counter identity with the device loop."""
+    from ..ecc.hamming import HammingCode
+
+    pristine = HammingCode._decode_rows
+
+    def shifted(self, bits):
+        decoded, counts = pristine(self, bits)
+        name, values = counts[0]
+        return decoded, [(name, np.roll(values, 1))] + counts[1:]  # the defect
+
+    HammingCode._decode_rows = shifted
+    try:
+        for seed in rng.integers(0, 2**31, size=3):
+            fleet_decode_vs_device_loop(int(seed), 8, "hamming74", True, False)
+    finally:
+        HammingCode._decode_rows = pristine
 
 
 @mutant("service.crash_recovery", "touch-keeps-stale-file")

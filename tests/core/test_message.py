@@ -7,6 +7,7 @@ from repro.core.message import (
     FrameFormat,
     build_payload,
     extract_message,
+    extract_messages,
     max_message_bytes,
 )
 from repro.ecc import RepetitionCode, hamming_7_4
@@ -115,3 +116,85 @@ class TestHeader:
         payload[: FrameFormat().header_bits] = 1
         with pytest.raises(ExtractionError):
             extract_message(payload)
+
+
+class TestExtractMessages:
+    """The row-wise extractor ``extract_message`` is the one-row case of."""
+
+    def _noisy(self, message, *, ecc=None, frame=None, seed=0, rate=0.04):
+        payload = build_payload(message, SRAM_BITS, ecc=ecc, frame=frame)
+        rng = np.random.default_rng(seed)
+        return payload ^ (rng.random(SRAM_BITS) < rate).astype(np.uint8)
+
+    def test_mixed_header_lengths_decode_row_by_row(self):
+        code = paper_end_to_end_code(7)
+        messages = [b"ab", b"", b"longer message", b"cd", b"ab"]
+        rows = np.stack(
+            [self._noisy(m, ecc=code, seed=i) for i, m in enumerate(messages)]
+        )
+        outcomes, counts = extract_messages(rows, ecc=code)
+        assert outcomes == messages
+        # The zero-length row votes its header and decodes no body.
+        assert [name for name, _ in counts[1]] == [
+            "ecc.repetition.overruled",
+            "ecc.repetition.corrections",
+            "ecc.repetition.bits",
+        ]
+        assert len(counts[0]) == 3 + 5  # header, then repetition + Hamming
+        for row, row_counts in zip(rows, counts):
+            sink_counts = _counted(lambda: extract_message(row, ecc=code))
+            assert sink_counts == row_counts
+
+    def test_corrupt_header_fails_only_its_own_row(self):
+        rows = np.stack([self._noisy(b"one", rate=0), self._noisy(b"two", rate=0)])
+        rows[0, : FrameFormat().header_bits] = 1
+        (bad, good), counts = extract_messages(rows)
+        assert isinstance(bad, ExtractionError)
+        assert "header claims 4294967295 bytes" in str(bad)
+        assert good == b"two"
+        assert counts[0] and [n for n, _ in counts[0]] == [n for n, _ in counts[1]]
+
+    def test_raw_mode_uses_each_rows_length(self):
+        frame = FrameFormat(framed=False)
+        code = hamming_7_4()
+        messages = [b"raw", b"", b"mode!"]
+        rows = np.stack(
+            [build_payload(m, SRAM_BITS, ecc=code, frame=frame) for m in messages]
+        )
+        lens = [len(m) for m in messages]
+        outcomes, counts = extract_messages(
+            rows, ecc=code, frame=frame, message_lens=lens
+        )
+        assert outcomes == messages
+        assert counts[1] == []
+        outcomes, _ = extract_messages(
+            rows, ecc=code, frame=frame, message_lens=[3, None, SRAM_BITS]
+        )
+        assert outcomes[0] == b"raw"
+        assert isinstance(outcomes[1], ExtractionError)
+        assert isinstance(outcomes[2], ExtractionError)
+
+    def test_raw_mode_needs_one_length_per_row(self):
+        frame = FrameFormat(framed=False)
+        rows = np.zeros((2, 64), dtype=np.uint8)
+        with pytest.raises(ConfigurationError):
+            extract_messages(rows, frame=frame, message_lens=[1])
+
+    def test_short_payload_fails_every_row(self):
+        outcomes, _ = extract_messages(np.zeros((2, 64), dtype=np.uint8))
+        assert all(isinstance(o, ExtractionError) for o in outcomes)
+        assert outcomes[0] is not outcomes[1]
+
+
+def _counted(fn):
+    from repro import telemetry
+    from repro.telemetry import RingBufferSink
+
+    sink = RingBufferSink(capacity=64)
+    telemetry.add_sink(sink)
+    try:
+        with telemetry.trace("test.extract"):
+            fn()
+    finally:
+        telemetry.remove_sink(sink)
+    return [(r["name"], r["value"]) for r in sink.records(type="counter")]

@@ -25,6 +25,7 @@ class TestRegistry:
         names = {o.name for o in all_oracles()}
         assert {
             "capture.batch_vs_loop",
+            "fleet.decode_vs_device_loop",
             "faults.disabled_identity",
             "ecc.roundtrip",
             "ecc.composition",
