@@ -8,6 +8,7 @@ die grid.
 """
 
 import gc
+import statistics
 import time
 import tracemalloc
 
@@ -447,6 +448,73 @@ def test_perf_fleet_decode_speedup(record_metric):
     record_metric("fleet_decode_speedup", speedup, better="higher", unit="x")
     record_metric("fleet_decode_ms_per_msg", t_stacked / n_devices * 1e3, unit="ms")
     assert speedup >= 2.0
+
+
+def test_perf_fleet_send_speedup(record_metric):
+    """The lean per-device send must beat the reference send by >= 1.3x
+    in CPU per message: device creation plus ``send`` of fresh default
+    0.25 KiB service devices, inside a trace context as on the lane; the
+    median ratio over 15 interleaved reference/lean pairs.
+
+    The reference binds the mask-form ``hold``, the full capture-cache
+    refresh and the full band decisions of ``repro.verify.send_reference``
+    and forces the ``channel.send`` span, as it was before that span
+    became an ordinary one, so its nested ``board.*``/``physics.*`` spans
+    are real.  The ``sram.lean_send_vs_reference`` oracle pins
+    bit-identity; this bench only the cost.
+    """
+    from repro import telemetry
+    from repro.core import pipeline
+    from repro.service import ServiceConfig
+    from repro.telemetry import context as trace_ctx
+    from repro.verify.send_reference import reference_twin
+
+    if telemetry.enabled():  # REPRO_TRACE: both paths' spans are real
+        pytest.skip("a sink is attached (REPRO_TRACE): no unforced send path")
+    scheme = ServiceConfig().resolved_scheme()
+    n_devices = 32
+
+    class ForcedSend:
+        """``repro.telemetry`` as the pipeline sees it, with the
+        ``channel.send`` span forced."""
+
+        def __getattr__(self, name):
+            return getattr(telemetry, name)
+
+        def trace(self, name, *, force=False, **attrs):
+            force = force or name == "channel.send"
+            return telemetry.trace(name, force=force, **attrs)
+
+    def sends(reference, seed):
+        host = FleetHost(scheme=scheme, seed=seed)
+        if reference:
+            pipeline.telemetry = ForcedSend()
+        try:
+            t0 = time.process_time()
+            for i in range(n_devices):
+                with trace_ctx.trace_context(inherit=False):
+                    channel = host.channel(f"dev-{i}")
+                    if reference:
+                        reference_twin(channel.board)
+                    channel.send(b"msg %04d" % i, stress_hours=24.0)
+            return time.process_time() - t0
+        finally:
+            pipeline.telemetry = telemetry
+
+    sends(False, 0), sends(True, 0)  # first-use imports and caches
+    # Adjacent pairs, so drift in the host's speed hits both sides of a
+    # ratio alike; the median ratio is steadier than a ratio of two
+    # best-ofs, which one lucky rep on either side can swing by 0.3x.
+    pairs = [(sends(True, seed), sends(False, seed)) for seed in range(1, 16)]
+    speedup = statistics.median(ref / lean for ref, lean in pairs)
+    t_ref = statistics.median(ref for ref, _ in pairs)
+    t_lean = statistics.median(lean for _, lean in pairs)
+    print(f"\nfleet send speedup: {speedup:.2f}x "
+          f"({t_ref / n_devices * 1e3:.3f} -> "
+          f"{t_lean / n_devices * 1e3:.3f} ms CPU per message)")
+    record_metric("fleet_send_speedup", speedup, better="higher", unit="x")
+    record_metric("fleet_send_ms_per_msg", t_lean / n_devices * 1e3, unit="ms")
+    assert speedup >= 1.3
 
 
 def test_perf_morans_i_full_grid(benchmark):

@@ -12,11 +12,13 @@ Both ends must construct the scheme from the same pre-shared parameters —
 exactly the paper's assumption (footnote 3).  The pre-shared bundle is a
 :class:`~repro.core.scheme.CodingScheme`.
 
-Every ``send``/``receive`` runs inside a (forced) telemetry span, so
-decode provenance — per-capture BER, vote-margin histogram, ECC
-correction counts — is collected whether or not a sink is attached; with
-a sink (e.g. ``repro --trace out.jsonl``) the same spans are emitted as
-records.
+Every ``receive`` (and ``decode_state``/``decode_captures``) runs inside
+a forced telemetry span, so decode provenance — per-capture BER,
+vote-margin histogram, ECC correction counts — is collected whether or
+not a sink is attached.  Nothing reads a ``send`` span's counters but a
+sink, so ``channel.send`` is an ordinary span: with no sink and no
+enclosing span it, and everything nested in it, is a null span.  With a
+sink (e.g. ``repro --trace out.jsonl``) both are emitted as records.
 """
 
 from __future__ import annotations
@@ -355,7 +357,6 @@ class InvisibleBits:
         stress_hours = recipe.stress_hours if stress_hours is None else stress_hours
         with telemetry.trace(
             "channel.send",
-            force=True,
             message_bytes=len(message),
             stress_hours=stress_hours,
             recipe={

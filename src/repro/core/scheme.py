@@ -11,6 +11,7 @@ four loose keyword arguments through every call site.
 from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 from ..crypto.ctr import AesCtr, nonce_from_device_id
 from ..ecc.base import Code
@@ -129,7 +130,15 @@ class CodingScheme:
         return replace(self, decision=decision)
 
     def describe(self) -> dict:
-        """Provenance attributes for telemetry records."""
+        """Provenance attributes for telemetry records (a fresh dict).
+
+        Every ``channel.*`` span carries them, so they are worked out once
+        per scheme — its fields are frozen — and copied per call.
+        """
+        return dict(self._description)
+
+    @cached_property
+    def _description(self) -> dict:
         return {
             "ecc": self.ecc.name if self.ecc is not None else "identity",
             "ecc_rate": round(self.ecc.rate, 6) if self.ecc is not None else 1.0,

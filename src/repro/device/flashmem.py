@@ -106,27 +106,47 @@ class OnChipFlash(MemoryRegion):
 
         Callers must erase first; programming a 1 over a 0 raises, exactly
         like a real part's verify step failing.  Bytes before the failing
-        one stay programmed.
+        one stay programmed.  Works a block at a time: each spanned
+        block's segment is checked against its current bytes in one
+        big-integer test and copied in; a segment that changes nothing
+        (all-ones over an erased block) allocates no block.
         """
         if offset < 0 or offset + len(image) > self.size:
             raise ConfigurationError(
                 f"{self.name}: image of {len(image)} bytes at {offset:#x} "
                 f"exceeds size {self.size:#x}"
             )
+        image = bytes(image)
         bs = self.block_size
-        for i, byte in enumerate(image):
-            block, start = divmod(offset + i, bs)
+        end = offset + len(image)
+        position = offset
+        while position < end:
+            block, start = divmod(position, bs)
+            count = min(end - position, bs - start)
+            segment = image[position - offset : position - offset + count]
             stored = self._blocks.get(block)
-            current = 0xFF if stored is None else stored[start]
-            if byte & ~current:
-                raise DeviceError(
-                    f"{self.name}: programming would set bits at offset "
-                    f"{offset + i:#x} (erase first)"
-                )
-            if byte != current:
+            current = (
+                b"\xff" * count if stored is None else stored[start : start + count]
+            )
+            # Bits the segment sets over a cleared bit; the highest set
+            # bit of the big-endian value is the first failing byte.
+            violation = int.from_bytes(segment, "big") & ~int.from_bytes(
+                current, "big"
+            )
+            if violation:
+                count = count - 1 - (violation.bit_length() - 1) // 8
+                segment = segment[:count]
+                current = current[:count]
+            if segment != current:
                 if stored is None:
                     stored = self._blocks[block] = bytearray(b"\xff" * bs)
-                stored[start] = byte
+                stored[start : start + count] = segment
+            if violation:
+                raise DeviceError(
+                    f"{self.name}: programming would set bits at offset "
+                    f"{position + count:#x} (erase first)"
+                )
+            position += count
 
     def load_firmware(self, image: bytes) -> None:
         """Erase the blocks an image spans, then program it at offset 0."""

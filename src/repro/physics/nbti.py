@@ -133,7 +133,7 @@ class NBTIModel:
         ``equivalent_seconds`` may be a scalar or a per-transistor array;
         transistors with zero stress are left entirely untouched (their relax
         clocks keep running), so one call can age just the active side of a
-        memory bank.
+        memory bank.  The positive entries go through :meth:`stress_cells`.
         """
         state.flush_relax()
         eq = np.broadcast_to(
@@ -141,15 +141,36 @@ class NBTIModel:
         )
         if np.any(eq < 0):
             raise ConfigurationError("stress duration must be >= 0")
-        active = eq > 0
-        if not np.any(active):
+        cells = (eq > 0).nonzero()[0]
+        self.stress_cells(state, cells, eq[cells])
+
+    def stress_cells(
+        self,
+        state: NBTIState,
+        cells: np.ndarray,
+        equivalent_seconds: "float | np.ndarray",
+    ) -> None:
+        """Apply DC stress to the transistors at indices ``cells`` only.
+
+        ``equivalent_seconds`` is positive: a scalar, or one value per
+        index.  Every other transistor is left untouched, so the cost
+        follows the stressed cells, not the bank.
+        """
+        state.flush_relax()
+        if not cells.size:
             return
-        recovered = self._recovered_fraction(state.relax_seconds[active])
+        stressed = state.stress_seconds[cells]
+        relax = state.relax_seconds[cells]
         # Rewind equivalent stress time so the current (post-recovery) shift
-        # is reproduced, then accrue the new stress on top.
-        rewind = (1.0 - recovered) ** (1.0 / self.time_exponent)
-        state.stress_seconds[active] = state.stress_seconds[active] * rewind + eq[active]
-        state.relax_seconds[active] = 0.0
+        # is reproduced, then accrue the new stress on top.  A cell whose
+        # clock reads 0 has recovered nothing and rewinds by exactly
+        # ``1.0 ** (1/n) == 1.0``, so only running clocks are evaluated.
+        running = relax.nonzero()[0]
+        if running.size:
+            recovered = self._recovered_fraction(relax[running])
+            stressed[running] *= (1.0 - recovered) ** (1.0 / self.time_exponent)
+        state.stress_seconds[cells] = stressed + equivalent_seconds
+        state.relax_seconds[cells] = 0.0
 
     def stress_ac(self, state: NBTIState, equivalent_seconds: "float | np.ndarray") -> None:
         """Apply high-frequency duty-cycled stress.

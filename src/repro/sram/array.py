@@ -450,7 +450,8 @@ class SRAMArray:
 
         This is the encoding primitive: the active inverter of every cell
         accrues NBTI stress at the current (Vdd, T) acceleration factor while
-        the inactive inverter's recovery clock runs.
+        the inactive inverter's recovery clock runs.  Only the cells on each
+        side are touched (:meth:`NBTIModel.stress_cells`).
         """
         self._require_power()
         if seconds < 0:
@@ -466,13 +467,20 @@ class SRAMArray:
             temp_k=self.temp_k,
             acceleration=af,
         ) as span:
-            holding_1 = self._data.astype(np.float64)
-            holding_0 = 1.0 - holding_1
-            self._nbti.stress(self.age_when_1, af * seconds * holding_1)
-            self._nbti.stress(self.age_when_0, af * seconds * holding_0)
-            self._nbti.relax(self.age_when_1, seconds * holding_0)
-            self._nbti.relax(self.age_when_0, seconds * holding_1)
-            span.count("physics.stress_seconds_equivalent", af * seconds)
+            # Each cell stresses the inverter of the value it holds and
+            # lets the other one's recovery clock run: index form, so the
+            # cost is two index sets, not four float masks over the bank.
+            nbti, st1, st0 = self._nbti, self.age_when_1, self.age_when_0
+            ones = (self._data != 0).nonzero()[0]
+            zeros = (self._data == 0).nonzero()[0]
+            equivalent = af * seconds
+            # stress_cells flushes each state's pending relax first, so
+            # the relax adds below land on flushed clocks.
+            nbti.stress_cells(st1, ones, equivalent)
+            nbti.stress_cells(st0, zeros, equivalent)
+            st1.relax_seconds[zeros] += seconds
+            st0.relax_seconds[ones] += seconds
+            span.count("physics.stress_seconds_equivalent", equivalent)
         self._bump_aging_epoch()
 
     def shelve(self, seconds: float) -> None:
@@ -610,6 +618,13 @@ class SRAMArray:
         drift = nbti.rec_log_coeff * cache["full_max"] * max(d1, d0)
         return drift <= self.OFFSET_DRIFT_BUDGET * sigma
 
+    def _never_stressed(self) -> bool:
+        """True while neither inverter of any cell has stress seconds."""
+        return not (
+            self.age_when_1.stress_seconds.any()
+            or self.age_when_0.stress_seconds.any()
+        )
+
     def _band_decisions(
         self, cache: dict, sigma: float, noise: np.ndarray
     ) -> np.ndarray:
@@ -619,6 +634,8 @@ class SRAMArray:
         and re-evaluates the same offset expression :meth:`offsets` uses —
         identical physics, restricted to the cells noise can actually flip.
         """
+        if cache["full_max"] == 0.0:  # no power law: the offset is the mismatch
+            return (cache["mismatch_b"] + sigma * noise > 0.0).astype(np.uint8)
         nbti = self._nbti
         tau = nbti.rec_tau_s
         r1 = cache["r1_b"] + self.age_when_1.pending_relax
@@ -660,20 +677,29 @@ class SRAMArray:
         composition :meth:`NBTIModel.dvth` uses — zero-stress cells skip the
         ``t^n`` ufunc (``0**n == 0`` exactly), and uniform relax clocks
         collapse the recovered fraction to one scalar (the per-element
-        double operations are unchanged).  tests/sram/test_fleet_capture.py
-        pins every cached double against ``NBTIModel.dvth``.
+        double operations are unchanged).  A never-stressed bank skips the
+        power law and the recovery altogether: its offsets are the
+        mismatch.  tests/sram/test_fleet_capture.py pins every cached
+        double against ``NBTIModel.dvth``.
         """
         st1, st0 = self.age_when_1, self.age_when_0
         st1.flush_relax()
         st0.flush_relax()
         nbti = self._nbti
-        full1 = _locked_shift(nbti, st1.stress_seconds)
-        full0 = _locked_shift(nbti, st0.stress_seconds)
-        offs = (
-            self.mismatch
-            + full0 * (1.0 - _recovered_fraction(nbti, st0.relax_seconds))
-            - full1 * (1.0 - _recovered_fraction(nbti, st1.relax_seconds))
-        )
+        if self._never_stressed():
+            # Both power laws are exactly 0.0, so the offsets are the
+            # mismatch (``m + 0.0 - 0.0`` differs only in the sign of a
+            # zero, which neither ``> 0`` nor ``abs`` can see).
+            full1 = full0 = np.zeros_like(self.mismatch)
+            offs = self.mismatch
+        else:
+            full1 = _locked_shift(nbti, st1.stress_seconds)
+            full0 = _locked_shift(nbti, st0.stress_seconds)
+            offs = (
+                self.mismatch
+                + full0 * (1.0 - _recovered_fraction(nbti, st0.relax_seconds))
+                - full1 * (1.0 - _recovered_fraction(nbti, st1.relax_seconds))
+            )
         band = np.flatnonzero(np.abs(offs) < self.NOISE_TAIL_SIGMA * sigma)
         self._capture_cache = {
             "aging_epoch": self._aging_epoch,

@@ -517,6 +517,31 @@ def fleet_decode_vs_device_loop(seed, n_devices, code, framed, keyed):
         )
 
 
+# -- lean send contract -------------------------------------------------------
+
+
+@oracle(
+    "sram.lean_send_vs_reference",
+    gens=(
+        g.seeds(),
+        g.sampled_from(["random", "zeros", "ones"], name="payload"),
+        g.sampled_from([False, True], name="faulted"),
+    ),
+    examples=6,
+)
+def sram_lean_send_vs_reference(seed, payload, faulted):
+    """The lean send path equals the mask-form reference: index-form
+    ``hold`` and the never-stressed power-on shortcut leave both NBTI
+    states, capture stats, toggle count and noise stream bit-identical,
+    and every power-on state and capture sample equal, over a seeded
+    history — captures on a never-stressed bank, stage and stress (with a
+    drift/interrupt fault plan when ``faulted``), shelve and re-stress,
+    operate then hold, and a device-file restore then hold."""
+    from .send_reference import run_send_history
+
+    run_send_history(seed, payload, faulted)
+
+
 # -- service durability contract ---------------------------------------------
 
 
@@ -1580,3 +1605,21 @@ def _mutant_journal_corruption(rng):
             f"corrupt admit record silently dropped from replay "
             f"({ledger.report.admitted} of {2 * n_messages} admits survived)",
         )
+
+
+@mutant("sram.lean_send_vs_reference", "pristine-checks-one-inverter")
+def _mutant_pristine_checks_one_inverter(rng):
+    """A never-stressed test that looks only at ``age_when_1`` takes the
+    mismatch-only power-on for a bank aged holding all zeros."""
+    from ..sram.array import SRAMArray
+
+    pristine = SRAMArray._never_stressed
+
+    def one_inverter(self):
+        return not self.age_when_1.stress_seconds.any()  # the planted defect
+
+    SRAMArray._never_stressed = one_inverter
+    try:
+        sram_lean_send_vs_reference(int(rng.integers(0, 2**31)), "zeros", False)
+    finally:
+        SRAMArray._never_stressed = pristine

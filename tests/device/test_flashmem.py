@@ -78,6 +78,36 @@ def test_unprogrammed_blocks_are_not_stored(flash):
     assert flash.dump() == b"\xff" * flash.size
 
 
+def test_program_straddling_blocks(flash):
+    image = bytes(range(1, 21))
+    flash.program(image, 4090)  # 6 bytes in block 0, 14 in block 1
+    assert flash.dump(4090, 20) == image
+    assert sorted(flash._blocks) == [0, 1]
+    assert flash.dump(0, 4090) == b"\xff" * 4090
+    # An all-ones tail in a block allocates nothing there.
+    flash.program(b"\x00" * 4 + b"\xff" * 8, 3 * 4096 - 4)
+    assert sorted(flash._blocks) == [0, 1, 2]
+    assert flash.dump(3 * 4096 - 4, 12) == b"\x00" * 4 + b"\xff" * 8
+
+
+def test_reprogramming_a_programmed_block_clears_more_bits(flash):
+    flash.program(b"\x0f\xf0\xff\xaa", 8)
+    flash.program(b"\x0f\xf0\xff\xaa", 8)  # same bytes: a no-op
+    flash.program(b"\x0e\x00\x7f\x22", 8)  # only clears bits
+    assert flash.dump(8, 4) == b"\x0e\x00\x7f\x22"
+    assert sorted(flash._blocks) == [0]
+
+
+@pytest.mark.parametrize("start", [8, 4090])
+def test_set_bit_violation_names_the_first_failing_offset(flash, start):
+    flash.program(b"\x00", start + 9)  # a cleared byte the image sets bits in
+    image = bytes([0x5A] * 9) + b"\x01" + bytes([0x11] * 6)
+    with pytest.raises(DeviceError, match=f"offset {start + 9:#x} "):
+        flash.program(image, start)
+    # The bytes before the failing one stay programmed; the rest do not.
+    assert flash.dump(start, 16) == bytes([0x5A] * 9) + b"\x00" + b"\xff" * 6
+
+
 class _DenseFlash:
     """Reference model: the whole part as one ``bytearray`` (base 0),
     raising the same errors with the same messages."""

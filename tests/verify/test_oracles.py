@@ -26,6 +26,7 @@ class TestRegistry:
         assert {
             "capture.batch_vs_loop",
             "fleet.decode_vs_device_loop",
+            "sram.lean_send_vs_reference",
             "faults.disabled_identity",
             "ecc.roundtrip",
             "ecc.composition",
