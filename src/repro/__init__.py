@@ -24,7 +24,10 @@ run any CLI command under ``repro --trace out.jsonl ...`` and inspect it
 with ``repro telemetry summarize out.jsonl``.
 """
 
-from . import api, metrics, monitor, profile, service, telemetry, verify
+import importlib
+import os
+
+from . import api, metrics, service, telemetry
 from .api import (
     ReceiveRequest,
     ReceiveResult,
@@ -106,7 +109,6 @@ from .harness import ControlBoard, PowerSupply, ThermalChamber
 from .harness.rack import EncodingRack, SlotResult
 from .io import load_captures, save_captures
 from .metrics import MetricsRegistry, TelemetryBridge
-from .monitor import AlertRule, FleetMonitor, default_slo_rules
 from .service import (
     FleetService,
     LoadGenerator,
@@ -125,6 +127,23 @@ from .sram import SRAMArray, TechnologyProfile
 from .stats import morans_i, normalized_entropy, shannon_entropy, welch_t_test
 
 __version__ = "1.0.0"
+
+if os.environ.get("REPRO_PROFILE"):
+    # Importing the profiler starts the global profiler REPRO_PROFILE asks
+    # for, from import to interpreter exit.
+    from . import profile
+
+
+def __getattr__(name: str):
+    # Exports the serving path never uses resolve on first access, so
+    # ``import repro.service`` compiles neither the verify harness nor the
+    # monitor.
+    if name in ("monitor", "profile", "verify"):
+        return importlib.import_module(f".{name}", __name__)
+    if name in ("AlertRule", "FleetMonitor", "default_slo_rules"):
+        return getattr(importlib.import_module(".monitor", __name__), name)
+    raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+
 
 __all__ = [
     "AES",

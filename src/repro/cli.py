@@ -491,7 +491,8 @@ def _cmd_serve(args) -> int:
         if r is not None:
             recovered = (
                 f" (recovered: checkpoint={r.checkpoint} "
-                f"cached={r.cached} replayed={r.replayed})"
+                f"cached={r.cached} replayed={r.replayed} "
+                f"torn_tail={r.torn_tail})"
             )
         print(
             f"serving {config.shards} shards on "

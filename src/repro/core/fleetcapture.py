@@ -84,14 +84,6 @@ class FleetCapture:
     slot_errors: "tuple[Exception | None, ...]"
     n_captures: int
 
-    @property
-    def kernel_slots(self) -> int:
-        return sum(1 for v in self.vectorized if v)
-
-    @property
-    def fallback_slots(self) -> int:
-        return len(self.vectorized) - self.kernel_slots
-
 
 def capture_fleet(
     boards,

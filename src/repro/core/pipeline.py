@@ -424,16 +424,6 @@ class InvisibleBits:
 
     # -- Algorithm 2 -----------------------------------------------------------------
 
-    def recover_payload(self) -> tuple[np.ndarray, np.ndarray]:
-        """Capture, vote and invert: returns (power_on_state, payload_bits).
-
-        The power-on state is the *complement* of the written payload
-        (§4.3's photographic-negative property), so the recovered payload is
-        the inverted majority state.
-        """
-        state = self.board.majority_power_on_state(self.n_captures)
-        return state, invert_bits(state)
-
     def _vote_rows(
         self, samples: np.ndarray, excluded: "list[int]"
     ) -> "tuple[list[int], np.ndarray]":

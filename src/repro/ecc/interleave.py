@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..errors import BlockLengthError, ConfigurationError
+from ..errors import ConfigurationError
 from .base import Code
 
 
@@ -47,11 +47,3 @@ class BlockInterleaver(Code):
         n_rows, width = bits.shape
         blocks = bits.reshape(n_rows, width // self.n, self.span, self.depth)
         return blocks.transpose(0, 1, 3, 2).reshape(n_rows, width), []
-
-
-def spread_burst_errors(bits: np.ndarray, interleaver: BlockInterleaver) -> np.ndarray:
-    """Diagnostic helper: positions a burst at the channel occupies after
-    de-interleaving (used by tests to verify the spreading property)."""
-    if bits.size % interleaver.n:
-        raise BlockLengthError("bits must be a multiple of the interleaver block")
-    return interleaver.decode(bits)

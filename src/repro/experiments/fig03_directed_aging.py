@@ -26,13 +26,6 @@ class Figure3Data:
     result_d: ExperimentResult
 
 
-def _bias_histogram(device, captures: int = 9):
-    samples = device.sram.capture_power_on_states(captures)
-    device.sram.remove_power()
-    bias = power_on_bias(samples)
-    return density_histogram(bias, bins=11, value_range=(0.0, 1.0))
-
-
 def run(*, sram_kib: float = 2, stress_hours: float = 4.0, seed: int = 2) -> Figure3Data:
     histograms = {}
     result_abc = ExperimentResult(

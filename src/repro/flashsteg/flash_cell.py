@@ -68,11 +68,6 @@ class FlashAnalogArray:
     def n_pages(self) -> int:
         return self.n_cells // self.page_cells
 
-    def _page_slice(self, page: int) -> slice:
-        if not 0 <= page < self.n_pages:
-            raise ConfigurationError(f"page {page} out of range")
-        return slice(page * self.page_cells, (page + 1) * self.page_cells)
-
     # -- bulk operations --------------------------------------------------------
 
     def erase(self) -> None:

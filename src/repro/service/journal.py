@@ -15,29 +15,39 @@ Durability contract (docs/service.md "Durability & recovery"):
   final line is the expected crash signature and is skipped, while a bad
   CRC *before* a valid record means real corruption and raises
   :class:`~repro.errors.JournalError` — silently resuming from a damaged
-  prefix could double-apply stress.  Reopening a journal for append
-  repairs a torn tail first (truncating the fragment, or terminating a
-  final record that only lost its newline), so the next append starts on
-  a fresh line instead of concatenating onto the fragment and turning a
-  tolerated torn tail into hard corruption one restart later.
+  prefix could double-apply stress.
+- **One scan per open.**  Opening a journal parses its bytes once
+  (:func:`_scan`): the valid records, the torn-tail flag and the length
+  of the valid prefix.  Working on bytes makes a fragment cut
+  mid-character an ordinary torn tail.  The open then repairs the tail
+  in place — truncating the fragment to the valid prefix, or adding the
+  one newline a complete final record lost — so the next append starts
+  on a fresh line instead of concatenating onto the fragment and turning
+  a tolerated torn tail into hard corruption one restart later.
+  Recovery replays the records that scan produced
+  (:attr:`Journal.existing`) and never reads the file itself.
 - **Batched fsync.**  Appends are flushed to the OS on every record and
-  fsynced every ``fsync_every`` records (checkpoints, :meth:`flush` and
-  :meth:`close` always fsync inline).  Batched fsyncs run on a dedicated
-  writer thread so the every-Nth-record sync never stalls the asyncio
-  event loop the service appends from.  Losing a not-yet-synced tail is
-  safe by construction: a lost ``admit`` was never acknowledged (the
-  client retries with the same key), and a lost ``complete`` just
-  re-executes deterministically on replay.
+  fsynced every ``fsync_every`` records (:meth:`checkpoint`,
+  :meth:`flush` and :meth:`close` always fsync inline).  Batched fsyncs
+  run on a dedicated writer thread so the every-Nth-record sync never
+  stalls the asyncio event loop the service appends from.  Losing a
+  not-yet-synced tail is safe by construction: a lost ``admit`` was
+  never acknowledged (the client retries with the same key), and a lost
+  ``complete`` just re-executes deterministically on replay.
 
 Record vocabulary (one JSON object per line, ``op`` discriminates):
 
 ``{"op": "admit", "seq": n, "key": k, "kind": "send"|"receive",
-   "request": {...}}``
+   "request": {...}, "trace": str|None}``
 ``{"op": "complete", "seq": n, "key": k, "status": "ok"|"error"|"shed",
    "result": {...}|None, "error": str|None, "error_type": str|None,
-   "shard": str|None, "replayed": bool}``
-``{"op": "checkpoint", "checkpoint": "ckpt-00000042",
-   "completed": [seq, ...]}``
+   "shard": str|None, "replayed": bool, "trace": str|None}``
+``{"op": "checkpoint", "checkpoint": "ckpt-00000042"}``
+
+A checkpoint marker holds only the checkpoint's id: the checkpoint's
+``manifest.json`` (``completed_seqs``) is the one record of what it
+covers, and nothing reads markers back.  Older journals' markers also
+carry a ``completed`` list; it is ignored.
 """
 
 from __future__ import annotations
@@ -81,18 +91,57 @@ def _frame(record: dict) -> str:
     return f"{zlib.crc32(body.encode()):08x} {body}\n"
 
 
-def _unframe(line: str) -> "dict | None":
+def _unframe(line: bytes) -> "dict | None":
     """Parse one framed line; ``None`` for anything torn or corrupt."""
-    if len(line) < 10 or line[8] != " ":
+    if len(line) < 10 or line[8:9] != b" ":
         return None
-    crc_hex, body = line[:8], line[9:]
+    body = line[9:]
     try:
-        if int(crc_hex, 16) != zlib.crc32(body.encode()):
+        if int(line[:8], 16) != zlib.crc32(body):
             return None
         record = json.loads(body)
-    except (ValueError, TypeError):
+    except ValueError:  # bad hex, bad JSON, or bytes that are not UTF-8
         return None
     return record if isinstance(record, dict) and "op" in record else None
+
+
+def _scan(path: pathlib.Path) -> "tuple[list[dict], int, int]":
+    """The one parse of a journal: ``(records, torn, valid_bytes)``.
+
+    Works on bytes, so a crash fragment cut mid-character is an ordinary
+    torn tail.  ``valid_bytes`` is the length of the prefix made of whole,
+    newline-terminated lines before the first bad one; past it lies either
+    the torn fragment or a final record that lost only its newline.
+    """
+    try:
+        raw = path.read_bytes()
+    except FileNotFoundError:
+        return [], 0, 0
+    records: "list[dict]" = []
+    bad_at: "int | None" = None
+    valid_bytes = end = 0
+    for lineno, line in enumerate(raw.splitlines(keepends=True), start=1):
+        end += len(line)
+        body = line.rstrip(b"\r\n")
+        if body.strip():
+            record = _unframe(body)
+            if record is None:
+                if bad_at is None:
+                    bad_at = lineno
+                continue
+            if bad_at is not None:
+                raise JournalError(
+                    f"{path}: corrupt record at line {bad_at} followed by a "
+                    "valid one — refusing to replay a damaged journal"
+                )
+            records.append(record)
+        if bad_at is None and line.endswith(b"\n"):
+            valid_bytes = end
+    torn = 1 if bad_at is not None else 0
+    if torn:
+        _TORN_TAIL_TOTAL.inc()
+        telemetry.count("journal.torn_tail")
+    return records, torn, valid_bytes
 
 
 def read_journal(path) -> "tuple[list[dict], int]":
@@ -103,74 +152,8 @@ def read_journal(path) -> "tuple[list[dict], int]":
     line followed by a valid record is corruption and raises
     :class:`~repro.errors.JournalError`.
     """
-    path = pathlib.Path(path)
-    if not path.exists():
-        return [], 0
-    records: "list[dict]" = []
-    bad_at: "int | None" = None
-    for lineno, line in enumerate(
-        path.read_text(encoding="utf-8").splitlines(), start=1
-    ):
-        if not line.strip():
-            continue
-        record = _unframe(line)
-        if record is None:
-            if bad_at is None:
-                bad_at = lineno
-            continue
-        if bad_at is not None:
-            raise JournalError(
-                f"{path}: corrupt record at line {bad_at} followed by a "
-                "valid one — refusing to replay a damaged journal"
-            )
-        records.append(record)
-    torn = 1 if bad_at is not None else 0
-    if torn:
-        _TORN_TAIL_TOTAL.inc()
-        telemetry.count("journal.torn_tail")
+    records, torn, _ = _scan(pathlib.Path(path))
     return records, torn
-
-
-def _repair_tail(path: pathlib.Path) -> bool:
-    """Make the on-disk journal safe to append to; True if it changed.
-
-    A crash mid-write leaves a partial final line, usually without a
-    trailing newline.  :func:`read_journal` tolerates that fragment, but
-    appending after it would concatenate the next record onto it —
-    producing one corrupt line *followed by* valid records, the pattern
-    the reader rightly treats as hard corruption, so the restart after
-    next would refuse to boot.  Truncate the fragment away before the
-    first append — or, when the final record is complete and only lost
-    its terminator, finish it with the missing newline.
-
-    Only call this after :func:`read_journal` has validated the file:
-    this helper assumes anything after the first bad line is tail, never
-    a valid record (the reader raises on that).
-    """
-    if not path.exists():
-        return False
-    raw = path.read_bytes()
-    keep = 0
-    for line in raw.splitlines(keepends=True):
-        body = line.rstrip(b"\r\n")
-        try:
-            text = body.decode("utf-8")
-        except UnicodeDecodeError:
-            break  # torn mid-character: truncate from here
-        if text.strip() and _unframe(text) is None:
-            break  # torn mid-record: truncate from here
-        if not line.endswith(b"\n"):
-            # A complete final record that lost only its newline: the
-            # cheapest repair is to terminate it in place.
-            with open(path, "ab") as handle:
-                handle.write(b"\n")
-            return True
-        keep += len(line)
-    if keep == len(raw):
-        return False
-    with open(path, "r+b") as handle:
-        handle.truncate(keep)
-    return True
 
 
 class Journal:
@@ -180,8 +163,8 @@ class Journal:
     checkpointer thread appends markers.  ``next_seq`` starts after the
     highest seq already on disk, so reopening a journal (restart) keeps
     sequence numbers strictly increasing across process lives.  Opening
-    repairs a torn trailing fragment (see :func:`_repair_tail`) so the
-    first append of the new life starts on a fresh line.
+    repairs a torn trailing fragment so the first append of the new life
+    starts on a fresh line.
     """
 
     def __init__(self, path, *, fsync_every: int = 8):
@@ -191,18 +174,30 @@ class Journal:
             )
         self.path = pathlib.Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
-        # Read (and validate) first: a corrupt journal raises here and is
+        # Scan (and validate) first: a corrupt journal raises here and is
         # never repaired over; only a tolerated torn tail gets trimmed.
-        existing, _ = read_journal(self.path)
+        existing, self.torn_tail, valid_bytes = _scan(self.path)
         self.next_seq = 1 + max(
             (r.get("seq", 0) for r in existing), default=0
         )
-        self.repaired_tail = _repair_tail(self.path)
-        if self.repaired_tail:
-            _TAIL_REPAIRS_TOTAL.inc()
-            telemetry.count("journal.tail_repaired")
+        #: The records on disk at open, for recovery to replay; it takes
+        #: the list, so a live journal keeps no copy of its history.
+        self.existing = existing
         self.fsync_every = fsync_every
         self._file = open(self.path, "a", encoding="utf-8")
+        # Past the valid prefix lies a torn fragment (cut it) or a final
+        # record that lost only its newline (finish it): appending onto a
+        # fragment would leave corruption followed by valid records.
+        fd = self._file.fileno()
+        self.repaired_tail = os.fstat(fd).st_size > valid_bytes
+        if self.repaired_tail:
+            if self.torn_tail:
+                os.ftruncate(fd, valid_bytes)
+            else:
+                self._file.write("\n")
+                self._file.flush()
+            _TAIL_REPAIRS_TOTAL.inc()
+            telemetry.count("journal.tail_repaired")
         self._lock = threading.Lock()
         self._unsynced = 0
         self.appended = 0
@@ -289,17 +284,18 @@ class Journal:
                 }
             )
 
-    def checkpoint(self, checkpoint_id: str, completed: "list[int]") -> None:
-        """Journal a durable checkpoint marker (always fsynced)."""
+    def checkpoint(self, checkpoint_id: str) -> None:
+        """Fsync everything journaled so far, then mark the cut.
+
+        The fsync is the checkpoint's durability point: the service calls
+        this before it publishes the checkpoint's manifest, so every
+        completion the manifest names is on disk first.  The id-only
+        marker after it is an ordinary record that rides the next batched
+        fsync.
+        """
         with self._lock:
-            self._append(
-                {
-                    "op": "checkpoint",
-                    "checkpoint": checkpoint_id,
-                    "completed": sorted(completed),
-                }
-            )
             self._fsync()
+            self._append({"op": "checkpoint", "checkpoint": checkpoint_id})
 
     # -- plumbing -----------------------------------------------------------------
 

@@ -46,7 +46,7 @@ from .. import telemetry
 from ..telemetry import context as trace_ctx
 from ..api import ReceiveRequest, ReceiveResult, SendRequest, SendResult
 from ..errors import JournalError, ServiceError
-from .journal import Journal, read_journal
+from .journal import Journal
 from .ledger import Ledger, journal_outcome, outcome_status
 from .queue import Job
 from .shards import FleetHost, Shard
@@ -191,16 +191,16 @@ def recover_components(config) -> "tuple[FleetHost, Ledger]":
         completed_in_ckpt = set(manifest.get("completed_seqs", ()))
         report.checkpoint = ckpt.name
 
-    records, torn = read_journal(journal_path(journal_dir))
-    report.torn_tail = torn
+    # Opening the journal is its one parse: it validates the file,
+    # repairs a torn tail and resumes next_seq past everything on disk.
+    # Replay takes the scanned records from it.
+    journal = Journal(journal_path(journal_dir))
+    records, journal.existing = journal.existing, []
+    report.torn_tail = journal.torn_tail
     admits = [r for r in records if r["op"] == "admit"]
     completes: "dict[int, dict]" = {
         r["seq"]: r for r in records if r["op"] == "complete"
     }
-
-    # Open for append only after the read pass: Journal resumes next_seq
-    # past everything on disk, so keys and seqs stay unique across lives.
-    journal = Journal(journal_path(journal_dir))
     ledger = Ledger(journal, report)
     faulted = set(config.fault_shards)
     lane = Shard(REPLAY_SHARD, host)

@@ -422,10 +422,11 @@ class FleetService:
 
         Quiesce protocol: clear the worker gate, wait until no batch is
         executing (completions included — ``_executing`` spans them), so
-        the snapshot holds *exactly* the ledger's completed seqs;
-        write every device + manifest; append a fsynced checkpoint
-        marker; reopen the gate.  Concurrent calls coalesce (the second
-        returns ``None``).
+        the snapshot holds *exactly* the ledger's completed seqs; fsync
+        the journal and mark the cut (:meth:`Journal.checkpoint`), so
+        every completion the manifest names is on disk before the
+        manifest is; write every device + manifest; reopen the gate.
+        Concurrent calls coalesce (the second returns ``None``).
         """
         journal = self.ledger.journal
         if journal is None:
@@ -442,6 +443,7 @@ class FleetService:
             checkpoint_id = f"ckpt-{journal.next_seq:08d}"
             directory = checkpoints_root(self.config.journal_dir) / checkpoint_id
             completed = sorted(self.ledger.completed_seqs)
+            journal.checkpoint(checkpoint_id)
             await self._on_lane_thread(
                 self.host.snapshot,
                 directory,
@@ -450,7 +452,6 @@ class FleetService:
                     "completed_seqs": completed,
                 },
             )
-            journal.checkpoint(checkpoint_id, completed)
             self.checkpoints += 1
             self._since_checkpoint = 0
             _CHECKPOINTS_TOTAL.inc()

@@ -20,8 +20,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .summary import load_records
-
 __all__ = [
     "TraceSummary",
     "critical_path",
@@ -286,8 +284,3 @@ def render_critical_path(
             f"  on {count:g} path(s)"
         )
     return "\n".join(lines)
-
-
-def search_file(path, **kwargs) -> str:
-    """Load ``path`` and render a search (CLI helper)."""
-    return render_search(search_traces(load_records(path), **kwargs))

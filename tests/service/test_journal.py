@@ -18,13 +18,13 @@ def test_records_round_trip_through_framing(tmp_path):
     with Journal(_path(tmp_path)) as journal:
         seq = journal.admit("key-1", "send", {"device_id": "dev-1"})
         journal.complete(seq, "key-1", "ok", result={"shard": "shard-0"})
-        journal.checkpoint("ckpt-00000002", [seq])
+        journal.checkpoint("ckpt-00000002")
     records, torn = read_journal(_path(tmp_path))
     assert torn == 0
     assert [r["op"] for r in records] == ["admit", "complete", "checkpoint"]
     assert records[0]["request"] == {"device_id": "dev-1"}
     assert records[1]["status"] == "ok"
-    assert records[2]["completed"] == [seq]
+    assert records[2] == {"op": "checkpoint", "checkpoint": "ckpt-00000002"}
 
 
 def test_every_line_carries_a_valid_crc(tmp_path):
@@ -86,6 +86,38 @@ def test_reopen_terminates_a_record_that_only_lost_its_newline(tmp_path):
     assert [r["key"] for r in records] == ["k1", "k2", "k3"]
 
 
+def test_a_torn_tail_cut_mid_character_is_an_ordinary_torn_tail(tmp_path):
+    """A crash can cut a line inside a multi-byte character, leaving bytes
+    that are not UTF-8: the reader works on bytes, so that fragment is a
+    torn tail like any other, not a decode error that stops a restart."""
+    with Journal(_path(tmp_path)) as journal:
+        journal.admit("k1", "send", {"device_id": "d"})
+    with open(_path(tmp_path), "ab") as handle:
+        handle.write(b'0badc0de {"op":\xff\xfe')
+    records, torn = read_journal(_path(tmp_path))
+    assert [r["key"] for r in records] == ["k1"]
+    assert torn == 1
+    with Journal(_path(tmp_path)) as revived:
+        assert revived.repaired_tail
+        assert revived.torn_tail == 1
+        revived.admit("k2", "send", {"device_id": "d"})
+    records, torn = read_journal(_path(tmp_path))
+    assert torn == 0
+    assert [r["key"] for r in records] == ["k1", "k2"]
+
+
+def test_a_non_utf8_line_before_a_valid_record_raises(tmp_path):
+    with Journal(_path(tmp_path)) as journal:
+        journal.admit("k1", "send", {"device_id": "d"})
+    planted = b'0badc0de {"op":\xff\xfe\n' + _path(tmp_path).read_bytes()
+    _path(tmp_path).write_bytes(planted)
+    with pytest.raises(JournalError, match="corrupt record at line 1"):
+        read_journal(_path(tmp_path))
+    with pytest.raises(JournalError, match="corrupt record at line 1"):
+        Journal(_path(tmp_path))
+    assert _path(tmp_path).read_bytes() == planted  # never repaired over
+
+
 def test_corruption_before_a_valid_record_raises(tmp_path):
     with Journal(_path(tmp_path)) as journal:
         journal.admit("k1", "send", {"device_id": "d"})
@@ -129,7 +161,7 @@ def test_checkpoint_marker_always_fsyncs(tmp_path):
     try:
         journal.admit("k", "send", {})
         assert journal.fsyncs == 0
-        journal.checkpoint("ckpt-00000002", [1])
+        journal.checkpoint("ckpt-00000002")
         assert journal.fsyncs == 1
     finally:
         journal.close()

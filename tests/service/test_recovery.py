@@ -27,7 +27,11 @@ from repro.service import (
     recover_components,
 )
 from repro.service.journal import _frame
-from repro.service.recovery import journal_path, latest_checkpoint
+from repro.service.recovery import (
+    journal_path,
+    latest_checkpoint,
+    results_digest,
+)
 from repro.service.queue import Job
 
 SEED = 31
@@ -433,6 +437,115 @@ def test_checkpoint_device_counts_reach_stats_and_metrics(tmp_path):
     for mode, count in (("written", 4), ("reused", 2)):
         line = f'repro_service_checkpoint_devices_total{{mode="{mode}"}} {count}'
         assert line in exposition.splitlines()
+
+
+def _checkpointed_life(config, n: int = 3) -> None:
+    """Keyed send/receive pairs with a checkpoint after each send, then a
+    crash: the last receive completes after the newest checkpoint."""
+
+    async def life():
+        service = FleetService(config)
+        await service.start()
+        for index in range(n):
+            send, receive = _keyed_pair(index)
+            await service.submit(send)
+            await service.checkpoint()
+            await service.submit(receive)
+        await service.abort()
+
+    asyncio.run(life())
+
+
+def _recovered(config) -> tuple:
+    host, ledger = recover_components(config)
+    ledger.journal.close()
+    results = [
+        outcome.to_dict()
+        for outcome in ledger.cache.values()
+        if not isinstance(outcome, BaseException)
+    ]
+    return host.state_digest(), results_digest(results), ledger.report
+
+
+def test_recovery_parses_the_journal_once(tmp_path, monkeypatch):
+    from repro.service import journal as journal_module
+
+    config = _config(tmp_path)
+    _checkpointed_life(config)
+    raw = journal_path(config.journal_dir).read_bytes()
+    n_lines = sum(1 for line in raw.splitlines() if line.strip())
+    calls = []
+    real = journal_module._unframe
+    monkeypatch.setattr(
+        journal_module, "_unframe", lambda line: calls.append(line) or real(line)
+    )
+    _state, _results, report = _recovered(config)
+    assert report.cached == 5 and report.verified == 1
+    assert len(calls) == n_lines
+
+
+def test_checkpoint_makes_the_journal_durable_before_the_manifest(
+    tmp_path, monkeypatch
+):
+    """Every completion a manifest names is fsynced before the manifest
+    is published.  A power cut between the two steps must not leave a
+    manifest naming seqs whose completions never reached the disk: the
+    next boot would refuse with "checkpoint claims seq N completed"."""
+    import os
+
+    events = []
+    real_fsync, real_replace = os.fsync, os.replace
+
+    async def scenario():
+        service = FleetService(_config(tmp_path))
+        journal = service.ledger.journal
+        await service.start()
+        send, receive = _keyed_pair(0)
+        await service.submit(send)
+        await service.submit(receive)
+        assert journal.fsyncs == 0  # four records, under the fsync batch
+
+        def fsync(fd):
+            if not journal._file.closed and fd == journal._file.fileno():
+                events.append(("journal fsync", journal._unsynced))
+            return real_fsync(fd)
+
+        def replace(src, dst, *args, **kwargs):
+            if str(dst).endswith("manifest.json"):
+                events.append(("manifest", journal._unsynced))
+            return real_replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "fsync", fsync)
+        monkeypatch.setattr(os, "replace", replace)
+        await service.checkpoint()
+        await service.abort()
+
+    asyncio.run(scenario())
+    assert events[:2] == [("journal fsync", 4), ("manifest", 1)]
+
+
+def test_markers_that_carry_completed_lists_recover_identically(tmp_path):
+    """Journals written before markers held only the checkpoint id repeat
+    the completed-seq list in every marker.  The field is ignored: such a
+    journal recovers to the same fleet, results and report."""
+    import shutil
+
+    config = _config(tmp_path / "id-only")
+    _checkpointed_life(config)
+    legacy = _config(tmp_path / "legacy")
+    shutil.copytree(config.journal_dir, legacy.journal_dir)
+    path = journal_path(legacy.journal_dir)
+    records, _ = read_journal(path)
+    completed, lines = [], []
+    for record in records:
+        if record["op"] == "complete":
+            completed.append(record["seq"])
+        elif record["op"] == "checkpoint":
+            record["completed"] = sorted(completed)
+        lines.append(_frame(record))
+    assert sum('"completed":[' in line for line in lines) == 3
+    path.write_text("".join(lines))
+    assert _recovered(legacy) == _recovered(config)
 
 
 def test_stop_without_drain_journals_queued_jobs_as_shed(tmp_path):

@@ -331,3 +331,28 @@ def test_importing_the_package_loads_no_scipy(module):
     )
     done = subprocess.run([sys.executable, "-c", probe], capture_output=True)
     assert done.returncode == 0, done.stderr.decode()
+
+
+def test_importing_the_service_skips_the_verify_harness_and_monitor():
+    """``repro.verify``, ``repro.monitor`` and ``repro.profile`` resolve on
+    first access: a serving process never compiles them, and the public
+    names still work once asked for."""
+    import os
+    import subprocess
+    import sys
+
+    probe = (
+        "import sys, repro.service; "
+        "loaded = sorted(m for m in sys.modules if m == 'repro.profile' "
+        "or m.startswith(('repro.verify', 'repro.monitor'))); "
+        "assert not loaded, loaded; "
+        "import repro; "
+        "assert repro.verify.__name__ == 'repro.verify'; "
+        "assert repro.FleetMonitor.__module__.startswith('repro.monitor'); "
+        "from repro import AlertRule, default_slo_rules"
+    )
+    env = {k: v for k, v in os.environ.items() if k != "REPRO_PROFILE"}
+    done = subprocess.run(
+        [sys.executable, "-c", probe], capture_output=True, env=env
+    )
+    assert done.returncode == 0, done.stderr.decode()
