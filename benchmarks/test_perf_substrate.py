@@ -450,6 +450,59 @@ def test_perf_fleet_decode_speedup(record_metric):
     assert speedup >= 2.0
 
 
+def test_perf_fleet_group_capture_speedup(record_metric):
+    """One stacked ``capture_fleet`` over a receive group must beat
+    capturing the group's devices one ``capture_fleet([board])`` at a time
+    by >= 1.5x in CPU per device, on the 16-device group of 24 h-stressed
+    service devices ``test_perf_fleet_decode_speedup`` decodes (paper
+    scheme, 5 captures, payload BER on): the median ratio over 15
+    interleaved one-by-one/stacked pairs.
+
+    Both sides plan, draw each device's noise from its own generator and
+    commit per device; only the band kernel, the vote and the BER run as
+    one pass over the group.  The ``fleet.capture_vs_device_loop`` oracle
+    pins bit-identity; this bench only the cost.
+    """
+    from repro.core.fleetcapture import capture_fleet
+    from repro.service import ServiceConfig
+
+    n_devices, reps = 16, 10
+    host = FleetHost(scheme=ServiceConfig().resolved_scheme(), seed=5)
+    channels = [host.channel(f"dev-{i}") for i in range(n_devices)]
+    payloads = [
+        channel.send(b"msg %03d" % i, stress_hours=24.0).payload_bits
+        for i, channel in enumerate(channels)
+    ]
+    boards = [channel.board for channel in channels]
+
+    def stacked():
+        t0 = time.process_time()
+        for _ in range(reps):
+            capture_fleet(boards, 5, payloads=payloads)
+        return time.process_time() - t0
+
+    def one_by_one():
+        t0 = time.process_time()
+        for _ in range(reps):
+            for board, payload in zip(boards, payloads):
+                capture_fleet([board], 5, payloads=[payload])
+        return time.process_time() - t0
+
+    stacked(), one_by_one()  # warm the capture caches and relax tables
+    pairs = [(one_by_one(), stacked()) for _ in range(15)]
+    speedup = statistics.median(single / group for single, group in pairs)
+    t_group = statistics.median(group for _, group in pairs) / reps
+    ratios = sorted(single / group for single, group in pairs)
+    print(f"\nfleet group capture speedup: {speedup:.2f}x "
+          f"(pairs {ratios[0]:.2f}-{ratios[-1]:.2f}x; "
+          f"{t_group / n_devices * 1e6:.1f} us CPU per device stacked)")
+    record_metric("fleet_group_capture_speedup", speedup, better="higher", unit="x")
+    record_metric(
+        "fleet_group_capture_us_per_device", t_group / n_devices * 1e6, unit="us"
+    )
+    assert speedup >= 1.5
+
+
 def test_perf_fleet_send_speedup(record_metric):
     """The lean per-device send must beat the reference send by >= 1.3x
     in CPU per message: device creation plus ``send`` of fresh default

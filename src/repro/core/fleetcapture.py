@@ -3,33 +3,47 @@
 The paper's §5.3 fleet workflow measures every device with the same
 protocol — N drained power cycles, majority vote, channel error against
 the staged payload.  Measuring a tray capture-by-capture leaves
-throughput bounded by per-capture kernel launches; this module evaluates
-each device's whole burst as **one** numpy broadcast over
-``band-cells x captures`` instead:
+throughput bounded by per-capture kernel launches, and measuring it
+device-by-device leaves it bounded by per-device numpy overhead (a
+0.25 KiB service device has only 4-63 noise-band cells).  This module
+evaluates the tray in **stacked chunks**: every slot's band cells of all
+captures in one pass over ``captures x (concatenated bands)``.
 
-- Each eligible array stages a *stacking record*
+- Planning stays per slot: each board powers down, flashes the retention
+  program and stages a *stacking record*
   (:meth:`~repro.sram.array.SRAMArray.plan_fleet_capture`): its cached
   noise-band arrays, noise sigma, and both inverters' per-capture
   ``pending_relax`` trajectories.
-- :meth:`~repro.sram.array.SRAMArray.burst_decisions` evaluates a slot's
-  whole burst in one broadcast — the same kernel a single array's
-  ``capture_power_on_states`` runs — with band noise drawn from **each
-  device's own generator**: one ``(n_captures, band)`` block, which
-  consumes the stream exactly like the per-capture loop's successive
-  draws.  Results are bit-identical to
+- Slots are grouped in slot order into chunks whose bands sum to at most
+  :data:`STACK_BAND_CELLS`; a slot whose band alone exceeds the budget
+  (a 64 KiB device carries ~55k band cells) runs as a chunk of one,
+  where stacking would only add copies.
+- Per chunk, each slot's noise is drawn from **its own generator**
+  (:meth:`~repro.sram.array.SRAMArray.burst_noise`: one
+  ``(n_captures, band)`` block, which consumes the stream exactly like
+  the per-capture loop's successive draws), and
+  :func:`repro.sram.array._stacked_decisions` — the kernel a single
+  array's ``capture_power_on_states`` runs with one plan — evaluates the
+  whole chunk, each cell with its own slot's pending relax, constants
+  and sigma.  The votes, ``ones``, states, frames (on request) and the
+  payload BER are then computed once over the chunk's flat layout (slot
+  ``i``'s bits after slots ``0..i-1``'s, so mixed-size trays stack too);
+  each slot's results are views of those arrays.  Any chunking gives the
+  same bits: results are bit-identical to
   :meth:`ControlBoard.capture_power_on_states` for any device order or
-  tray composition.  This module only orchestrates the tray: planning,
-  fallback, voting, per-slot ones counts, metrics.
+  tray composition.
 - Slots the kernel cannot take — a fault injector is attached, remanence
   could reach the first capture, or the drift bound cannot guarantee a
   refresh-free burst — fall back to the exact per-capture loop, which is
   bit-identical by construction.
 
-Bit-identity against the device loop is enforced by the
-``fleet.capture_vs_device_loop`` oracle (``repro verify``) plus a planted
-mutant; throughput is gated by ``fleet_capture_speedup`` in
+Bit-identity against the per-capture loop is enforced by the
+``fleet.capture_vs_device_loop`` oracle (``repro verify``) plus planted
+mutants; throughput is gated by ``fleet_capture_speedup`` in
 ``BENCH_substrate.json`` (>= 10x over the naive per-device loop on the
-8-device x 64 KiB x 5-capture tray).
+8-device x 64 KiB x 5-capture tray) and by
+``fleet_group_capture_speedup`` (>= 1.5x over capturing a 16-device
+service group one device at a time).
 """
 
 from __future__ import annotations
@@ -41,6 +55,7 @@ import numpy as np
 from .. import metrics, telemetry
 from ..bitutils import bit_error_rate, invert_bits, majority_vote
 from ..errors import ConfigurationError, SlotError
+from ..sram import array as sram_array
 
 # Shared (get-or-create) with the board and array capture paths; a device
 # measured through the fleet kernel ticks the same instruments it would
@@ -54,6 +69,13 @@ _CAPTURE_CELLS_TOTAL = metrics.counter(
     "repro_capture_cells_total",
     "Cells evaluated across all power-on captures",
 )
+
+#: Band cells (summed over slots) one stacked kernel pass takes.  A
+#: 0.25 KiB service device at 24 h carries 4-63 band cells, so a whole
+#: receive group fits one pass and shares its per-call overhead; a
+#: 64 KiB device's ~55k-cell band exceeds the budget and runs alone,
+#: where concatenating it with others would only add copies.
+STACK_BAND_CELLS = 4096
 
 __all__ = ["FleetCapture", "capture_fleet"]
 
@@ -83,6 +105,77 @@ class FleetCapture:
     attempts: "tuple[int, ...]"
     slot_errors: "tuple[Exception | None, ...]"
     n_captures: int
+
+
+def _chunks(plans: list):
+    """Runs of the planned slots (in slot order) whose bands sum to at
+    most :data:`STACK_BAND_CELLS`; a slot whose band alone exceeds it
+    runs by itself."""
+    chunk, cells = [], 0
+    for i, plan in enumerate(plans):
+        if plan is None:
+            continue
+        band = plan["cache"]["band"].size
+        if chunk and cells + band > STACK_BAND_CELLS:
+            yield chunk
+            chunk, cells = [], 0
+        chunk.append(i)
+        cells += band
+    if chunk:
+        yield chunk
+
+
+def _stacked_burst(srams, plans, n_captures, payloads, return_frames):
+    """One chunk's burst, evaluated as one flat array.
+
+    The slots' bits lie end to end (slot ``i`` at the sum of the earlier
+    slots' sizes), so trays of mixed sizes stack too.  Returns per-slot
+    lists of states, ones, errors and frames; the arrays are views of the
+    chunk's stacked ones.  An error is ``None`` when no payloads were
+    given or one is misshapen (the caller's :func:`bit_error_rate` then
+    raises as the device loop would).
+    """
+    noises = [sram.burst_noise(plan) for sram, plan in zip(srams, plans)]
+    decisions = sram_array._stacked_decisions(plans, noises)
+    caches = [plan["cache"] for plan in plans]
+    sizes = [sram.n_bits for sram in srams]
+    starts = sram_array._starts(sizes)
+    band = sram_array._cat_shifted([cache["band"] for cache in caches], starts)
+    states = sram_array._cells(caches, "decision_base").copy()
+    ones = states * np.int32(n_captures)
+    stack = (
+        np.broadcast_to(states, (n_captures, states.size)).copy()
+        if return_frames
+        else None
+    )
+    votes = decisions.sum(axis=0, dtype=np.int32)
+    ones[band] = votes
+    states[band] = votes > n_captures // 2  # odd n: the majority
+    if stack is not None:
+        stack[:, band] = decisions
+    errors = [None] * len(sizes)
+    if payloads is not None and all(
+        np.shape(payload) == (size,) for payload, size in zip(payloads, sizes)
+    ):
+        # A cell reads right when its payload bit is the complement of its
+        # state, i.e. when the two XOR to 1.
+        truth = sram_array._cat(payloads)
+        wrong = np.bitwise_xor(truth, states, dtype=np.uint8, casting="unsafe") != 1
+        counts = (
+            [np.count_nonzero(wrong)]
+            if len(sizes) == 1
+            else np.add.reduceat(wrong, starts, dtype=np.intp)
+        )
+        errors = [int(count) / size for count, size in zip(counts, sizes)]
+    if len(sizes) == 1:
+        return [states], [ones], errors, [stack]
+    slots = [slice(start, start + size) for start, size in zip(starts, sizes)]
+    return (
+        [states[slot] for slot in slots],
+        [ones[slot] for slot in slots],
+        errors,
+        [None if stack is None else stack[:, slot] for slot in slots],
+    )
 
 
 def capture_fleet(
@@ -159,24 +252,21 @@ def capture_fleet(
             except Exception as exc:
                 record_failure(index, exc)
 
-        for i, plan in enumerate(plans):
-            if plan is None:
-                continue
-            sram = boards[i].device.sram
-            base = plan["cache"]["decision_base"]
-            band = plan["cache"]["band"]
-            decisions = sram.burst_decisions(plan)
-            votes = decisions.sum(axis=0, dtype=np.int32)
-            ones[i] = np.multiply(base, n_captures, dtype=np.int32)
-            ones[i][band] = votes
-            states[i] = base.copy()
-            states[i][band] = 2 * votes >= n_captures
-            if return_frames:
-                stack = np.broadcast_to(base, (n_captures, base.size)).copy()
-                stack[:, band] = decisions
-                frames[i] = stack
-            sram.commit_fleet_capture(n_captures, off_seconds, band.size)
-            vectorized[i] = True
+        for chunk in _chunks(plans):
+            srams = [boards[i].device.sram for i in chunk]
+            burst = _stacked_burst(
+                srams,
+                [plans[i] for i in chunk],
+                n_captures,
+                None if payloads is None else [payloads[i] for i in chunk],
+                return_frames,
+            )
+            for i, sram, state, count, error, stack in zip(chunk, srams, *burst):
+                states[i], ones[i], errors[i], frames[i] = state, count, error, stack
+                sram.commit_fleet_capture(
+                    n_captures, off_seconds, plans[i]["cache"]["band"].size
+                )
+                vectorized[i] = True
 
         for i in range(n_slots):
             if vectorized[i] or slot_errors[i] is not None:
@@ -216,9 +306,10 @@ def capture_fleet(
                 _CAPTURES_TOTAL.inc(n_captures, device=name)
                 _CAPTURE_CELLS_TOTAL.inc(n_captures * board.device.sram.n_bits)
             if payloads is not None:
-                errors[i] = bit_error_rate(
-                    payloads[i], invert_bits(states[i])
-                )
+                if errors[i] is None:  # fallback slot, or a misshapen payload
+                    errors[i] = bit_error_rate(
+                        payloads[i], invert_bits(states[i])
+                    )
                 per_device_ber.append([name, errors[i]])
 
         span.set(

@@ -17,6 +17,7 @@ from a fresh power-on state, which is the point of §6).
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from typing import Sequence
 
@@ -32,6 +33,13 @@ from ..errors import (
     ConfigurationError,
     ExtractionError,
 )
+
+
+@functools.lru_cache(maxsize=None)
+def _header_code(copies: int) -> RepetitionCode:
+    """The header's bitwise repetition code, built once per copy count
+    (codes are immutable after construction)."""
+    return RepetitionCode(copies, layout="bitwise")
 
 
 @dataclass(frozen=True)
@@ -50,7 +58,7 @@ class FrameFormat:
         return 32 * self.header_copies if self.framed else 0
 
     def _header_code(self) -> RepetitionCode:
-        return RepetitionCode(self.header_copies, layout="bitwise")
+        return _header_code(self.header_copies)
 
     def encode_header(self, message_bytes_len: int) -> np.ndarray:
         if not 0 <= message_bytes_len < 2**32:

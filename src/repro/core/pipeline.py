@@ -515,15 +515,19 @@ class InvisibleBits:
                 if decoded.error is not None:
                     raise decoded.error
                 message = decoded.message
+                # The row carries its counters, so no span has to collect
+                # them; a repeated name counts every time it appears.
+                counts = decoded.counts
             else:
                 extract = extract_message_soft if soft else extract_message
                 message = extract(
                     payload, ecc=self.ecc, frame=self.frame, message_len=message_len
                 )
+                counts = ecc_span.counters.items()
             corrections = int(
                 sum(
                     count
-                    for name, count in ecc_span.counters.items()
+                    for name, count in counts
                     if name.endswith(".corrections")
                 )
             )
@@ -607,8 +611,10 @@ class InvisibleBits:
         p_flip_est = (
             estimate_p_flip(() if p_flip is None else (p_flip,)) if soft else None
         )
+        # A stacked row brings its own counters; only a state decoded
+        # here needs a collecting span to count its ECC corrections.
         with telemetry.trace(
-            "channel.decode_state", force=True, **self._span_attrs()
+            "channel.decode_state", force=decoded is None, **self._span_attrs()
         ) as span:
             message, recovered, corrections = self._attempt_decode(
                 state,

@@ -24,6 +24,9 @@ class Code(abc.ABC):
     its one-row case.  A subclass overrides one of two methods: codes
     that vectorise over rows override ``_decode_rows`` (the stack already
     validated), the rest override ``decode`` and inherit a row loop.
+    Encoding follows the same split: ``_encode_bits`` encodes bits
+    already validated (so a composite validates once, at entry), or a
+    code overrides ``encode`` itself.
     """
 
     #: Human-readable name used in experiment tables.
@@ -54,9 +57,18 @@ class Code(abc.ABC):
             )
         return data_bits // self.k * self.n
 
-    @abc.abstractmethod
-    def encode(self, data: np.ndarray) -> np.ndarray:
+    def encode(self, data) -> np.ndarray:
         """Encode a bit array whose length is a multiple of ``k``."""
+        return self._encode_bits(self._check_encode_input(data))
+
+    def _encode_bits(self, bits: np.ndarray) -> np.ndarray:
+        """:meth:`encode` on validated bits.  Codes override this or
+        :meth:`encode`; this default defers to the latter."""
+        if type(self).encode is Code.encode:
+            raise NotImplementedError(
+                f"{type(self).__name__} implements neither encode nor _encode_bits"
+            )
+        return self.encode(bits)
 
     def decode(self, code) -> np.ndarray:
         """Decode a bit array whose length is a multiple of ``n``.
@@ -150,8 +162,8 @@ class IdentityCode(Code):
     def n(self) -> int:
         return 1
 
-    def encode(self, data) -> np.ndarray:
-        return self._check_encode_input(data).copy()
+    def _encode_bits(self, bits):
+        return bits.copy()
 
     def _decode_rows(self, bits):
         return bits.copy(), []

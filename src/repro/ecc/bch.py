@@ -92,8 +92,7 @@ class BCHCode(Code):
             out[self._n - 1 - i] = (codeword >> i) & 1
         return out
 
-    def encode(self, data) -> np.ndarray:
-        bits = self._check_encode_input(data)
+    def _encode_bits(self, bits):
         blocks = bits.reshape(-1, self._k)
         return np.concatenate([self._encode_block(b) for b in blocks])
 

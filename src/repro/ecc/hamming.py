@@ -65,8 +65,7 @@ class HammingCode(Code):
     def n(self) -> int:
         return self._n
 
-    def encode(self, data) -> np.ndarray:
-        bits = self._check_encode_input(data)
+    def _encode_bits(self, bits):
         blocks = bits.reshape(-1, self._k)
         n_blocks = blocks.shape[0]
         code = np.zeros((n_blocks, self._n), dtype=np.uint8)

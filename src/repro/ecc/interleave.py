@@ -38,8 +38,7 @@ class BlockInterleaver(Code):
     def n(self) -> int:
         return self.depth * self.span
 
-    def encode(self, data) -> np.ndarray:
-        bits = self._check_encode_input(data)
+    def _encode_bits(self, bits):
         blocks = bits.reshape(-1, self.depth, self.span)
         return blocks.transpose(0, 2, 1).reshape(-1).astype(np.uint8)
 

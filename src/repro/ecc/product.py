@@ -41,9 +41,10 @@ class ConcatenatedCode(Code):
     def n(self) -> int:
         return self.inner.n * self._inner_blocks
 
-    def encode(self, data) -> np.ndarray:
-        bits = self._check_encode_input(data)
-        return self.inner.encode(self.outer.encode(bits))
+    def _encode_bits(self, bits):
+        # The outer output tiles the inner input (the lcm above), so
+        # neither stage re-validates: the bits were checked at entry.
+        return self.inner._encode_bits(self.outer._encode_bits(bits))
 
     def _decode_rows(self, bits):
         # The inner stage's output tiles the outer input (the lcm above),

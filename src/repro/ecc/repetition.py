@@ -40,8 +40,7 @@ class RepetitionCode(Code):
     def n(self) -> int:
         return self.copies
 
-    def encode(self, data) -> np.ndarray:
-        bits = self._check_encode_input(data)
+    def _encode_bits(self, bits):
         if self.layout == "block":
             return np.tile(bits, self.copies)
         return np.repeat(bits, self.copies)

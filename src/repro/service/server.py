@@ -39,6 +39,7 @@ import asyncio
 import contextvars
 import functools
 import json
+import logging
 import pathlib
 import signal
 import time
@@ -64,6 +65,8 @@ from .journal import Journal
 from .queue import BoundedJobQueue, Job
 from .recovery import checkpoints_root, recover_components
 from .shards import Shard, ShardRouter, stable_seed
+
+_LOG = logging.getLogger(__name__)
 
 __all__ = ["FleetService", "ServiceConfig", "serve_forever"]
 
@@ -1000,6 +1003,15 @@ class FleetService:
             except ServiceStoppedError as exc:
                 await _respond(writer, 503, {"error": str(exc)})
             except ReproError as exc:
+                await _respond(
+                    writer,
+                    500,
+                    {"error": str(exc), "type": type(exc).__name__},
+                )
+            except Exception as exc:
+                # A defect, not a refusal: still answer, so the client
+                # sees a failed request rather than a dropped connection.
+                _LOG.exception("%s job failed", path)
                 await _respond(
                     writer,
                     500,

@@ -37,14 +37,20 @@ for the least-relaxed cell) decides when accumulated shelf time has moved
 out-of-band offsets enough to force a cache refresh, so arbitrarily long
 capture sequences stay correct.  A burst the bound proves refresh-free
 runs as one stacked kernel — plan, one ``(n_captures, band)`` noise draw,
-decisions, commit — the same kernel :mod:`repro.core.fleetcapture` runs
-slot by slot over a tray.  Code that mutates aging state behind the
-array's back (e.g. snapshot restore) must call
-:meth:`invalidate_analog_caches`.
+decisions, commit.  The kernel (``_stacked_decisions``) takes a list of
+plans: a single array passes its one plan, whose cached arrays and draw
+it uses without copies, and :mod:`repro.core.fleetcapture` passes a
+chunk of a tray's plans, whose bands it concatenates so the whole chunk
+is one pass, each cell with its own slot's pending relax, recovery
+constants and noise sigma.  The recovery is evaluated once per unique
+relax value (memoised per slot on the capture cache) in one table for
+the chunk.  Code that mutates aging state behind the array's back (e.g.
+snapshot restore) must call :meth:`invalidate_analog_caches`.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 
 import numpy as np
@@ -106,54 +112,133 @@ def _recovered_fraction(nbti, relax_seconds: np.ndarray):
     )
 
 
-def _held_fraction(plan: dict, pend_key: str, r_key: str) -> np.ndarray:
-    """One burst's ``(n_captures, band)`` unrecovered fractions ``1 - rec``.
+def _cat(pieces: list) -> np.ndarray:
+    """The slots' pieces end to end; a lone piece is used as it is."""
+    return pieces[0] if len(pieces) == 1 else np.concatenate(pieces, axis=-1)
+
+
+def _cells(caches: list, key: str) -> np.ndarray:
+    """The slots' cached ``key`` arrays end to end; a lone one as it is."""
+    if len(caches) == 1:
+        return caches[0][key]
+    return np.concatenate([cache[key] for cache in caches])
+
+
+def _starts(sizes: list) -> list:
+    """Where each of ``sizes``' pieces begins once they are laid end to end."""
+    return [0, *itertools.accumulate(sizes[:-1])]
+
+
+def _cat_shifted(pieces: list, starts: list) -> np.ndarray:
+    """Index arrays end to end, each shifted by its piece's start."""
+    if len(pieces) == 1:
+        return pieces[0] + starts[0] if starts[0] else pieces[0]
+    return np.concatenate(pieces) + np.repeat(starts, [p.size for p in pieces])
+
+
+def _per_slot(plans: list, key: str):
+    """A plan entry as one scalar when every slot shares it, else an
+    array with one value per slot."""
+    if len(plans) == 1:
+        return plans[0][key]
+    values = [plan[key] for plan in plans]
+    if values.count(values[0]) == len(values):
+        return values[0]
+    return np.array(values)
+
+
+def _spread(values, sizes: list):
+    """Per-slot values (the last axis) laid over each slot's cells: slot
+    ``i``'s value repeated ``sizes[i]`` times, so each cell meets its own
+    slot's double.  A value every slot shares stays a scalar."""
+    if isinstance(values, float):
+        return values
+    return np.repeat(values, sizes, axis=-1)
+
+
+def _relax_table(cache: dict, r_key: str) -> "tuple[np.ndarray, np.ndarray | None]":
+    """A slot's band relax clocks as ``(values, inverse)``.
 
     Relax clocks take few distinct values (a shared stress period leaves
     two: stressed-at-0 and never-stressed), so the recovery is evaluated
-    once per *unique* relax value per capture and the per-cell array is
-    assembled by selection — the selected doubles are the exact ones
-    elementwise evaluation would produce, so bit-identity with
-    :meth:`SRAMArray._band_decisions` is preserved.  The unique
-    decomposition is memoised on the capture cache (computed once per
-    refresh).  The result is a fresh array the caller may overwrite.
+    once per *unique* value and selected per cell through ``inverse``.
+    Clocks too varied for that to pay off come back as themselves with
+    ``inverse=None``.  Memoised on the capture cache (once per refresh).
     """
-    cache = plan["cache"]
-    r = cache[r_key]
-    pends = np.array(plan[pend_key])
-    tau, coeff, ceiling = plan["tau"], plan["coeff"], plan["ceiling"]
-    u = cache.get(r_key + "_u")
-    if u is None:
+    table = cache.get(r_key + "_table")
+    if table is None:
+        r = cache[r_key]
         u, inverse = np.unique(r, return_inverse=True)
-        cache[r_key + "_u"] = u
-        cache[r_key + "_inv"] = inverse
-    if u.size <= max(64, r.size // 8):
-        rec = np.minimum(
-            coeff * np.log1p((u[None, :] + pends[:, None]) / tau), ceiling
-        )
-        return np.take(1.0 - rec, cache[r_key + "_inv"], axis=1)
-    rec = np.minimum(coeff * np.log1p((r[None, :] + pends[:, None]) / tau), ceiling)
-    return np.subtract(1.0, rec, out=rec)
+        table = (u, inverse) if u.size <= max(64, r.size // 8) else (r, None)
+        cache[r_key + "_table"] = table
+    return table
 
 
-def _stacked_decisions(plan: dict, noise: np.ndarray) -> np.ndarray:
-    """A planned burst's band decisions, all captures in one broadcast.
+def _held_fraction(
+    plans: list, pend_key: str, r_key: str, coeff, tau, ceiling
+) -> np.ndarray:
+    """One inverter's ``(n_captures, band)`` unrecovered fractions
+    ``1 - rec`` over the chunk.
 
-    ``noise`` is the burst's ``(n_captures, band)`` draw (overwritten).
-    Evaluates :meth:`SRAMArray._band_decisions`'s exact operation tree,
-    ``mismatch + full0 * (1 - rec0) - full1 * (1 - rec1) + sigma * noise``,
-    with the per-capture pending relax broadcast down the capture axis —
-    elementwise the same IEEE doubles as the per-capture loop's — in
-    place, so a wide band costs no extra full-size temporaries.
+    One table of ``min(coeff * log1p((r + pend) / tau), ceiling)`` over
+    every slot's relax values (each with its own slot's per-capture
+    ``pend`` and constants), then one selection into the concatenated
+    bands.  The selected doubles are the ones elementwise evaluation
+    produces, so bit-identity with :meth:`SRAMArray._band_decisions` is
+    preserved.  The result is a fresh array the caller may overwrite.
     """
-    cache = plan["cache"]
-    offs = _held_fraction(plan, "pend0", "r0_b")
-    offs *= cache["full0_b"]
-    offs += cache["mismatch_b"]
-    held1 = _held_fraction(plan, "pend1", "r1_b")
-    held1 *= cache["full1_b"]
+    if len(plans) == 1:
+        values, inverse = _relax_table(plans[0]["cache"], r_key)
+        pends = np.array(plans[0][pend_key])[:, None]
+    else:
+        tables = [_relax_table(plan["cache"], r_key) for plan in plans]
+        sizes = [values.size for values, _ in tables]
+        values = np.concatenate([values for values, _ in tables])
+        pends = _spread(np.array([plan[pend_key] for plan in plans]).T, sizes)
+        coeff, tau, ceiling = (_spread(c, sizes) for c in (coeff, tau, ceiling))
+        inverse = _cat_shifted(
+            [
+                np.arange(size) if inverse is None else inverse
+                for size, (_, inverse) in zip(sizes, tables)
+            ],
+            _starts(sizes),
+        )
+    rec = np.minimum(coeff * np.log1p((values + pends) / tau), ceiling)
+    held = np.subtract(1.0, rec, out=rec)
+    return held if inverse is None else held.take(inverse, axis=1)
+
+
+def _stacked_decisions(plans: list, noises: list) -> np.ndarray:
+    """Planned bursts' band decisions, all slots and captures in one pass.
+
+    ``plans`` are :meth:`SRAMArray.plan_fleet_capture` records sharing one
+    capture count and ``noises`` their ``(n_captures, band)`` draws; the
+    result is ``(n_captures, sum of bands)`` with slot ``i``'s band in
+    the columns after slots ``0..i-1``'s.  Evaluates
+    :meth:`SRAMArray._band_decisions`'s exact operation tree,
+    ``mismatch + full0 * (1 - rec0) - full1 * (1 - rec1) + sigma * noise``,
+    each cell with its own slot's per-capture pending relax, constants and
+    sigma — elementwise the same IEEE doubles as the per-capture loop's —
+    in place, so a wide band costs no extra full-size temporaries.  One
+    plan is the single array's burst: its cached arrays and its draw are
+    used without copies.
+    """
+    caches = [plan["cache"] for plan in plans]
+    constants = (
+        _per_slot(plans, "coeff"),
+        _per_slot(plans, "tau"),
+        _per_slot(plans, "ceiling"),
+    )
+    offs = _held_fraction(plans, "pend0", "r0_b", *constants)
+    offs *= _cells(caches, "full0_b")
+    offs += _cells(caches, "mismatch_b")
+    held1 = _held_fraction(plans, "pend1", "r1_b", *constants)
+    held1 *= _cells(caches, "full1_b")
     offs -= held1
-    noise *= plan["sigma"]
+    noise = _cat(noises)
+    noise *= _spread(
+        _per_slot(plans, "sigma"), [block.shape[1] for block in noises]
+    )
     offs += noise
     return (offs > 0.0).view(np.uint8)
 
@@ -778,17 +863,20 @@ class SRAMArray:
             "ceiling": nbti.rec_ceiling,
         }
 
-    def burst_decisions(self, plan: dict) -> np.ndarray:
-        """The planned burst's ``(n_captures, band)`` noise-band decisions.
+    def burst_noise(self, plan: dict) -> np.ndarray:
+        """The planned burst's ``(n_captures, band)`` noise block.
 
-        The noise is one ``(n_captures, band)`` block from this array's
-        own generator, which consumes the stream exactly like the
-        per-capture loop's successive draws.
+        One draw from this array's own generator, which consumes the
+        stream exactly like the per-capture loop's successive draws.
         """
-        shape = (len(plan["pend1"]), plan["cache"]["band"].size)
-        if not shape[1]:
-            return np.empty(shape, dtype=np.uint8)
-        return _stacked_decisions(plan, self._rng.standard_normal(shape))
+        return self._rng.standard_normal(
+            (len(plan["pend1"]), plan["cache"]["band"].size)
+        )
+
+    def burst_decisions(self, plan: dict) -> np.ndarray:
+        """The planned burst's ``(n_captures, band)`` noise-band decisions:
+        the stacked kernel over this one array."""
+        return _stacked_decisions([plan], [self.burst_noise(plan)])
 
     def commit_fleet_capture(
         self, n_captures: int, off_seconds: float, band_size: int

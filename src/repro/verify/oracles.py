@@ -239,13 +239,19 @@ def capture_batch_vs_loop(seed, n_captures, kib, stress_h):
     )
 
 
-def _fleet_rig(seed: int, n_devices: int, kib: float, stress_h: float):
-    """A staged-and-stressed tray, twin-safe: same seed -> same tray."""
+def _fleet_rig(
+    seed: int, n_devices: int, kib: "float | str", stress_h: float
+):
+    """A staged-and-stressed tray, twin-safe: same seed -> same tray.
+
+    ``kib="mixed"`` alternates 0.25 and 0.5 KiB devices.
+    """
     from ..device.catalog import make_device
     from ..harness.rack import EncodingRack
 
+    sizes = [0.25, 0.5] if kib == "mixed" else [kib]
     devices = [
-        make_device(_DEVICE, rng=seed + index, sram_kib=kib)
+        make_device(_DEVICE, rng=seed + index, sram_kib=sizes[index % len(sizes)])
         for index in range(n_devices)
     ]
     rack = EncodingRack(devices)
@@ -263,22 +269,22 @@ def _fleet_rig(seed: int, n_devices: int, kib: float, stress_h: float):
     "fleet.capture_vs_device_loop",
     gens=(
         g.seeds(),
-        g.sampled_from([1, 2, 3], name="n_devices"),
+        g.sampled_from([1, 2, 3, 16], name="n_devices"),
         g.odd_integers(1, 5, name="n_captures"),
-        g.sampled_from([0.25, 0.5], name="kib"),
+        g.sampled_from([0.25, 0.5, "mixed"], name="kib"),
+        g.sampled_from([2.0, 24.0], name="stress_h"),
     ),
-    examples=4,
+    examples=6,
 )
-def fleet_capture_vs_device_loop(seed, n_devices, n_captures, kib):
-    """The stacked fleet kernel is bit-identical to the per-device loop:
+def fleet_capture_vs_device_loop(seed, n_devices, n_captures, kib, stress_h):
+    """The stacked fleet kernel is bit-identical to the per-capture loop:
     frames, majority states, channel errors, AND the committed analog
     trajectory (pending relax, flush counts) all match a twin tray
-    measured board by board."""
-    from ..bitutils import bit_error_rate, invert_bits, majority_vote
+    measured board by board, one power cycle at a time."""
     from ..core.fleetcapture import capture_fleet
 
-    rack_a, payloads = _fleet_rig(seed, n_devices, kib, 2.0)
-    rack_b, _ = _fleet_rig(seed, n_devices, kib, 2.0)
+    rack_a, payloads = _fleet_rig(seed, n_devices, kib, stress_h)
+    rack_b, _ = _fleet_rig(seed, n_devices, kib, stress_h)
 
     fleet = capture_fleet(
         rack_a.boards, n_captures, payloads=payloads, return_frames=True
@@ -291,8 +297,30 @@ def fleet_capture_vs_device_loop(seed, n_devices, n_captures, kib):
         fleet.vectorized == expected,
         f"kernel routing {fleet.vectorized} != injector map {expected}",
     )
-    for index, board in enumerate(rack_b.boards):
-        stack = board.capture_power_on_states(n_captures)
+    _check_fleet_against_loop(fleet, rack_a, rack_b, payloads, n_captures)
+
+
+def _check_fleet_against_loop(fleet, rack_a, rack_b, payloads, n_captures):
+    """Compare ``fleet`` (taken on ``rack_a``) with the twin ``rack_b``
+    measured by :meth:`ControlBoard.capture_power_on_states`: one
+    ``apply_power`` per capture, each sampling through
+    ``SRAMArray._sample_power_on`` and ``_band_decisions``.  The stacked
+    kernel is disarmed while the reference runs, so the reference cannot
+    share a defect with the path it checks."""
+    from ..bitutils import bit_error_rate, invert_bits, majority_vote
+    from ..sram import array as sram_array
+
+    stacked = sram_array._stacked_decisions
+
+    def disarmed(plans, noises):
+        raise AssertionError("the per-capture reference reached the stacked kernel")
+
+    sram_array._stacked_decisions = disarmed
+    try:
+        stacks = [board.capture_power_on_states(n_captures) for board in rack_b.boards]
+    finally:
+        sram_array._stacked_decisions = stacked
+    for index, (board, stack) in enumerate(zip(rack_b.boards, stacks)):
         diverged = int(np.count_nonzero(fleet.frames[index] != stack))
         check_that(
             diverged == 0,
@@ -1407,10 +1435,11 @@ def _mutant_tie_to_zero(rng):
     )
 
 
-@mutant("fleet.capture_vs_device_loop", "kernel-decision-bit-flip")
-def _mutant_kernel_decision_flip(rng):
-    """One flipped decision inside the stacked kernel must break frame
-    identity with the per-device loop."""
+def _mutated_fleet_capture(rng, kernel, *, n_devices, kib, temps=None):
+    """A twin tray pair with ``kernel`` standing in for the stacked kernel
+    while tray A is captured; returns what
+    :func:`_check_fleet_against_loop` needs.  ``temps`` sets per-slot
+    ambient temperatures (so slots differ in noise sigma)."""
     import os
 
     from ..core import fleetcapture
@@ -1421,20 +1450,14 @@ def _mutant_kernel_decision_flip(rng):
     # slots to the per-capture loop, and hide it.
     ambient = os.environ.pop("REPRO_FAULT_PLAN", None)
     pristine = sram_array._stacked_decisions
-    flipped = []
-
-    def skewed(plan, noise):
-        decisions = pristine(plan, noise)
-        if not flipped and decisions.size:
-            decisions.reshape(-1)[int(rng.integers(0, decisions.size))] ^= 1
-            flipped.append(True)
-        return decisions
-
     try:
         seed = int(rng.integers(0, 2**31))
-        rack_a, payloads = _fleet_rig(seed, 2, 0.25, 2.0)
-        rack_b, _ = _fleet_rig(seed, 2, 0.25, 2.0)
-        sram_array._stacked_decisions = skewed
+        rack_a, payloads = _fleet_rig(seed, n_devices, kib, 24.0)
+        rack_b, _ = _fleet_rig(seed, n_devices, kib, 24.0)
+        for rack in (rack_a, rack_b):
+            for board, temp in zip(rack.boards, temps or ()):
+                board.device.sram.set_ambient(temp)
+        sram_array._stacked_decisions = kernel
         fleet = fleetcapture.capture_fleet(
             rack_a.boards, 3, payloads=payloads, return_frames=True
         )
@@ -1442,13 +1465,66 @@ def _mutant_kernel_decision_flip(rng):
         sram_array._stacked_decisions = pristine
         if ambient is not None:
             os.environ["REPRO_FAULT_PLAN"] = ambient
+    return fleet, rack_a, rack_b, payloads, 3
+
+
+@mutant("fleet.capture_vs_device_loop", "kernel-decision-bit-flip")
+def _mutant_kernel_decision_flip(rng):
+    """One flipped decision inside the stacked kernel must break frame
+    identity with the per-device loop."""
+    from ..sram import array as sram_array
+
+    pristine = sram_array._stacked_decisions
+    flipped = []
+
+    def skewed(plans, noises):
+        decisions = pristine(plans, noises)
+        if not flipped and decisions.size:
+            decisions.reshape(-1)[int(rng.integers(0, decisions.size))] ^= 1
+            flipped.append(True)
+        return decisions
+
+    rig = _mutated_fleet_capture(rng, skewed, n_devices=2, kib=0.25)
     check_that(bool(flipped), "mutant needs a non-empty noise band")
-    for index, board in enumerate(rack_b.boards):
-        stack = board.capture_power_on_states(3)
-        check_that(
-            np.array_equal(fleet.frames[index], stack),
-            f"kernel decision flip detected on slot {index}",
-        )
+    _check_fleet_against_loop(*rig)
+
+
+@mutant("fleet.capture_vs_device_loop", "misaligned-slot-repeat")
+def _mutant_misaligned_slot_repeat(rng):
+    """A stacked kernel that lays each slot's per-slot values (pending
+    relax, sigma) over its neighbour's cells must break identity with the
+    per-device loop on a 16-slot tray whose slots differ in sigma."""
+    from ..sram import array as sram_array
+
+    pristine_spread = sram_array._spread
+    pristine = sram_array._stacked_decisions
+    misaligned = []
+
+    def shifted(values, sizes):
+        if not isinstance(values, float):
+            values = np.roll(values, 1, axis=-1)  # the defect: one slot over
+            misaligned.append(True)
+        return pristine_spread(values, sizes)
+
+    def kernel(plans, noises):
+        sram_array._spread = shifted
+        try:
+            return pristine(plans, noises)
+        finally:
+            sram_array._spread = pristine_spread
+
+    from ..device.catalog import device_spec
+
+    nominal = device_spec(_DEVICE).technology.temp_nominal_k
+    rig = _mutated_fleet_capture(
+        rng,
+        kernel,
+        n_devices=16,
+        kib="mixed",
+        temps=[nominal * (0.25 if i % 2 else 1.0) for i in range(16)],
+    )
+    check_that(bool(misaligned), "mutant needs slots with differing values")
+    _check_fleet_against_loop(*rig)
 
 
 @mutant("fleet.decode_vs_device_loop", "corrections-to-next-row")

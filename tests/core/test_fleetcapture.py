@@ -78,6 +78,48 @@ def test_heterogeneous_sram_sizes_stack_raggedly():
         assert fleet.errors[index] == error
 
 
+@pytest.mark.parametrize(
+    "args",
+    [(7, 16, 5, 0.25, 24.0), (8, 6, 3, "mixed", 2.0), (9, 1, 5, 0.5, 24.0)],
+    ids=["service-group-16x0.25KiB-24h", "mixed-tray", "one-slot"],
+)
+def test_capture_oracle_on_stacked_trays(args):
+    """The verify oracle's contract on the trays the stacked pass exists
+    for, pinned here so every run covers them (the oracle itself samples
+    tray shapes at random)."""
+    from repro.verify.oracles import fleet_capture_vs_device_loop
+
+    fleet_capture_vs_device_loop(*args)
+
+
+def test_band_budget_splits_chunks_without_changing_results(monkeypatch):
+    """Any chunking of a tray gives the same bits: each slot draws its
+    own noise, so a budget that forces one slot per chunk agrees with
+    one chunk for the whole tray."""
+    from repro.core import fleetcapture
+
+    results = []
+    for budget in (1, fleetcapture.STACK_BAND_CELLS):
+        monkeypatch.setattr(fleetcapture, "STACK_BAND_CELLS", budget)
+        rack, payloads = _tray(list(range(50, 58)), kib=[0.25, 0.5] * 4)
+        results.append(
+            capture_fleet(rack.boards, 3, payloads=payloads, return_frames=True)
+        )
+    one_by_one, stacked = results
+    assert one_by_one.errors == stacked.errors
+    for a, b in zip(one_by_one.frames, stacked.frames):
+        assert np.array_equal(a, b)
+
+
+def test_stacked_results_are_views_of_disjoint_slices():
+    rack, payloads = _tray([60, 61, 62], kib=[0.25, 0.5, 0.25])
+    fleet = capture_fleet(rack.boards, 3, payloads=payloads)
+    for state, ones, board in zip(fleet.states, fleet.ones, rack.boards):
+        assert state.shape == ones.shape == (board.device.sram.n_bits,)
+    fleet.states[0][:] = 7  # a consumer writing its row touches no other
+    assert fleet.states[1].max() <= 1 and fleet.states[2].max() <= 1
+
+
 def test_empty_noise_band_slot_is_deterministic():
     """A slot whose band is empty consumes zero noise columns and returns
     the cached deterministic decisions, without perturbing its neighbours'

@@ -114,3 +114,65 @@ def test_shutdown_drains(live_service):
     # is the final test in the module, so the fixture teardown only has
     # to tolerate an already-closed service.
     assert live_service.shutdown() == {"status": "draining"}
+
+
+def test_a_job_that_raises_a_non_repro_error_is_answered_500(
+    monkeypatch, caplog
+):
+    """A defect inside a job (here a ``TypeError`` from the receive path)
+    is still answered: HTTP 500 naming the exception type, one logged
+    traceback, and a typed client error rather than a dropped
+    connection the client would count as lost."""
+    from repro.errors import ServiceUnavailableError
+    from repro.service import Shard
+
+    def broken(self, group, outcomes, lane):
+        raise TypeError("receive path defect")
+
+    ready = threading.Event()
+    box: dict = {}
+
+    def on_ready(service) -> None:
+        box["service"] = service
+        ready.set()
+
+    thread = threading.Thread(
+        target=serve_forever,
+        args=(ServiceConfig(shards=1, port=0),),
+        kwargs={"duration": 60, "on_ready": on_ready},
+        daemon=True,
+    )
+    thread.start()
+    assert ready.wait(timeout=15), "service never came up"
+    port = box["service"].port
+    client = ServiceClient(f"http://127.0.0.1:{port}")
+    try:
+        client.send(SendRequest(device_id="dev", message=b"hi"))
+        monkeypatch.setattr(Shard, "_execute_receive_group", broken)
+        conn = HTTPConnection("127.0.0.1", port, timeout=30)
+        try:
+            conn.request(
+                "POST",
+                "/receive",
+                body=json.dumps(ReceiveRequest(device_id="dev").to_dict()),
+                headers={"Content-Type": "application/json"},
+            )
+            response = conn.getresponse()
+            body = json.loads(response.read())
+        finally:
+            conn.close()
+        assert response.status == 500
+        assert body["type"] == "TypeError"
+        assert "receive path defect" in body["error"]
+        with pytest.raises(ServiceError) as excinfo:
+            client.receive(ReceiveRequest(device_id="dev"))
+        assert not isinstance(excinfo.value, ServiceUnavailableError)
+        assert "HTTP 500" in str(excinfo.value)
+        logged = [r for r in caplog.records if r.exc_info is not None]
+        assert len(logged) == 2  # one traceback per failed request
+        assert all(r.exc_info[0] is TypeError for r in logged)
+    finally:
+        monkeypatch.undo()
+        client.shutdown()
+        thread.join(timeout=30)
+    assert not thread.is_alive()

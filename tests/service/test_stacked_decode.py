@@ -132,3 +132,97 @@ def test_each_decode_state_span_carries_its_own_counters(monkeypatch):
         assert spans[device_id]["attrs"]["ecc_corrections"] == sum(
             value for name, value in expected.items() if name.endswith(".corrections")
         )
+
+
+def _decoded_group(n_devices=16):
+    """A seeded 16-device, 24 h service group, captured and decoded as
+    the lane does it: the channels, states, payloads and stacked rows."""
+    from repro.core.pipeline import decode_group
+
+    host = FleetHost(scheme=ServiceConfig().resolved_scheme(), seed=5)
+    channels = [host.channel(f"dev-{i}") for i in range(n_devices)]
+    payloads = [
+        channel.send(b"msg %03d" % i, stress_hours=24.0).payload_bits
+        for i, channel in enumerate(channels)
+    ]
+    fleet = capture_fleet(
+        [channel.board for channel in channels], 5, payloads=payloads
+    )
+    rows = decode_group(
+        channels,
+        fleet.states,
+        message_lens=[None] * n_devices,
+        raw_errors=fleet.errors,
+    )
+    return channels, fleet, payloads, rows
+
+
+def _same_result(a, b) -> bool:
+    for field in dataclasses.fields(a):
+        x, y = getattr(a, field.name), getattr(b, field.name)
+        if hasattr(x, "shape") or hasattr(y, "shape"):
+            if not (x.shape == y.shape and (x == y).all()):
+                return False
+        elif x != y:
+            return False
+    return True
+
+
+def test_a_stacked_row_finishes_to_the_same_result_without_a_sink():
+    """``decode_state(decoded=row)`` opens no collecting span, yet every
+    ``DecodeResult`` field equals the one the forced-span decode of the
+    same state produces, ``ecc_corrections`` included."""
+    assert not telemetry.enabled()
+    channels, fleet, payloads, rows = _decoded_group()
+    for channel, state, payload, row in zip(channels, fleet.states, payloads, rows):
+        lean = channel.decode_state(state, expected_payload=payload, decoded=row)
+        full = channel.decode_state(state, expected_payload=payload)
+        assert _same_result(lean, full)
+        assert lean.ecc_corrections == sum(
+            value for name, value in row.counts if name.endswith(".corrections")
+        )
+
+
+def test_a_stacked_row_writes_the_same_records_to_a_jsonl_sink(tmp_path):
+    """With a sink attached the row's decode is traced as before: the
+    ``channel.decode_state`` span parents ``channel.decrypt`` and
+    ``channel.ecc_decode``, and carries the row's counters and its
+    ``ecc_corrections``."""
+    import json
+
+    from repro.telemetry import JsonlSink
+
+    channels, fleet, payloads, rows = _decoded_group(2)
+    path = tmp_path / "t.jsonl"
+    sink = JsonlSink(path)
+    telemetry.add_sink(sink)
+    try:
+        channels[0].decode_state(
+            fleet.states[0], expected_payload=payloads[0], decoded=rows[0]
+        )
+    finally:
+        telemetry.remove_sink(sink)
+        sink.close()
+    records = [json.loads(line) for line in path.read_text().splitlines()]
+    spans = {r["name"]: r for r in records if r["type"] == "span"}
+    assert sorted(spans) == [
+        "channel.decode_state",
+        "channel.decrypt",
+        "channel.ecc_decode",
+    ]
+    root = spans["channel.decode_state"]
+    for child in ("channel.decrypt", "channel.ecc_decode"):
+        assert spans[child]["parent_id"] == root["span_id"]
+        assert spans[child]["trace_id"] == root["trace_id"]
+    expected = {}
+    for name, value in rows[0].counts:
+        expected[name] = expected.get(name, 0) + int(value)
+    assert spans["channel.ecc_decode"]["counters"] == expected
+    assert root["counters"] == expected
+    assert root["attrs"]["ecc_corrections"] == sum(
+        value for name, value in expected.items() if name.endswith(".corrections")
+    )
+    counters = [r for r in records if r["type"] == "counter"]
+    assert [(r["name"], r["span_id"]) for r in counters] == [
+        (name, spans["channel.ecc_decode"]["span_id"]) for name, _ in rows[0].counts
+    ]
