@@ -27,6 +27,7 @@ from __future__ import annotations
 
 import asyncio
 import gc
+import json
 import os
 import subprocess
 import sys
@@ -224,6 +225,77 @@ def test_perf_checkpoint_incremental_speedup(record_metric, tmp_path):
     assert speedup >= 4.0
 
 
+# Durable state should follow the live fleet: with every superseded
+# checkpoint deleted and each payload stored once, in its device file,
+# doubling the soak (and so the fleet, one device per message) should
+# about double the checkpoint bytes.
+N_DISK_MESSAGES = 500
+
+
+def _checkpoint_disk(journal_dir: str, n_messages: int) -> "tuple[int, float]":
+    """Soak a journaled service (``checkpoint_every=50``) and stop it
+    gracefully; returns the bytes under ``checkpoints/``, each inode
+    counted once, and the newest manifest's bytes per device."""
+    from repro.service.recovery import checkpoints_root, latest_checkpoint
+
+    async def soak():
+        service = FleetService(
+            ServiceConfig(
+                shards=2, seed=41, journal_dir=journal_dir, checkpoint_every=50
+            )
+        )
+        await service.start()
+        generator = LoadGenerator(
+            seed=41, message_bytes=8, stress_hours=24.0, idempotency=True
+        )
+        report = await generator.run(service, n_messages, concurrency=16)
+        await service.stop()
+        assert report.lost == 0 and report.mismatched == 0, report.errors
+        assert report.completed == n_messages, report.errors
+
+    asyncio.run(soak())
+    sizes = {}
+    for path in checkpoints_root(journal_dir).rglob("*"):
+        if path.is_file():
+            st = path.stat()
+            sizes[(st.st_dev, st.st_ino)] = st.st_size
+    manifest = latest_checkpoint(journal_dir) / "manifest.json"
+    n_devices = len(json.loads(manifest.read_text())["devices"])
+    return sum(sizes.values()), manifest.stat().st_size / n_devices
+
+
+def test_perf_checkpoint_disk_growth(record_metric, tmp_path, frozen_heap):
+    """Checkpoint storage grows linearly with the fleet, not with history.
+
+    Two soaks of 500 and 1000 messages, one fresh device each.
+    ``checkpoint_disk_growth_x`` is the checkpoint bytes after 1000
+    messages over those after 500: about 2 when disk follows the live
+    fleet, and growing with the soak when every superseded checkpoint
+    stays on disk.  ``checkpoint_manifest_bytes_per_device`` is the
+    newest manifest's size per device (device id and the completed-seq
+    frontier; each payload lives in its device file).
+    """
+    half, _ = _checkpoint_disk(str(tmp_path / "half"), N_DISK_MESSAGES)
+    full, per_device = _checkpoint_disk(
+        str(tmp_path / "full"), 2 * N_DISK_MESSAGES
+    )
+    growth = full / half
+    print(
+        f"\ncheckpoints: {half / 1e6:.2f} MB after {N_DISK_MESSAGES} msgs, "
+        f"{full / 1e6:.2f} MB after {2 * N_DISK_MESSAGES} -> {growth:.2f}x; "
+        f"manifest {per_device:.0f} B per device"
+    )
+    record_metric("checkpoint_disk_growth_x", growth, better="lower", unit="x")
+    record_metric(
+        "checkpoint_manifest_bytes_per_device",
+        per_device,
+        better="lower",
+        unit="B",
+    )
+    assert growth <= 2.2
+    assert per_device <= 100
+
+
 N_WRITE_DEVICES = 100
 
 
@@ -242,7 +314,8 @@ def test_perf_checkpoint_device_write_speedup(record_metric, tmp_path):
     mapping of 100 sent devices to a temp name and ``os.replace`` it into
     place.  The ``.npz`` writer deflates the seed-derived ``mismatch``
     and wraps 12 members in a zip; the lean file stores the silicon as a
-    digest and the four NBTI clocks as one zlib stream.
+    digest and the four NBTI clocks and the device's staged payload as
+    one zlib stream, as a checkpoint does.
     ``checkpoint_device_write_speedup`` is the per-device CPU-time ratio
     (best of three passes each); ``checkpoint_device_file_bytes`` is the
     mean lean file size.
@@ -258,8 +331,10 @@ def test_perf_checkpoint_device_write_speedup(record_metric, tmp_path):
     mappings = []
     for index in range(N_WRITE_DEVICES):
         channel = host.channel(f"dev-{index:04d}")
-        channel.send(b"8 bytes!", stress_hours=24)
-        mappings.append(device_state_arrays(channel.board.device))
+        sent = channel.send(b"8 bytes!", stress_hours=24)
+        mappings.append(
+            (device_state_arrays(channel.board.device), sent.payload_bits)
+        )
 
     def per_device_s(writer, name: str) -> float:
         best = float("inf")
@@ -267,12 +342,15 @@ def test_perf_checkpoint_device_write_speedup(record_metric, tmp_path):
             directory = tmp_path / f"{name}-{rep}"
             directory.mkdir()
             start = time.process_time()
-            for index, arrays in enumerate(mappings):
-                writer(directory / f"dev-{index:04d}", arrays)
+            for index, (arrays, payload) in enumerate(mappings):
+                writer(directory / f"dev-{index:04d}", arrays, payload)
             best = min(best, time.process_time() - start)
         return best / N_WRITE_DEVICES
 
-    npz_s = per_device_s(_npz_write, "npz")
+    # The .npz checkpoints kept payloads in the manifest, not the file.
+    npz_s = per_device_s(
+        lambda target, arrays, payload: _npz_write(target, arrays), "npz"
+    )
     lean_s = per_device_s(_write_device_file, "lean")
     lean_bytes = np.mean(
         [path.stat().st_size for path in (tmp_path / "lean-0").iterdir()]

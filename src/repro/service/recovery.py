@@ -39,6 +39,7 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
+import shutil
 from dataclasses import asdict, dataclass
 
 from .. import errors as errors_module
@@ -54,6 +55,7 @@ from .shards import FleetHost, Shard
 __all__ = [
     "RecoveryReport",
     "latest_checkpoint",
+    "prune_checkpoints",
     "recover_components",
     "results_digest",
 ]
@@ -61,6 +63,9 @@ __all__ = [
 #: Name of the replay lane (shows up as ``shard`` on replayed results
 #: before it is overwritten with the journaled original's shard).
 REPLAY_SHARD = "replay"
+
+#: Complete checkpoints a prune keeps: the newest, and the one before it.
+KEEP_CHECKPOINTS = 2
 
 
 def checkpoints_root(journal_dir) -> pathlib.Path:
@@ -71,8 +76,8 @@ def journal_path(journal_dir) -> pathlib.Path:
     return pathlib.Path(journal_dir) / "journal.jsonl"
 
 
-def latest_checkpoint(journal_dir) -> "pathlib.Path | None":
-    """The newest complete checkpoint directory, or ``None``.
+def complete_checkpoints(journal_dir) -> "list[pathlib.Path]":
+    """Every complete checkpoint directory, oldest first.
 
     Checkpoint ids embed the journal frontier (``ckpt-<next_seq:08d>``)
     so lexicographic order is creation order; a directory without a
@@ -81,13 +86,44 @@ def latest_checkpoint(journal_dir) -> "pathlib.Path | None":
     """
     root = checkpoints_root(journal_dir)
     if not root.is_dir():
-        return None
-    complete = sorted(
+        return []
+    return sorted(
         path
         for path in root.iterdir()
         if path.is_dir() and (path / "manifest.json").exists()
     )
+
+
+def latest_checkpoint(journal_dir) -> "pathlib.Path | None":
+    """The newest complete checkpoint directory, or ``None``."""
+    complete = complete_checkpoints(journal_dir)
     return complete[-1] if complete else None
+
+
+def prune_checkpoints(journal_dir) -> "list[pathlib.Path]":
+    """Delete every checkpoint directory older than the
+    :data:`KEEP_CHECKPOINTS`-th newest complete one; returns them.
+
+    Directories newer than that one stay, an interrupted snapshot
+    included.  Hard links keep the device files a kept checkpoint shares
+    with a deleted one alive, and a host that has just snapshotted reads
+    only from its newest checkpoint.  Each manifest goes first, so a
+    prune cut short leaves an incomplete directory, never a checkpoint
+    with missing device files.
+    """
+    complete = complete_checkpoints(journal_dir)
+    if len(complete) < KEEP_CHECKPOINTS:
+        return []
+    oldest_kept = complete[-KEEP_CHECKPOINTS].name
+    doomed = sorted(
+        path
+        for path in checkpoints_root(journal_dir).iterdir()
+        if path.is_dir() and path.name < oldest_kept
+    )
+    for path in doomed:
+        (path / "manifest.json").unlink(missing_ok=True)
+        shutil.rmtree(path)
+    return doomed
 
 
 def results_digest(results: "list[dict]") -> str:
@@ -175,7 +211,6 @@ def recover_components(config) -> "tuple[FleetHost, Ledger]":
         sram_kib=config.sram_kib,
         scheme=config.resolved_scheme(),
         seed=config.seed,
-        use_firmware=config.use_firmware,
         max_resident=config.max_resident,
         archive_dir=config.resolved_archive_dir(),
     )

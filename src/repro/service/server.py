@@ -63,7 +63,7 @@ from ..harness.controlboard import ControlBoard
 from .admission import AdmissionController
 from .journal import Journal
 from .queue import BoundedJobQueue, Job
-from .recovery import checkpoints_root, recover_components
+from .recovery import checkpoints_root, prune_checkpoints, recover_components
 from .shards import Shard, ShardRouter, stable_seed
 
 _LOG = logging.getLogger(__name__)
@@ -121,7 +121,6 @@ class ServiceConfig:
     sram_kib: float = 0.25
     seed: int = 0
     scheme: "CodingScheme | None" = None
-    use_firmware: bool = False
     raw_ber_limit: float = 0.2
     retry_budget: int = 25
     max_reroutes: int = 3
@@ -429,7 +428,10 @@ class FleetService:
         the journal and mark the cut (:meth:`Journal.checkpoint`), so
         every completion the manifest names is on disk before the
         manifest is; write every device + manifest; reopen the gate.
-        Concurrent calls coalesce (the second returns ``None``).
+        Then, on the lane thread with the gate open again, delete the
+        checkpoints the new one supersedes
+        (:func:`~repro.service.recovery.prune_checkpoints`).  Concurrent
+        calls coalesce (the second returns ``None``).
         """
         journal = self.ledger.journal
         if journal is None:
@@ -459,6 +461,11 @@ class FleetService:
             self._since_checkpoint = 0
             _CHECKPOINTS_TOTAL.inc()
             telemetry.count("service.checkpoint")
+            # The prune deletes nothing a batch reads.
+            self._pause.set()
+            await self._on_lane_thread(
+                prune_checkpoints, self.config.journal_dir
+            )
             return {
                 "checkpoint": checkpoint_id,
                 "devices": self.host.n_devices,
@@ -492,7 +499,7 @@ class FleetService:
         channel = InvisibleBits(
             board,
             scheme=self.host.scheme,
-            use_firmware=self.config.use_firmware,
+            use_firmware=False,
         )
         # Each probe is its own trace — synthetic traffic must not ride
         # (or pollute) any real request's span tree.

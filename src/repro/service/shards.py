@@ -67,9 +67,9 @@ __all__ = ["FleetHost", "Shard", "ShardRouter", "stable_seed"]
 
 #: Fleet checkpoint manifest format tag (docs/service.md).
 CHECKPOINT_FORMAT = "invisible-bits/fleet-checkpoint"
-#: Version 2 stores :data:`DEVICE_FILE_FORMAT` device files; a version 1
-#: (``.npz``) checkpoint is refused.
-CHECKPOINT_VERSION = 2
+#: Version 3 device files carry the device's staged payload; version 1
+#: (``.npz``) and version 2 checkpoints are refused.
+CHECKPOINT_VERSION = 3
 #: Per-device checkpoint and LRU-archive file format tag.
 DEVICE_FILE_FORMAT = "invisible-bits/device-file"
 
@@ -114,13 +114,14 @@ def _temp_for(target: pathlib.Path) -> pathlib.Path:
     return tmp
 
 
-def _encode_device_file(arrays: dict) -> bytes:
+def _encode_device_file(arrays: dict, payload: "np.ndarray | None") -> bytes:
     """A lean device file for a :func:`repro.io.device_state_arrays` mapping.
 
     One JSON header line (format, version, model, size, id, toggle count,
-    RNG position, and the :func:`repro.io.silicon_digest` of
-    ``mismatch``), then one zlib stream of the four NBTI clock arrays as
-    little-endian float64, in :data:`repro.io.AGING_CLOCKS` order.  The
+    RNG position, the :func:`repro.io.silicon_digest` of ``mismatch`` and
+    the staged payload's length in bits or ``null``), then one zlib stream
+    of the four NBTI clock arrays as little-endian float64, in
+    :data:`repro.io.AGING_CLOCKS` order, and the packed payload bits.  The
     silicon itself is not stored: it is a pure function of the device's
     seed, and the reader rebuilds it.
     """
@@ -133,30 +134,33 @@ def _encode_device_file(arrays: dict) -> bytes:
         "toggle_count": float(arrays["toggle_count"]),
         "rng_state": json.loads(str(arrays["rng_state"])),
         "silicon": silicon_digest(arrays["mismatch"]),
+        "payload_bits": None if payload is None else int(payload.size),
     }
-    clocks = b"".join(
-        np.asarray(arrays[key], dtype="<f8").tobytes() for key in AGING_CLOCKS
-    )
-    return json.dumps(header).encode() + b"\n" + zlib.compress(clocks, 1)
+    body = [np.asarray(arrays[key], dtype="<f8") for key in AGING_CLOCKS]
+    if payload is not None:
+        body.append(np.packbits(payload.astype(np.uint8)))
+    stream = b"".join(part.tobytes() for part in body)
+    return json.dumps(header).encode() + b"\n" + zlib.compress(stream, 1)
 
 
-def _write_device_file(target: pathlib.Path, arrays: dict) -> None:
-    """Serialise a device to ``target`` on a new inode.
+def _write_device_file(target: pathlib.Path, arrays: dict, payload) -> None:
+    """Serialise a device and its staged payload to ``target`` on a new inode.
 
     The old ``target`` may be linked from another checkpoint, so it is
     replaced, never truncated.
     """
     tmp = _temp_for(target)
     with open(tmp, "xb") as fh:
-        fh.write(_encode_device_file(arrays))
+        fh.write(_encode_device_file(arrays, payload))
     os.replace(tmp, target)
 
 
 def _read_device_file(path: pathlib.Path) -> dict:
     """The :func:`repro.io.device_state_arrays` mapping a device file holds.
 
-    ``mismatch`` is absent; ``silicon`` carries its digest instead.  A
-    missing, truncated, corrupt or foreign file (a v1 ``.npz`` included)
+    ``mismatch`` is absent; ``silicon`` carries its digest instead, and
+    ``payload`` the staged payload bits (``None`` when nothing is staged).
+    A missing, truncated, corrupt or foreign file (a v1 ``.npz`` included)
     raises :class:`~repro.errors.JournalError` naming the file.
     """
     try:
@@ -182,16 +186,23 @@ def _read_device_file(path: pathlib.Path) -> dict:
             f"{header.get('version')!r}"
         )
     try:
-        n_bits = int(header["n_bits"])
+        n_bits, payload_bits = int(header["n_bits"]), header["payload_bits"]
+        n_clocks = n_bits * len(AGING_CLOCKS)
         inflater = zlib.decompressobj()
-        clocks = inflater.decompress(body)
+        stream = inflater.decompress(body)
         if (
             not inflater.eof
             or inflater.unused_data
-            or len(clocks) != 8 * n_bits * len(AGING_CLOCKS)
+            or len(stream) != 8 * n_clocks + ((payload_bits or 0) + 7) // 8
         ):
-            raise ValueError("clock stream is truncated or overlong")
-        rows = np.frombuffer(clocks, dtype="<f8").reshape(-1, n_bits)
+            raise ValueError("stream is truncated or overlong")
+        rows = np.frombuffer(stream, dtype="<f8", count=n_clocks)
+        payload = None
+        if payload_bits is not None:
+            payload = np.unpackbits(
+                np.frombuffer(stream, dtype=np.uint8, offset=8 * n_clocks),
+                count=payload_bits,
+            )
         return {
             "format": np.array(DEVICE_STATE_FORMAT),
             "version": np.array(FORMAT_VERSION),
@@ -200,10 +211,11 @@ def _read_device_file(path: pathlib.Path) -> dict:
                 bytes.fromhex(header["device_id"]), dtype=np.uint8
             ),
             "n_bits": np.array(n_bits),
-            **dict(zip(AGING_CLOCKS, rows)),
+            **dict(zip(AGING_CLOCKS, rows.reshape(-1, n_bits))),
             "toggle_count": np.array(float(header["toggle_count"])),
             "rng_state": np.array(json.dumps(header["rng_state"])),
             "silicon": str(header["silicon"]),
+            "payload": payload,
         }
     except (KeyError, TypeError, ValueError, zlib.error) as exc:
         raise JournalError(f"{path}: corrupt device file: {exc}") from None
@@ -219,8 +231,9 @@ def _check_silicon(arrays: dict, device, source) -> None:
         )
 
 
-def _load_device_file(path: pathlib.Path, device) -> None:
-    """Apply a device file to ``device``, freshly built from its seed."""
+def _load_device_file(path: pathlib.Path, device) -> "np.ndarray | None":
+    """Apply a device file to ``device``, freshly built from its seed;
+    returns the file's staged payload bits."""
     arrays = _read_device_file(path)
     _check_silicon(arrays, device, path)
     arrays["mismatch"] = device.sram.mismatch
@@ -228,6 +241,7 @@ def _load_device_file(path: pathlib.Path, device) -> None:
         apply_device_state(device, arrays, source=str(path))
     except ConfigurationError as exc:
         raise JournalError(str(exc)) from None
+    return arrays["payload"]
 
 
 def _link_device_file(source: pathlib.Path, target: pathlib.Path) -> None:
@@ -293,6 +307,7 @@ class FleetHost:
     Creates one simulated device + :class:`ControlBoard` +
     :class:`~repro.core.pipeline.InvisibleBits` channel per ``device_id``
     on first use, and remembers the last staged payload bits per device
+    (in RAM while it is resident, in its device file while it is cold)
     so receives can feed truth-referenced raw BER into the shard SLOs.
     Thread-safe: the service's lane thread mutates it while the event
     loop reads its stats.
@@ -305,7 +320,6 @@ class FleetHost:
         sram_kib: float = 0.25,
         scheme,
         seed: int = 0,
-        use_firmware: bool = False,
         max_resident: "int | None" = None,
         archive_dir=None,
     ):
@@ -324,14 +338,15 @@ class FleetHost:
         self.sram_kib = sram_kib
         self.scheme = scheme
         self.seed = seed
-        self.use_firmware = use_firmware
         self.max_resident = max_resident
         self.archive_dir = (
             pathlib.Path(archive_dir) if archive_dir is not None else None
         )
-        self._lock = threading.Lock()
+        # Re-entrant: payload() rehydrates a cold device through channel().
+        self._lock = threading.RLock()
         #: Resident channels in least-recently-used order (first = coldest).
         self._channels: "OrderedDict[str, InvisibleBits]" = OrderedDict()
+        #: Resident device_id -> its staged payload bits.
         self._payloads: "dict[str, np.ndarray]" = {}
         #: device_id -> device file holding its state (LRU archive or a
         #: checkpoint); rehydrated lazily on next touch.
@@ -363,7 +378,7 @@ class FleetHost:
         return InvisibleBits(
             ControlBoard(device),
             scheme=self.scheme,
-            use_firmware=self.use_firmware,
+            use_firmware=False,
         )
 
     def channel(self, device_id: str) -> InvisibleBits:
@@ -388,7 +403,9 @@ class FleetHost:
                 if cold is not None:
                     # A bad file raises and leaves the device cold: it
                     # never silently restarts as fresh silicon.
-                    _load_device_file(cold, channel.board.device)
+                    payload = _load_device_file(cold, channel.board.device)
+                    if payload is not None:
+                        self._payloads[device_id] = payload
                     del self._cold[device_id]
                     self.rehydrated += 1
                     _REHYDRATED_TOTAL.inc()
@@ -444,9 +461,8 @@ class FleetHost:
             self.archive_dir.mkdir(parents=True, exist_ok=True)
             path = self.archive_dir / self._device_file(victim)
             # Checkpoints link archive files: replace, never overwrite.
-            _write_device_file(
-                path, device_state_arrays(channel.board.device)
-            )
+            arrays = device_state_arrays(channel.board.device)
+            _write_device_file(path, arrays, self._payloads.pop(victim, None))
             self._cold[victim] = path
             self.evicted += 1
             _EVICTED_TOTAL.inc()
@@ -454,10 +470,16 @@ class FleetHost:
 
     def store_payload(self, device_id: str, payload_bits: np.ndarray) -> None:
         with self._lock:
+            # The device's last checkpoint file holds its old payload.
+            self._clean.pop(device_id, None)
             self._payloads[device_id] = payload_bits
 
     def payload(self, device_id: str) -> "np.ndarray | None":
+        """The device's staged payload bits, or ``None`` (an unknown device
+        is not created)."""
         with self._lock:
+            if device_id in self._cold:
+                self.channel(device_id)  # its file holds the payload
             return self._payloads.get(device_id)
 
     @property
@@ -477,53 +499,54 @@ class FleetHost:
         """Write the whole fleet's state under ``directory``; incremental.
 
         One lean device file per device plus a ``manifest.json`` naming
-        the fleet parameters, per-device files, staged payloads, and any
-        ``extra`` bookkeeping the caller wants carried (the service puts
-        its completed-sequence frontier here).  Returns the manifest.
+        the fleet parameters, the device ids (each device's file name is
+        a hash of its id), and any ``extra`` bookkeeping the caller wants
+        carried (the service puts its completed-sequence frontier here).
+        Returns the manifest.
 
         A device file holds what changes over a device's life: its four
-        NBTI clock arrays (one zlib stream), toggle count and RNG stream
-        position.  Its silicon (``mismatch``) is fixed at manufacture and
-        rebuilt from the device's seed on read, so the file carries only
-        a digest of it, which the reader checks (~2.5 KB per 0.25 KiB
-        device).
+        NBTI clock arrays and staged payload (one zlib stream), toggle
+        count and RNG stream position.  Its silicon (``mismatch``) is
+        fixed at manufacture and rebuilt from the device's seed on read,
+        so the file carries only a digest of it, which the reader checks
+        (~2.6 KB per 0.25 KiB device).
 
-        Only devices reached through :meth:`channel` since their last
-        checkpoint are serialised again.  Every other device's file is
-        hard-linked (copied where links are refused) from the checkpoint
-        or LRU archive file that already holds its state, so the cost
-        scales with the devices touched, not the fleet, and each
-        checkpoint directory stays self-contained.  Files are written
-        under a temp name and ``os.replace``d into place, so re-cutting a
-        checkpoint id never changes bytes another checkpoint links to.
-        The caller quiesces the fleet first (the service's lane thread).
+        Only devices reached through :meth:`channel` or
+        :meth:`store_payload` since their last checkpoint are serialised
+        again.  Every other device's file is hard-linked (copied where
+        links are refused) from the checkpoint or LRU archive file that
+        already holds its state, so the cost scales with the devices
+        touched, not the fleet.  Each checkpoint directory stays
+        self-contained, and afterwards the host reads only this one, so
+        older ones can be deleted.  Files are written under a temp name
+        and ``os.replace``d into place, so re-cutting a checkpoint id
+        never changes bytes another checkpoint links to.  The caller
+        quiesces the fleet first (the service's lane thread).
         """
         directory = pathlib.Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
         with self._lock:
-            devices: "dict[str, str]" = {}
+            devices: "list[str]" = []
             written = 0
             for device_id, channel in self._channels.items():
-                name = self._device_file(device_id)
-                target = directory / name
+                target = directory / self._device_file(device_id)
                 clean = self._clean.get(device_id)
                 if clean is not None and clean.exists():
                     _link_device_file(clean, target)
                 else:
-                    _write_device_file(
-                        target, device_state_arrays(channel.board.device)
-                    )
+                    arrays = device_state_arrays(channel.board.device)
+                    payload = self._payloads.get(device_id)
+                    _write_device_file(target, arrays, payload)
                     written += 1
                 self._clean[device_id] = target
-                devices[device_id] = name
+                devices.append(device_id)
             for device_id, cold_path in self._cold.items():
-                name = self._device_file(device_id)
-                target = directory / name
+                target = directory / self._device_file(device_id)
                 _link_device_file(cold_path, target)
                 # Follow the newest copy, so deleting an older checkpoint
                 # never strands a device this host has yet to rehydrate.
                 self._cold[device_id] = target
-                devices[device_id] = name
+                devices.append(device_id)
             reused = len(devices) - written
             self.checkpoint_written += written
             self.checkpoint_reused += reused
@@ -533,17 +556,7 @@ class FleetHost:
                 "device_name": self.device_name,
                 "sram_kib": self.sram_kib,
                 "seed": self.seed,
-                "use_firmware": self.use_firmware,
                 "devices": devices,
-                "payloads": {
-                    device_id: {
-                        "n_bits": int(bits.size),
-                        "packed_hex": np.packbits(
-                            bits.astype(np.uint8)
-                        ).tobytes().hex(),
-                    }
-                    for device_id, bits in self._payloads.items()
-                },
                 **(extra or {}),
             }
         tmp = directory / "manifest.json.tmp"
@@ -560,13 +573,12 @@ class FleetHost:
     def restore(self, directory) -> dict:
         """Adopt a :meth:`snapshot` directory; devices rehydrate lazily.
 
-        Validates the manifest against this host's fleet parameters,
-        loads the staged-payload map eagerly (it is small and receives
-        need it), and records each device's file as a cold source —
-        first touch rebuilds the device and applies the snapshot.  Every
-        device file is read and checked here, so a missing, truncated,
-        corrupt or foreign one refuses the checkpoint at restart, not at
-        some later request.  Returns the manifest.
+        Validates the manifest against this host's fleet parameters and
+        records each device's file as a cold source — first touch
+        rebuilds the device and applies the snapshot, staged payload
+        included.  Every device file is read and checked here, so a
+        missing, truncated, corrupt or foreign one refuses the checkpoint
+        at restart, not at some later request.  Returns the manifest.
         """
         directory = pathlib.Path(directory)
         manifest_path = directory / "manifest.json"
@@ -580,7 +592,7 @@ class FleetHost:
                 f"{directory}: unsupported checkpoint version "
                 f"{manifest.get('version')}"
             )
-        for field in ("device_name", "sram_kib", "seed", "use_firmware"):
+        for field in ("device_name", "sram_kib", "seed"):
             ours = getattr(self, field)
             theirs = manifest.get(field)
             if theirs != ours:
@@ -589,26 +601,17 @@ class FleetHost:
                     f"match this host's {field}={ours!r}"
                 )
         with self._lock:
-            for device_id, name in manifest["devices"].items():
-                path = directory / name
+            for device_id in manifest["devices"]:
+                path = directory / self._device_file(device_id)
                 _read_device_file(path)  # raises on a missing or bad file
                 self._channels.pop(device_id, None)
                 self._clean.pop(device_id, None)
+                self._payloads.pop(device_id, None)
                 self._cold[device_id] = path
-            self._payloads.update(
-                {
-                    device_id: np.unpackbits(
-                        np.frombuffer(
-                            bytes.fromhex(entry["packed_hex"]), dtype=np.uint8
-                        )
-                    )[: entry["n_bits"]].astype(np.uint8)
-                    for device_id, entry in manifest["payloads"].items()
-                }
-            )
         return manifest
 
     def state_digest(self) -> str:
-        """A stable digest of every device's analog state + RNG position.
+        """A stable digest of every device's state, RNG position and payload.
 
         Two hosts that digest equal will produce bit-identical results
         for any identical future request sequence — the crash-restart
@@ -624,13 +627,10 @@ class FleetHost:
             for device_id, channel in self._channels.items():
                 arrays = device_state_arrays(channel.board.device)
                 arrays["silicon"] = silicon_digest(arrays["mismatch"])
+                arrays["payload"] = self._payloads.get(device_id)
                 entries.append((device_id, arrays))
             for device_id, path in self._cold.items():
                 entries.append((device_id, _read_device_file(path)))
-            payloads = {
-                device_id: bits.astype(np.uint8).tobytes()
-                for device_id, bits in self._payloads.items()
-            }
         h = hashlib.sha256()
         for device_id, arrays in sorted(entries):
             h.update(device_id.encode())
@@ -638,9 +638,8 @@ class FleetHost:
             for key in (*AGING_CLOCKS, "toggle_count", "device_id"):
                 h.update(np.ascontiguousarray(arrays[key]).tobytes())
             h.update(str(arrays["rng_state"]).encode())
-        for device_id in sorted(payloads):
-            h.update(device_id.encode())
-            h.update(payloads[device_id])
+            if arrays["payload"] is not None:
+                h.update(arrays["payload"].astype(np.uint8).tobytes())
         return h.hexdigest()[:32]
 
 
@@ -819,18 +818,16 @@ class Shard:
         extra, worst_ber = 0, 0.0
         staged = []
         for job in group:
-            request = job.request
-            payload = self.host.payload(request.device_id)
-            if payload is None:
-                outcomes[id(job)] = ServiceError(
-                    f"device {request.device_id!r} has no staged message "
-                    "on this service"
-                )
-                continue
+            device_id = job.request.device_id
             try:
-                staged.append(
-                    (job, lane(self.host.channel(request.device_id)), payload)
-                )
+                payload = self.host.payload(device_id)
+                if payload is None:
+                    raise ServiceError(
+                        f"device {device_id!r} has no staged message "
+                        "on this service"
+                    )
+                channel = lane(self.host.channel(device_id))
+                staged.append((job, channel, payload))
             except ReproError as exc:
                 outcomes[id(job)] = exc
         if not staged:

@@ -601,12 +601,14 @@ def service_crash_recovery(seed, n_messages):
     same fleet state digest, same receive results, no op lost or doubled.
 
     Run A soaks a journaled service to completion.  Run B soaks the same
-    traffic but cuts two checkpoints mid-soak: between them some devices
-    are read back (touched, so serialised again) and one is left alone
-    (its file is reused from the first checkpoint).  It is then killed
+    traffic but cuts three checkpoints mid-soak: after the first send,
+    after the other sends, and after some devices are read back
+    (touched, so serialised again) while one is left alone (its file is
+    reused from the second checkpoint).  The third cut prunes the first
+    checkpoint, whose files the second shares.  Run B is then killed
     dead (``abort()`` — no drain, no final fsync) with the tail in
     flight, a fresh service boots on the same journal directory from the
-    second checkpoint, and the whole soak is resubmitted under the same
+    newest checkpoint, and the whole soak is resubmitted under the same
     idempotency keys.  The recovered fleet must end in the same analog
     state and serve the same results as the twin that never crashed.
     Each device sees the same op sequence in both runs; only the order
@@ -616,6 +618,7 @@ def service_crash_recovery(seed, n_messages):
     import tempfile
 
     from ..service import FleetService, LoadGenerator, results_digest
+    from ..service.recovery import KEEP_CHECKPOINTS, complete_checkpoints
 
     crash_at = n_messages // 2
 
@@ -638,22 +641,32 @@ def service_crash_recovery(seed, n_messages):
         service = FleetService(_journaled_config(journal_dir, seed))
         await service.start()
         generator = LoadGenerator(seed=seed, message_bytes=4, idempotency=True)
-        # Phase 1 completes across two checkpoints: every device is sent
-        # to before the first, all but the last are read back before the
-        # second.  Phase 2 is cut off with ops at every stage —
-        # unadmitted, admitted, mid-execution.
+        # Phase 1 completes across three checkpoints: the first device
+        # is sent to before the first, the others before the second, and
+        # all but the last are read back before the third.  Phase 2 is
+        # cut off with ops at every stage — unadmitted, admitted,
+        # mid-execution.
         for index in range(crash_at):
             send, _ = _soak_requests(generator, index)
             await service.submit(send)
+            if index == 0:
+                await service.checkpoint()
         await service.checkpoint()
         for index in range(crash_at - 1):
             _, receive = _soak_requests(generator, index)
             await service.submit(receive)
-        second = await service.checkpoint()
+        newest = await service.checkpoint()
+        kept = [path.name for path in complete_checkpoints(journal_dir)]
+        check_that(
+            len(kept) == KEEP_CHECKPOINTS
+            and kept[-1] == newest["checkpoint"],
+            f"three checkpoints cut, {kept} left on disk: the prune must "
+            f"keep exactly the newest {KEEP_CHECKPOINTS}",
+        )
         check_that(
             service.host.checkpoint_reused > 0,
-            "the second checkpoint reused no device file; the incremental "
-            "path went unexercised",
+            "no checkpoint reused a device file; the incremental path "
+            "went unexercised",
         )
 
         async def one(index):
@@ -678,9 +691,9 @@ def service_crash_recovery(seed, n_messages):
 
         revived = FleetService(_journaled_config(journal_dir, seed))
         check_that(
-            revived.ledger.report.checkpoint == second["checkpoint"],
+            revived.ledger.report.checkpoint == newest["checkpoint"],
             f"recovery restored {revived.ledger.report.checkpoint}, not the "
-            f"newest checkpoint {second['checkpoint']}",
+            f"newest checkpoint {newest['checkpoint']}",
         )
         await revived.start()
         results: "list[dict]" = []
@@ -720,17 +733,19 @@ def service_crash_recovery(seed, n_messages):
     examples=3,
 )
 def service_device_file_roundtrip(seed, n_ops):
-    """A device file restores a device bit-for-bit; other silicon is refused.
+    """A device file restores a device and its staged payload
+    bit-for-bit; other silicon is refused.
 
     A seeded history — a send to each device, then capture bursts,
     shelving and re-sends — runs on a host that keeps one device
     resident, so every step evicts a device to the archive and
     rehydrates another, and on an uncapped twin.  The two must digest
-    equal.  Then each device's file is read into a freshly seeded
-    device: every :func:`repro.io.device_state_arrays` key, ``rng_state``
-    and ``toggle_count`` included, must come back bit-for-bit, and the
-    same file read into a device built from another seed must raise
-    :class:`~repro.errors.JournalError`.
+    equal, staged payloads included.  Then each device's file is
+    read into a freshly seeded device: every
+    :func:`repro.io.device_state_arrays` key, ``rng_state`` and
+    ``toggle_count`` included, and the staged payload must come back
+    bit-for-bit, and the same file read into a device built from another
+    seed must raise :class:`~repro.errors.JournalError`.
     """
     import pathlib
     import tempfile
@@ -767,7 +782,8 @@ def service_device_file_roundtrip(seed, n_ops):
             for host in (capped, twin):
                 channel = host.channel(device_id)
                 if action == "send":
-                    channel.send(b"m%d" % step, stress_hours=hours)
+                    sent = channel.send(b"m%d" % step, stress_hours=hours)
+                    host.store_payload(device_id, sent.payload_bits)
                 elif action == "capture":
                     channel.board.capture_power_on_states(n_captures)
                 else:
@@ -783,10 +799,17 @@ def service_device_file_roundtrip(seed, n_ops):
         stranger = FleetHost(seed=seed + 1, **fleet)
         for device_id in ids:
             before = device_state_arrays(twin.channel(device_id).board.device)
+            staged = twin.payload(device_id)
             path = root / twin._device_file(device_id)
-            _write_device_file(path, before)
+            _write_device_file(path, before, staged)
             fresh = twin._fresh_channel(device_id).board.device
-            _load_device_file(path, fresh)
+            payload = _load_device_file(path, fresh)
+            check_that(
+                payload is not None
+                and payload.dtype == staged.dtype
+                and payload.tobytes() == staged.tobytes(),
+                f"device {device_id}: the staged payload did not round-trip",
+            )
             after = device_state_arrays(fresh)
             check_that(sorted(after) == sorted(before), "key set changed")
             for key, value in before.items():
@@ -1597,17 +1620,56 @@ def _mutant_relax_clocks_swapped(rng):
 
     pristine = shards._encode_device_file
 
-    def swapped(arrays):
+    def swapped(arrays, payload):
         crossed = dict(
             arrays, relax_1=arrays["relax_0"], relax_0=arrays["relax_1"]
         )
-        return pristine(crossed)  # the planted defect
+        return pristine(crossed, payload)  # the planted defect
 
     shards._encode_device_file = swapped
     try:
         service_device_file_roundtrip(int(rng.integers(0, 2**31)), 3)
     finally:
         shards._encode_device_file = pristine
+
+
+@mutant("service.device_file_roundtrip", "writer-drops-payload")
+def _mutant_writer_drops_payload(rng):
+    """A writer that leaves the staged payload out of the device file
+    must fail the round trip: an archived device would come back with
+    nothing to measure its raw BER against."""
+    from ..service import shards
+
+    pristine = shards._encode_device_file
+    shards._encode_device_file = lambda arrays, payload: pristine(
+        arrays, None  # the planted defect
+    )
+    try:
+        service_device_file_roundtrip(int(rng.integers(0, 2**31)), 3)
+    finally:
+        shards._encode_device_file = pristine
+
+
+@mutant("service.crash_recovery", "prune-newest-checkpoint")
+def _mutant_prune_newest_checkpoint(rng):
+    """A prune that deletes the newest complete checkpoint must be caught:
+    a restart would then restore an older one, or none."""
+    import shutil
+
+    from ..service import recovery, server
+
+    pristine = server.prune_checkpoints
+
+    def prunes_newest(journal_dir):
+        pruned = pristine(journal_dir)
+        shutil.rmtree(recovery.latest_checkpoint(journal_dir))  # the defect
+        return pruned
+
+    server.prune_checkpoints = prunes_newest
+    try:
+        service_crash_recovery(int(rng.integers(0, 2**31)), 4)
+    finally:
+        server.prune_checkpoints = pristine
 
 
 @mutant("stats.normal_vs_scipy", "tail-branch-at-4")

@@ -256,7 +256,7 @@ def run_send_history(seed: int, payload: str, faulted: bool) -> None:
     with tempfile.TemporaryDirectory() as tmp:
         paths = [pathlib.Path(tmp) / f"twin-{i}.state" for i in range(2)]
         for board, path in zip(boards, paths):
-            _write_device_file(path, device_state_arrays(board.device))
+            _write_device_file(path, device_state_arrays(board.device), None)
         boards = twins()
         for board, path in zip(boards, paths):
             _load_device_file(path, board.device)

@@ -28,8 +28,11 @@ from repro.service import (
 )
 from repro.service.journal import _frame
 from repro.service.recovery import (
+    KEEP_CHECKPOINTS,
+    complete_checkpoints,
     journal_path,
     latest_checkpoint,
+    prune_checkpoints,
     results_digest,
 )
 from repro.service.queue import Job
@@ -162,7 +165,8 @@ class TestSnapshotRestore:
         _execute(host, [SendRequest(device_id="dev-1", message=b"again")])
         manifest = host.snapshot(tmp_path / "b")
         assert (host.checkpoint_written, host.checkpoint_reused) == (5, 3)
-        for device_id, name in manifest["devices"].items():
+        for device_id in manifest["devices"]:
+            name = host._device_file(device_id)
             shared = (tmp_path / "a" / name).samefile(tmp_path / "b" / name)
             assert shared == (device_id != "dev-1"), device_id
 
@@ -257,6 +261,169 @@ class TestSnapshotRestore:
         restored = _host()
         restored.restore(ckpt / "b")
         assert restored.state_digest() == uncapped.state_digest()
+
+
+class TestPayloadInDeviceFile:
+    """A device's staged payload lives with the rest of its state: in RAM
+    while it is resident, in its device file while it is cold."""
+
+    def test_the_manifest_lists_devices_and_holds_no_payloads(self, tmp_path):
+        host = _host()
+        _execute(host, _traffic(3))
+        manifest = host.snapshot(tmp_path / "ckpt")
+        on_disk = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
+        assert on_disk == manifest
+        assert sorted(manifest["devices"]) == ["dev-0", "dev-1", "dev-2"]
+        assert "payloads" not in manifest and "use_firmware" not in manifest
+        assert manifest["version"] == 3
+
+    def test_the_payload_map_holds_resident_devices_only(self, tmp_path):
+        capped = _host(tmp_path, max_resident=2)
+        shard = Shard("lane", capped)
+        for index in range(6):
+            jobs = [
+                Job(kind="send", request=request, future=None)
+                for request in (
+                    SendRequest(device_id=f"dev-{index}-{k}", message=b"m")
+                    for k in range(3)
+                )
+            ]
+            shard.execute_batch(jobs)
+            assert set(capped._payloads) <= set(capped._channels)
+            assert capped.n_resident <= 2
+        assert capped.n_devices == 18 and capped.evicted == 16
+
+    def test_an_archived_device_receives_like_an_uncapped_twin(
+        self, tmp_path
+    ):
+        capped = _host(tmp_path, max_resident=1)
+        uncapped = _host()
+        sends = [
+            SendRequest(device_id=f"dev-{i}", message=b"m%d" % i)
+            for i in range(2)
+        ]
+        receive = ReceiveRequest(device_id="dev-0")
+        for host in (capped, uncapped):
+            _execute(host, sends)
+        assert "dev-0" in capped._cold and "dev-0" not in capped._payloads
+        [mine] = _execute(capped, [receive])
+        [theirs] = _execute(uncapped, [receive])
+        assert mine.raw_ber is not None  # the file held the payload
+        assert mine.to_dict() == theirs.to_dict()
+        assert capped.state_digest() == uncapped.state_digest()
+
+    def test_a_receive_for_an_unknown_device_creates_none(self):
+        host = _host()
+        _execute(host, _traffic(1))
+        job = Job(
+            kind="receive",
+            request=ReceiveRequest(device_id="ghost"),
+            future=None,
+        )
+        [(_, outcome)] = Shard("lane", host).execute_batch([job])[0]
+        assert isinstance(outcome, ServiceError)
+        assert "no staged message" in str(outcome)
+        assert host.n_devices == 1 and "ghost" not in host._payloads
+
+    def test_restore_drops_the_payloads_of_devices_it_makes_cold(
+        self, tmp_path
+    ):
+        host = _host()
+        _execute(host, _traffic(2))
+        host.snapshot(tmp_path / "ckpt")
+        _execute(host, [SendRequest(device_id="dev-0", message=b"later")])
+        host.restore(tmp_path / "ckpt")
+        assert host._payloads == {} and host.n_resident == 0
+        twin = _host()
+        twin.restore(tmp_path / "ckpt")
+        assert host.state_digest() == twin.state_digest()
+        [mine] = _execute(host, [ReceiveRequest(device_id="dev-0")])
+        assert mine.message == b"m0"  # the checkpoint's payload, not RAM's
+
+    def test_a_new_payload_rewrites_a_clean_device_file(self, tmp_path):
+        host = _host()
+        _execute(host, _traffic(2))
+        host.snapshot(tmp_path / "a")
+        bits = host.payload("dev-0").copy()
+        bits[0] ^= 1
+        host.store_payload("dev-0", bits)
+        host.snapshot(tmp_path / "b")
+        assert (host.checkpoint_written, host.checkpoint_reused) == (3, 1)
+        twin = _host()
+        twin.restore(tmp_path / "b")
+        assert twin.payload("dev-0").tobytes() == bits.tobytes()
+
+
+class TestPrune:
+    @staticmethod
+    def _cut(host, journal_dir, name):
+        host.snapshot(journal_dir / "checkpoints" / name)
+        return prune_checkpoints(journal_dir)
+
+    def test_only_the_newest_two_complete_checkpoints_stay(self, tmp_path):
+        host = _host()
+        for index in range(4):
+            _execute(host, _traffic(index + 1))
+            pruned = self._cut(host, tmp_path, f"ckpt-{index:08d}")
+            assert [path.name for path in pruned] == (
+                [f"ckpt-{index - 2:08d}"] if index >= 2 else []
+            )
+        kept = complete_checkpoints(tmp_path)
+        assert len(kept) == KEEP_CHECKPOINTS
+        assert [path.name for path in kept] == [
+            "ckpt-00000002",
+            "ckpt-00000003",
+        ]
+        # The kept checkpoints shared inodes with pruned ones; every
+        # device file they name is still there.
+        for path in kept:
+            _host().restore(path)
+        twin = _host()
+        twin.restore(kept[-1])
+        assert twin.state_digest() == host.state_digest()
+
+    def test_interrupted_snapshots_newer_than_the_kept_ones_stay(
+        self, tmp_path
+    ):
+        host = _host()
+        _execute(host, _traffic(1))
+        root = tmp_path / "checkpoints"
+        (root / "ckpt-00000000").mkdir(parents=True)  # older, incomplete
+        self._cut(host, tmp_path, "ckpt-00000001")
+        (root / "ckpt-00000002").mkdir()  # between the kept two
+        (root / "ckpt-00000009").mkdir()  # newer than the newest
+        pruned = self._cut(host, tmp_path, "ckpt-00000003")
+        assert [path.name for path in pruned] == ["ckpt-00000000"]
+        assert prune_checkpoints(tmp_path) == []
+        assert sorted(path.name for path in root.iterdir()) == [
+            "ckpt-00000001",
+            "ckpt-00000002",
+            "ckpt-00000003",
+            "ckpt-00000009",
+        ]
+        assert latest_checkpoint(tmp_path).name == "ckpt-00000003"
+
+    def test_a_checkpointing_service_keeps_two_and_recovers_from_them(
+        self, tmp_path
+    ):
+        config = _config(tmp_path, checkpoint_every=2)
+
+        async def life():
+            service = FleetService(config)
+            await service.start()
+            for index in range(5):
+                for request in _keyed_pair(index):
+                    await service.submit(request)
+            state = service.host.state_digest()
+            await service.stop()
+            return state, service.checkpoints
+
+        state, cut = asyncio.run(life())
+        assert cut >= 4
+        assert len(complete_checkpoints(config.journal_dir)) == 2
+        host, ledger = recover_components(config)
+        ledger.journal.close()
+        assert host.state_digest() == state
 
 
 def _config(tmp_path, **overrides) -> ServiceConfig:
@@ -714,6 +881,29 @@ class TestBadDeviceFiles:
         )
         with pytest.raises(JournalError, match="silicon digest"):
             twin.channel("dev-0")
+
+    def test_a_v2_checkpoint_is_refused(self, tmp_path):
+        host = _host()
+        _execute(host, _traffic(1))
+        host.snapshot(tmp_path / "ckpt")
+        manifest_path = tmp_path / "ckpt" / "manifest.json"
+        manifest = json.loads(manifest_path.read_text())
+        manifest["version"] = 2
+        manifest_path.write_text(json.dumps(manifest))
+        with pytest.raises(JournalError, match="checkpoint version 2"):
+            _host().restore(tmp_path / "ckpt")
+
+    def test_a_v2_device_file_is_refused(self, tmp_path):
+        host = _host()
+        _execute(host, _traffic(1))
+        host.snapshot(tmp_path / "ckpt")
+        path = tmp_path / "ckpt" / host._device_file("dev-0")
+        head, _, body = path.read_bytes().partition(b"\n")
+        header = json.loads(head)
+        header["version"] = 2
+        path.write_bytes(json.dumps(header).encode() + b"\n" + body)
+        with pytest.raises(JournalError, match="device file version 2"):
+            _host().restore(tmp_path / "ckpt")
 
     def test_a_v1_checkpoint_is_refused(self, tmp_path):
         host = _host()
