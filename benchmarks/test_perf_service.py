@@ -103,7 +103,7 @@ def test_perf_journal_overhead(record_metric, frozen_heap):
     Two identical keyed soaks — same seed, same devices, same payloads —
     one on a plain in-memory :class:`~repro.service.FleetService`, one
     with ``journal_dir`` set so every op is CRC-framed, appended, and
-    batch-fsynced (``Journal(fsync_every=8)``, the serving default)
+    batch-fsynced (every ``journal.FSYNC_EVERY`` = 8 records)
     before it touches silicon.  The measured window covers admission
     through result plumbing; the final checkpoint a graceful ``stop()``
     cuts is deliberately outside it (that is shutdown cost, not per-op

@@ -71,6 +71,16 @@ _MESSAGES_TOTAL = metrics.counter(
     labelnames=("phase", "device"),
 )
 
+#: A capture disagreeing with the voted state on more than this share of
+#: bits is treated as faulted (brownout, stuck region) and replaced.
+#: Natural power-up noise sits well below 0.1 on every catalog device, so
+#: it never fires on a healthy channel.
+SUSPECT_FLIP_RATE = 0.2
+
+#: Extra captures per escalation round when the vote decodes to garbage
+#: with no identifiable suspect capture.
+ESCALATION_STEP = 2
+
 
 def _vote_stats(
     samples: np.ndarray, vote_idx: "list[int]", state: np.ndarray
@@ -443,16 +453,16 @@ class InvisibleBits:
     def _classify_captures(
         self, samples: np.ndarray, suspects: "list[int]"
     ) -> "tuple[list[int], np.ndarray, list[int]]":
-        """Peel faulted captures (flip rate above the scheme threshold)
+        """Peel faulted captures (flip rate above ``SUSPECT_FLIP_RATE``)
         until the vote is stable; never peels the entire set."""
-        threshold = self.scheme.suspect_flip_rate
         suspects = list(suspects)
         while True:
             vote_idx, state = self._vote_rows(samples, suspects)
             fresh = [
                 i
                 for i in vote_idx
-                if np.count_nonzero(samples[i] != state) / state.size > threshold
+                if np.count_nonzero(samples[i] != state) / state.size
+                > SUSPECT_FLIP_RATE
             ]
             if not fresh or len(fresh) >= len(vote_idx):
                 return vote_idx, state, suspects
@@ -566,7 +576,6 @@ class InvisibleBits:
         expected_payload: "np.ndarray | None" = None,
         n_captures: "int | None" = None,
         ones: "np.ndarray | None" = None,
-        p_flip: "float | None" = None,
         decoded: "DecodedRow | None" = None,
     ) -> DecodeResult:
         """Decode an already-voted power-on state (no new captures).
@@ -586,10 +595,9 @@ class InvisibleBits:
         count of captures that read 1, as the vote computed it —
         :attr:`FleetCapture.ones`) and decodes from vote-margin LLRs;
         without it a :class:`~repro.errors.ConfigurationError` is raised,
-        because a voted state alone carries no margins.  ``p_flip`` sets
-        the LLR scale (decode decisions are scale-invariant, so omitting
-        it is safe — a conservative floor is used).  Hard schemes ignore
-        ``ones``.
+        because a voted state alone carries no margins.  The LLR scale
+        is the conservative flip-rate floor (decode decisions are
+        scale-invariant).  Hard schemes ignore ``ones``.
 
         ``decoded`` is this state's row of a stacked :func:`decode_group`
         pass (the lane decodes a receive group in one): the row's message,
@@ -608,9 +616,7 @@ class InvisibleBits:
             raise ConfigurationError(
                 "a stacked hard-decision row cannot decode a soft scheme"
             )
-        p_flip_est = (
-            estimate_p_flip(() if p_flip is None else (p_flip,)) if soft else None
-        )
+        p_flip_est = estimate_p_flip(()) if soft else None
         # A stacked row brings its own counters; only a state decoded
         # here needs a collecting span to count its ECC corrections.
         with telemetry.trace(
@@ -715,9 +721,9 @@ class InvisibleBits:
         The receive path **self-heals** (docs/faults.md): transient
         capture-read failures are retried under the board's
         :class:`~repro.faults.RetryPolicy`, captures that disagree with
-        the majority vote beyond ``scheme.suspect_flip_rate`` are treated
+        the majority vote beyond ``SUSPECT_FLIP_RATE`` are treated
         as faulted and replaced with fresh power-on samples, and an
-        undecodable vote escalates by ``scheme.escalation_step`` extra
+        undecodable vote escalates by ``ESCALATION_STEP`` extra
         captures per round — up to ``scheme.max_total_captures`` total,
         after which :class:`~repro.errors.RetryExhaustedError` is raised.
         On a healthy channel none of this fires and results are
@@ -780,7 +786,7 @@ class InvisibleBits:
                     ) from decode_error
 
                 need = scheme.n_captures - good_count
-                extra = min(room, need if need > 0 else scheme.escalation_step)
+                extra = min(room, need if need > 0 else ESCALATION_STEP)
                 telemetry.count("escalation.captures", extra)
                 samples = np.vstack(
                     [samples, self.board.capture_power_on_states(extra)]

@@ -20,6 +20,11 @@ from .message import FrameFormat
 
 __all__ = ["CodingScheme", "paper_end_to_end_scheme"]
 
+#: A receive's adaptive escalation (docs/faults.md) stops at this many
+#: times the scheme's capture count.  Escalation fires only on trouble,
+#: so a fault-free receive never reaches it.
+CAPTURE_CEILING_FACTOR = 5
+
 
 @dataclass(frozen=True)
 class CodingScheme:
@@ -39,22 +44,6 @@ class CodingScheme:
         mode self-describes the message length.
     n_captures:
         Power-on captures per receive (positive odd, §4.3).
-    capture_ceiling:
-        Hard cap on total captures the receiver may take during adaptive
-        escalation (docs/faults.md); ``None`` (default) allows up to
-        ``5 * n_captures``.  Set equal to ``n_captures`` to disable
-        escalation entirely.  Escalation only fires on trouble (suspect
-        captures or an undecodable vote), so fault-free receives are
-        bit-identical whatever the ceiling.
-    escalation_step:
-        Extra captures taken per escalation round when the vote decodes
-        to garbage with no identifiable suspect capture.
-    suspect_flip_rate:
-        A capture disagreeing with the majority-voted state on more than
-        this fraction of bits is treated as faulted (brownout, stuck
-        region) and replaced.  Natural power-up noise sits well below
-        0.1 on every catalog device, so the default never fires on a
-        healthy channel.
     decision:
         How the receiver uses the capture stack: ``"hard"`` (default)
         majority-votes each cell to one bit before decoding — bit-identical
@@ -69,9 +58,6 @@ class CodingScheme:
     ecc: "Code | None" = None
     frame: FrameFormat = field(default_factory=FrameFormat)
     n_captures: int = 5
-    capture_ceiling: "int | None" = None
-    escalation_step: int = 2
-    suspect_flip_rate: float = 0.2
     decision: str = "hard"
 
     def __post_init__(self) -> None:
@@ -81,19 +67,6 @@ class CodingScheme:
             )
         if self.n_captures < 1 or self.n_captures % 2 == 0:
             raise ConfigurationError("n_captures must be positive odd (§4.3)")
-        if self.capture_ceiling is not None and self.capture_ceiling < self.n_captures:
-            raise ConfigurationError(
-                f"capture_ceiling ({self.capture_ceiling}) must be >= "
-                f"n_captures ({self.n_captures})"
-            )
-        if self.escalation_step < 1:
-            raise ConfigurationError(
-                f"escalation_step must be >= 1, got {self.escalation_step}"
-            )
-        if not 0.0 < self.suspect_flip_rate < 1.0:
-            raise ConfigurationError(
-                f"suspect_flip_rate must be in (0, 1), got {self.suspect_flip_rate}"
-            )
         if self.decision not in ("hard", "soft"):
             raise ConfigurationError(
                 f'decision must be "hard" or "soft", got {self.decision!r}'
@@ -103,12 +76,8 @@ class CodingScheme:
 
     @property
     def max_total_captures(self) -> int:
-        """The effective escalation ceiling (total captures per receive)."""
-        return (
-            self.capture_ceiling
-            if self.capture_ceiling is not None
-            else 5 * self.n_captures
-        )
+        """The escalation ceiling: total captures one receive may take."""
+        return CAPTURE_CEILING_FACTOR * self.n_captures
 
     @property
     def encrypted(self) -> bool:

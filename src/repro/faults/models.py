@@ -84,10 +84,10 @@ class CaptureBrownout(FaultModel):
     random — the partially-settled state a real rail droop leaves behind.
     Re-drawn bits flip with probability ~0.5, so a hit capture disagrees
     with the voted state on ~``severity / 2`` of its bits; the default
-    keeps that comfortably above :class:`~repro.core.scheme.CodingScheme.
-    suspect_flip_rate` (0.2), so the receive pipeline's suspect detection
-    spots and replaces every hit (docs/faults.md).  Majority voting
-    absorbs whatever slips through.
+    keeps that comfortably above
+    :data:`~repro.core.pipeline.SUSPECT_FLIP_RATE` (0.2), so the receive
+    pipeline's suspect detection spots and replaces every hit
+    (docs/faults.md).  Majority voting absorbs whatever slips through.
     """
 
     rate: float = 0.05

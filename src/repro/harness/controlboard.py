@@ -95,7 +95,6 @@ class ControlBoard:
         payload_bits: "np.ndarray | bytes",
         *,
         use_firmware: bool = True,
-        verify: bool = True,
     ) -> None:
         """Load the payload into SRAM at nominal conditions (Alg. 1, 3-4).
 
@@ -103,7 +102,8 @@ class ControlBoard:
         payload-writer assembly, flash it, and let the CPU copy the payload
         into SRAM before parking in its busy-wait.  ``use_firmware=False``
         takes the debugger bulk-write fast path (also available on real
-        hardware) — the analog outcome is identical.
+        hardware) — the analog outcome is identical.  Either way the SRAM
+        is read back and must match the payload.
         """
         bits = as_bit_array(payload_bits)
         if bits.size != self.device.sram.n_bits:
@@ -132,12 +132,11 @@ class ControlBoard:
                 self.power_on_nominal()
                 self.debug.write_sram_bits(bits)
 
-            if verify:
-                stored = self.debug.read_sram_bits()
-                if not np.array_equal(stored, bits):
-                    raise DeviceError(
-                        "SRAM readback does not match the staged payload"
-                    )
+            stored = self.debug.read_sram_bits()
+            if not np.array_equal(stored, bits):
+                raise DeviceError(
+                    "SRAM readback does not match the staged payload"
+                )
 
     def encode(
         self,

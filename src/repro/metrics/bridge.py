@@ -10,9 +10,15 @@ single change to physics or pipeline code.
 The bridge and the direct hot-path instruments own **disjoint** metric
 sets, so running both never double-counts:
 
-- direct (only tick while the process runs):
-  ``repro_captures_total{device}``, ``repro_capture_cells_total``,
-  ``repro_messages_total{phase,device}``;
+- direct (only tick while the process runs): the channel's
+  ``repro_captures_total{device}``, ``repro_capture_cells_total`` and
+  ``repro_messages_total{phase,device}``; the server's
+  ``repro_service_*`` job, queue, reroute, replay, checkpoint, probe,
+  readmission and request-latency instruments; admission's
+  ``repro_service_shed_total``; the host's
+  ``repro_service_devices_{evicted,rehydrated}_total`` and
+  ``repro_service_checkpoint_devices_total``; and the journal's
+  ``repro_journal_*`` instruments;
 - bridge (also available offline, replaying a JSONL trace):
   everything else — see the table in docs/metrics.md.
 

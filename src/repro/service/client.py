@@ -67,34 +67,24 @@ def _traceparent_header() -> "str | None":
     return trace_ctx.to_traceparent()
 
 
+#: Connection-level failures in a row that open a circuit breaker.
+BREAKER_THRESHOLD = 5
+#: Seconds an open circuit fails fast before admitting a probe call.
+BREAKER_COOLDOWN_S = 1.0
+
+
 class CircuitBreaker:
     """Consecutive-failure circuit breaker for one endpoint.
 
-    ``threshold`` connection-level failures in a row open the circuit:
-    calls fail fast with :class:`~repro.errors.CircuitOpenError` (no
-    socket touched) until ``cooldown_s`` passes, then exactly one
-    half-open probe call is let through — success closes the circuit,
+    ``BREAKER_THRESHOLD`` connection-level failures in a row open the
+    circuit: calls fail fast with :class:`~repro.errors.CircuitOpenError`
+    (no socket touched) until ``BREAKER_COOLDOWN_S`` passes, then exactly
+    one half-open probe call is let through — success closes the circuit,
     failure re-opens it for another cooldown.  Thread-safe: the load
     generator's soak threads share their client's breaker.
     """
 
-    def __init__(
-        self,
-        *,
-        threshold: int = 5,
-        cooldown_s: float = 1.0,
-        clock=time.monotonic,
-    ):
-        if threshold < 1:
-            raise ConfigurationError(
-                f"threshold must be >= 1, got {threshold}"
-            )
-        if cooldown_s <= 0:
-            raise ConfigurationError(
-                f"cooldown_s must be > 0, got {cooldown_s}"
-            )
-        self.threshold = threshold
-        self.cooldown_s = cooldown_s
+    def __init__(self, *, clock=time.monotonic):
         self._clock = clock
         self._lock = threading.Lock()
         self._failures = 0
@@ -105,14 +95,14 @@ class CircuitBreaker:
     @property
     def state(self) -> str:
         with self._lock:
-            if self._failures < self.threshold:
+            if self._failures < BREAKER_THRESHOLD:
                 return "closed"
             return "open" if self._clock() < self._open_until else "half-open"
 
     def before_call(self) -> None:
         """Gate one call; raises :class:`CircuitOpenError` while open."""
         with self._lock:
-            if self._failures < self.threshold:
+            if self._failures < BREAKER_THRESHOLD:
                 return
             now = self._clock()
             if now < self._open_until or self._half_open_busy:
@@ -132,8 +122,8 @@ class CircuitBreaker:
         with self._lock:
             self._failures += 1
             self._half_open_busy = False
-            if self._failures >= self.threshold:
-                self._open_until = self._clock() + self.cooldown_s
+            if self._failures >= BREAKER_THRESHOLD:
+                self._open_until = self._clock() + BREAKER_COOLDOWN_S
                 self.opens += 1
                 telemetry.count("client.circuit_opened")
 

@@ -27,7 +27,7 @@ Durability contract (docs/service.md "Durability & recovery"):
   Recovery replays the records that scan produced
   (:attr:`Journal.existing`) and never reads the file itself.
 - **Batched fsync.**  Appends are flushed to the OS on every record and
-  fsynced every ``fsync_every`` records (:meth:`checkpoint`,
+  fsynced every ``FSYNC_EVERY`` records (:meth:`checkpoint`,
   :meth:`flush` and :meth:`close` always fsync inline).  Batched fsyncs
   run on a dedicated writer thread so the every-Nth-record sync never
   stalls the asyncio event loop the service appends from.  Losing a
@@ -63,6 +63,10 @@ from .. import metrics, telemetry
 from ..errors import ConfigurationError, JournalError
 
 __all__ = ["Journal", "read_journal"]
+
+#: Appends between batched fsyncs (checkpoint, flush and close always
+#: fsync inline).
+FSYNC_EVERY = 8
 
 #: Journal instruments on the process-wide registry (same get-or-create
 #: contract as the service counters in server.py).
@@ -167,11 +171,7 @@ class Journal:
     starts on a fresh line.
     """
 
-    def __init__(self, path, *, fsync_every: int = 8):
-        if fsync_every < 1:
-            raise ConfigurationError(
-                f"fsync_every must be >= 1, got {fsync_every}"
-            )
+    def __init__(self, path):
         self.path = pathlib.Path(path)
         self.path.parent.mkdir(parents=True, exist_ok=True)
         # Scan (and validate) first: a corrupt journal raises here and is
@@ -183,7 +183,6 @@ class Journal:
         #: The records on disk at open, for recovery to replay; it takes
         #: the list, so a live journal keeps no copy of its history.
         self.existing = existing
-        self.fsync_every = fsync_every
         self._file = open(self.path, "a", encoding="utf-8")
         # Past the valid prefix lies a torn fragment (cut it) or a final
         # record that lost only its newline (finish it): appending onto a
@@ -305,7 +304,7 @@ class Journal:
         self.appended += 1
         self._unsynced += 1
         _APPENDS_TOTAL.inc(op=record["op"])
-        if self._unsynced >= self.fsync_every:
+        if self._unsynced >= FSYNC_EVERY:
             # Hand the sync to the writer thread: the appender (often
             # the service's event loop) never blocks on the disk.
             self._sync_wanted.set()

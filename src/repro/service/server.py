@@ -64,7 +64,7 @@ from .admission import AdmissionController
 from .journal import Journal
 from .queue import BoundedJobQueue, Job
 from .recovery import checkpoints_root, prune_checkpoints, recover_components
-from .shards import Shard, ShardRouter, stable_seed
+from .shards import RAW_BER_LIMIT, Shard, ShardRouter, stable_seed
 
 _LOG = logging.getLogger(__name__)
 
@@ -109,6 +109,13 @@ _REQUEST_LATENCY = metrics.histogram(
     buckets=(0.005, 0.01, 0.025, 0.05, 0.1, 0.25, 0.5, 1.0, 2.5, 5.0),
 )
 
+#: A job moved off tripped lanes more than this many times is shed.
+MAX_REROUTES = 3
+
+#: The largest request body the HTTP frontend reads; a larger
+#: ``Content-Length`` is answered 413 without reading the body.
+MAX_BODY_BYTES = 1 << 20
+
 
 @dataclass(frozen=True)
 class ServiceConfig:
@@ -121,9 +128,6 @@ class ServiceConfig:
     sram_kib: float = 0.25
     seed: int = 0
     scheme: "CodingScheme | None" = None
-    raw_ber_limit: float = 0.2
-    retry_budget: int = 25
-    max_reroutes: int = 3
     fault_plan: "FaultPlan | None" = None
     fault_shards: "tuple[str, ...]" = ()
     host: str = "127.0.0.1"
@@ -150,10 +154,6 @@ class ServiceConfig:
         if self.max_batch < 1:
             raise ConfigurationError(
                 f"max_batch must be >= 1, got {self.max_batch}"
-            )
-        if self.max_reroutes < 0:
-            raise ConfigurationError(
-                f"max_reroutes must be >= 0, got {self.max_reroutes}"
             )
         unknown = set(self.fault_shards) - set(self.shard_names)
         if unknown:
@@ -224,8 +224,6 @@ class FleetService:
             name: Shard(
                 name,
                 self.host,
-                raw_ber_limit=self.config.raw_ber_limit,
-                retry_budget=self.config.retry_budget,
                 fault_plan=(
                     self.config.fault_plan
                     if name in self.config.fault_shards
@@ -438,6 +436,8 @@ class FleetService:
             raise ConfigurationError(
                 "checkpoint() needs a service with a journal_dir"
             )
+        if not self.started:
+            raise ServiceStoppedError("checkpoint() needs a started service")
         if self._checkpointing:
             return None
         self._checkpointing = True
@@ -542,7 +542,7 @@ class FleetService:
                 probe_ber = await self._on_lane_thread(
                     self._probe_lane, name, self.probes
                 )
-                clean = probe_ber <= self.config.raw_ber_limit
+                clean = probe_ber <= RAW_BER_LIMIT
                 _PROBES_TOTAL.inc(
                     shard=name, outcome="clean" if clean else "dirty"
                 )
@@ -821,12 +821,12 @@ class FleetService:
         healthy = self.admission.healthy - {source}
         for job in jobs:
             job.reroutes += 1
-            if job.reroutes > self.config.max_reroutes:
+            if job.reroutes > MAX_REROUTES:
                 self._shed(
                     job,
                     AdmissionError(
                         f"job for {job.request.device_id!r} exceeded "
-                        f"{self.config.max_reroutes} reroutes",
+                        f"{MAX_REROUTES} reroutes",
                         shard=source,
                     ),
                 )
@@ -913,26 +913,20 @@ class FleetService:
 
     async def _handle_connection(self, reader, writer) -> None:
         try:
-            request_line = await reader.readline()
-            if not request_line:
-                return
             try:
-                method, path, _ = request_line.decode("latin-1").split(" ", 2)
-            except ValueError:
-                await _respond(writer, 400, {"error": "malformed request"})
+                head = await _read_head(reader)
+            except ValueError as exc:
+                await _respond(
+                    writer, 400, {"error": f"malformed request: {exc}"}
+                )
                 return
-            content_length = 0
-            traceparent = None
-            while True:
-                line = await reader.readline()
-                if line in (b"\r\n", b"\n", b""):
-                    break
-                header = line.decode("latin-1")
-                lowered = header.lower()
-                if lowered.startswith("content-length:"):
-                    content_length = int(header.split(":", 1)[1].strip())
-                elif lowered.startswith(trace_ctx.TRACEPARENT_HEADER + ":"):
-                    traceparent = header.split(":", 1)[1].strip()
+            if head is None:
+                return
+            method, path, content_length, traceparent = head
+            if content_length > MAX_BODY_BYTES:
+                error = f"body over {MAX_BODY_BYTES} bytes"
+                await _respond(writer, 413, {"error": error})
+                return
             body = (
                 await reader.readexactly(content_length)
                 if content_length
@@ -1042,6 +1036,38 @@ def _execute_timed(shard: Shard, batch: "list[Job]"):
     return time.perf_counter(), shard.execute_batch(batch)
 
 
+async def _read_head(reader) -> "tuple[str, str, int, str | None] | None":
+    """Parse a request head into ``(method, path, content_length,
+    traceparent)``; ``None`` when the peer closed before sending one.
+
+    Raises :class:`ValueError` for a malformed request line, a
+    ``Content-Length`` that is not a non-negative integer, or a line past
+    the stream limit (asyncio's ``readline`` raises it).
+    """
+    request_line = await reader.readline()
+    if not request_line:
+        return None
+    parts = request_line.decode("latin-1").split(" ", 2)
+    if len(parts) != 3:
+        raise ValueError("bad request line")
+    method, path, _ = parts
+    content_length = 0
+    traceparent = None
+    while True:
+        line = await reader.readline()
+        if line in (b"\r\n", b"\n", b""):
+            return method, path, content_length, traceparent
+        header = line.decode("latin-1")
+        lowered = header.lower()
+        if lowered.startswith("content-length:"):
+            value = header.split(":", 1)[1].strip()
+            if not (value.isascii() and value.isdigit()):
+                raise ValueError(f"bad Content-Length {value!r}")
+            content_length = int(value)
+        elif lowered.startswith(trace_ctx.TRACEPARENT_HEADER + ":"):
+            traceparent = header.split(":", 1)[1].strip()
+
+
 async def _respond(writer, status: int, payload: dict) -> None:
     await _respond_raw(
         writer,
@@ -1058,8 +1084,8 @@ async def _respond_text(writer, status: int, text: str) -> None:
 
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            429: "Too Many Requests", 500: "Internal Server Error",
-            503: "Service Unavailable"}
+            413: "Content Too Large", 429: "Too Many Requests",
+            500: "Internal Server Error", 503: "Service Unavailable"}
 
 
 async def _respond_raw(writer, status: int, body: bytes, ctype: str) -> None:

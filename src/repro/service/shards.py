@@ -672,6 +672,14 @@ def _unique_groups(jobs: "list[Job]") -> "list[list[Job]]":
     return groups
 
 
+#: A lane batch whose largest raw BER exceeds this trips the lane
+#: (``raw-ber-slo``); a readmission probe must read at most this.
+RAW_BER_LIMIT = 0.2
+#: A lane batch with more extra capture attempts than this trips the
+#: lane (``retry-slo``).
+RETRY_BUDGET = 25
+
+
 class Shard:
     """One compute lane: executes job batches and judges each one.
 
@@ -688,8 +696,6 @@ class Shard:
         name: str,
         host: FleetHost,
         *,
-        raw_ber_limit: float = 0.2,
-        retry_budget: int = 25,
         fault_plan: "FaultPlan | None" = None,
         fault_salt: int = 0,
     ):
@@ -697,8 +703,6 @@ class Shard:
             raise ConfigurationError("shard needs a name")
         self.name = name
         self.host = host
-        self.raw_ber_limit = raw_ber_limit
-        self.retry_budget = retry_budget
         self.injector = (
             FaultInjector(fault_plan, salt=fault_salt) if fault_plan else None
         )
@@ -770,8 +774,8 @@ class Shard:
         self._raw_ber.set(worst_ber)
         self._retries.inc(extra)
         slos = {
-            "raw-ber-slo": ("max raw BER", worst_ber, self.raw_ber_limit),
-            "retry-slo": ("extra attempts", extra, self.retry_budget),
+            "raw-ber-slo": ("max raw BER", worst_ber, RAW_BER_LIMIT),
+            "retry-slo": ("extra attempts", extra, RETRY_BUDGET),
         }
         violated = {rule: slo for rule, slo in slos.items() if slo[1] > slo[2]}
         self.active_alerts = list(violated)

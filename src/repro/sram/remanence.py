@@ -79,28 +79,3 @@ class RemanenceModel:
         if p >= 1.0:
             return np.ones(n_cells, dtype=bool)
         return rng.random(n_cells) < p
-
-    def retained_masks(
-        self,
-        n_cells: int,
-        off_seconds: float,
-        temp_k: float,
-        rng: np.random.Generator,
-        n_gaps: int,
-    ) -> np.ndarray:
-        """``(n_gaps, n_cells)`` retention masks for a burst of equal gaps.
-
-        Row ``i`` is bit-identical to the ``i``-th of ``n_gaps`` sequential
-        :meth:`retained_mask` calls on the same generator — ``rng.random``
-        fills a 2-D array in row-major stream order — so batch consumers can
-        pre-draw a capture sequence's remanence without perturbing
-        reproducibility.
-        """
-        if n_gaps <= 0:
-            raise ConfigurationError(f"need at least one gap, got {n_gaps}")
-        p = self.retention_probability(off_seconds, temp_k)
-        if p <= 0.0:
-            return np.zeros((n_gaps, n_cells), dtype=bool)
-        if p >= 1.0:
-            return np.ones((n_gaps, n_cells), dtype=bool)
-        return rng.random((n_gaps, n_cells)) < p

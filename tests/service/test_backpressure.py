@@ -21,6 +21,7 @@ from repro.service import (
     ServiceConfig,
     Shard,
     ShardRouter,
+    shards,
 )
 from repro.api import ReceiveRequest, SendRequest
 
@@ -193,7 +194,7 @@ def test_lane_state_does_not_grow_with_the_fleet():
     assert stats["retry_attempts"] == 0
 
 
-def test_flaky_debug_port_trips_the_retry_slo():
+def test_flaky_debug_port_trips_the_retry_slo(monkeypatch):
     """Retried debug-port reads count against the lane's retry budget;
     the page reroutes the batch's receives, so the flaky lane loses none.
 
@@ -204,7 +205,8 @@ def test_flaky_debug_port_trips_the_retry_slo():
     bit for bit, and the flaky lane's devices to their messages.
     """
     device_ids = [f"d{i}" for i in range(12)]
-    base = dict(shards=2, seed=3, max_batch=4, retry_budget=0)
+    monkeypatch.setattr(shards, "RETRY_BUDGET", 0)
+    base = dict(shards=2, seed=3, max_batch=4)
     baseline, _ = asyncio.run(_run_fleet(ServiceConfig(**base), device_ids))
     faulted, stats = asyncio.run(
         _run_fleet(

@@ -12,6 +12,7 @@ from repro.errors import (
 )
 from repro.faults import RetryPolicy
 from repro.service import CircuitBreaker, LoadGenerator, ServiceClient
+from repro.service import client as client_module
 
 
 class FakeClock:
@@ -22,23 +23,29 @@ class FakeClock:
         return self.now
 
 
-class TestCircuitBreaker:
-    def test_validation(self):
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(threshold=0)
-        with pytest.raises(ConfigurationError):
-            CircuitBreaker(cooldown_s=0.0)
+@pytest.fixture
+def make_breaker(monkeypatch):
+    """A breaker built under a patched threshold and cooldown."""
 
-    def test_stays_closed_below_threshold(self):
-        breaker = CircuitBreaker(threshold=3, clock=FakeClock())
+    def make(threshold: int, cooldown_s: float = 1.0, **kwargs):
+        monkeypatch.setattr(client_module, "BREAKER_THRESHOLD", threshold)
+        monkeypatch.setattr(client_module, "BREAKER_COOLDOWN_S", cooldown_s)
+        return CircuitBreaker(**kwargs)
+
+    return make
+
+
+class TestCircuitBreaker:
+    def test_stays_closed_below_threshold(self, make_breaker):
+        breaker = make_breaker(3, clock=FakeClock())
         breaker.record_failure()
         breaker.record_failure()
         assert breaker.state == "closed"
         breaker.before_call()  # no raise
 
-    def test_opens_at_threshold_and_fails_fast(self):
+    def test_opens_at_threshold_and_fails_fast(self, make_breaker):
         clock = FakeClock()
-        breaker = CircuitBreaker(threshold=3, cooldown_s=5.0, clock=clock)
+        breaker = make_breaker(3, 5.0, clock=clock)
         for _ in range(3):
             breaker.record_failure()
         assert breaker.state == "open"
@@ -49,9 +56,9 @@ class TestCircuitBreaker:
         with pytest.raises(CircuitOpenError):
             breaker.before_call()
 
-    def test_half_open_admits_exactly_one_probe(self):
+    def test_half_open_admits_exactly_one_probe(self, make_breaker):
         clock = FakeClock()
-        breaker = CircuitBreaker(threshold=1, cooldown_s=1.0, clock=clock)
+        breaker = make_breaker(1, 1.0, clock=clock)
         breaker.record_failure()
         clock.now = 1.5
         assert breaker.state == "half-open"
@@ -59,9 +66,9 @@ class TestCircuitBreaker:
         with pytest.raises(CircuitOpenError):
             breaker.before_call()  # a concurrent caller is refused
 
-    def test_half_open_success_closes(self):
+    def test_half_open_success_closes(self, make_breaker):
         clock = FakeClock()
-        breaker = CircuitBreaker(threshold=1, cooldown_s=1.0, clock=clock)
+        breaker = make_breaker(1, 1.0, clock=clock)
         breaker.record_failure()
         clock.now = 1.5
         breaker.before_call()
@@ -70,7 +77,7 @@ class TestCircuitBreaker:
         breaker.before_call()  # freely admitted again
 
     def test_non_socket_failure_releases_the_half_open_latch(
-        self, monkeypatch
+        self, make_breaker, monkeypatch
     ):
         """A probe that dies on a non-OSError (e.g. a garbage response
         raising BadStatusLine) must not leak ``_half_open_busy`` — that
@@ -78,7 +85,7 @@ class TestCircuitBreaker:
         from http.client import BadStatusLine
 
         clock = FakeClock()
-        breaker = CircuitBreaker(threshold=1, cooldown_s=1.0, clock=clock)
+        breaker = make_breaker(1, 1.0, clock=clock)
         breaker.record_failure()
         clock.now = 1.5
         assert breaker.state == "half-open"
@@ -109,9 +116,11 @@ class TestCircuitBreaker:
         with pytest.raises(BadStatusLine):
             client.stats()
 
-    def test_half_open_failure_reopens_for_another_cooldown(self):
+    def test_half_open_failure_reopens_for_another_cooldown(
+        self, make_breaker
+    ):
         clock = FakeClock()
-        breaker = CircuitBreaker(threshold=1, cooldown_s=1.0, clock=clock)
+        breaker = make_breaker(1, 1.0, clock=clock)
         breaker.record_failure()
         clock.now = 1.5
         breaker.before_call()
@@ -143,9 +152,9 @@ class TestClientRetries:
         assert len(sleeps) == 2
         assert sleeps == client.retry.delays()[:2]
 
-    def test_open_breaker_short_circuits_without_sleeping(self):
+    def test_open_breaker_short_circuits_without_sleeping(self, make_breaker):
         sleeps: "list[float]" = []
-        breaker = CircuitBreaker(threshold=2, cooldown_s=60.0)
+        breaker = make_breaker(2, 60.0)
         client = _dead_client(
             retry=RetryPolicy(
                 max_attempts=2, base_delay_s=0.01, max_delay_s=0.05

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import json
+import socket
 import threading
 from http.client import HTTPConnection
 
@@ -107,6 +108,38 @@ def test_malformed_job_400(live_service):
         assert "message_hex" in json.loads(response.read().decode())["error"]
     finally:
         conn.close()
+
+
+def _raw_exchange(client, head: bytes) -> "tuple[int, dict]":
+    """Send ``head`` over a bare socket; return the answer's status and
+    JSON body (a dropped connection answers nothing and fails here)."""
+    address = (client.host, client.port)
+    with socket.create_connection(address, timeout=10) as sock:
+        sock.sendall(head)
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    status_line, _, rest = response.partition(b"\r\n")
+    assert status_line.startswith(b"HTTP/1.1 "), response[:80]
+    body = rest.split(b"\r\n\r\n", 1)[1]
+    return int(status_line.split()[1]), json.loads(body)
+
+
+@pytest.mark.parametrize(
+    "head, status",
+    [
+        (b"POST /send HTTP/1.1\r\nContent-Length: abc\r\n\r\n", 400),
+        (b"POST /send HTTP/1.1\r\nContent-Length: -5\r\n\r\n", 400),
+        (b"GET /stats HTTP/1.1\r\nX-Pad: " + b"a" * 70_000 + b"\r\n\r\n", 400),
+        (b"POST /send HTTP/1.1\r\nContent-Length: 2000000\r\n\r\n", 413),
+    ],
+    ids=["non-numeric-length", "negative-length", "long-header", "body-cap"],
+)
+def test_malformed_head_is_answered(live_service, head, status):
+    answered, body = _raw_exchange(live_service, head)
+    assert answered == status
+    assert body["error"]
+    assert live_service.healthz()["status"] == "ok"
 
 
 def test_shutdown_drains(live_service):

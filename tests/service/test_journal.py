@@ -8,6 +8,7 @@ import pytest
 
 from repro.errors import ConfigurationError, JournalError
 from repro.service import Journal, read_journal
+from repro.service import journal as journal_module
 
 
 def _path(tmp_path):
@@ -135,8 +136,9 @@ def test_missing_file_reads_empty(tmp_path):
     assert records == [] and torn == 0
 
 
-def test_fsync_batches_and_flush_forces(tmp_path):
-    journal = Journal(_path(tmp_path), fsync_every=3)
+def test_fsync_batches_and_flush_forces(tmp_path, monkeypatch):
+    monkeypatch.setattr(journal_module, "FSYNC_EVERY", 3)
+    journal = Journal(_path(tmp_path))
     try:
         journal.admit("k1", "send", {})
         journal.admit("k2", "send", {})
@@ -156,8 +158,9 @@ def test_fsync_batches_and_flush_forces(tmp_path):
         journal.close()
 
 
-def test_checkpoint_marker_always_fsyncs(tmp_path):
-    journal = Journal(_path(tmp_path), fsync_every=100)
+def test_checkpoint_marker_always_fsyncs(tmp_path, monkeypatch):
+    monkeypatch.setattr(journal_module, "FSYNC_EVERY", 100)
+    journal = Journal(_path(tmp_path))
     try:
         journal.admit("k", "send", {})
         assert journal.fsyncs == 0
@@ -177,18 +180,16 @@ def test_next_seq_resumes_across_lives(tmp_path):
         assert revived.admit("k3", "send", {}) == 3
 
 
-def test_abandon_skips_the_final_fsync_but_flushed_records_survive(tmp_path):
-    journal = Journal(_path(tmp_path), fsync_every=100)
+def test_abandon_skips_the_final_fsync_but_flushed_records_survive(
+    tmp_path, monkeypatch
+):
+    monkeypatch.setattr(journal_module, "FSYNC_EVERY", 100)
+    journal = Journal(_path(tmp_path))
     journal.admit("k", "send", {"device_id": "d"})
     journal.abandon()
     assert journal.fsyncs == 0
     records, _ = read_journal(_path(tmp_path))
     assert len(records) == 1
-
-
-def test_validation():
-    with pytest.raises(ConfigurationError):
-        Journal("unused", fsync_every=0)
 
 
 def test_unknown_complete_status_rejected(tmp_path):

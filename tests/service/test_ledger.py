@@ -16,7 +16,7 @@ import pytest
 from repro import metrics, telemetry
 from repro.api import SendRequest
 from repro.errors import AdmissionError, ServiceStoppedError
-from repro.service import FleetService, ServiceConfig
+from repro.service import FleetService, ServiceConfig, server
 from repro.telemetry import RingBufferSink
 
 SEED = 41
@@ -188,7 +188,7 @@ SHED_PATHS = {
         1,
     ),
     "max-reroutes-exceeded": (
-        dict(shards=2, max_reroutes=0),
+        dict(shards=2),
         _reroute_with_lane_tripped,
         1,
     ),
@@ -202,9 +202,15 @@ SHED_PATHS = {
 }
 
 
+#: Service constants a shed path lowers to reach its refusal.
+SHED_CONSTANTS = {"max-reroutes-exceeded": {"MAX_REROUTES": 0}}
+
+
 @pytest.mark.parametrize("path", sorted(SHED_PATHS))
-def test_every_refusal_is_counted_once_everywhere(path):
+def test_every_refusal_is_counted_once_everywhere(path, monkeypatch):
     overrides, scenario, expected = SHED_PATHS[path]
+    for name, value in SHED_CONSTANTS.get(path, {}).items():
+        monkeypatch.setattr(server, name, value)
 
     async def run():
         service = FleetService(ServiceConfig(seed=SEED, **overrides))

@@ -606,6 +606,30 @@ def test_checkpoint_device_counts_reach_stats_and_metrics(tmp_path):
         assert line in exposition.splitlines()
 
 
+def test_checkpoint_needs_a_running_service(tmp_path):
+    """Before ``start()`` and after ``stop()`` a checkpoint is refused
+    with the service's own error, and nothing is written."""
+
+    async def scenario():
+        fresh = FleetService(_config(tmp_path / "fresh"))
+        try:
+            with pytest.raises(ServiceStoppedError):
+                await fresh.checkpoint()
+        finally:
+            fresh.ledger.journal.close()
+        stopped = FleetService(_config(tmp_path / "stopped"))
+        await stopped.start()
+        await stopped.stop()
+        before = complete_checkpoints(stopped.config.journal_dir)
+        with pytest.raises(ServiceStoppedError):
+            await stopped.checkpoint()
+        return before, complete_checkpoints(stopped.config.journal_dir)
+
+    before, after = asyncio.run(scenario())
+    assert after == before
+    assert not complete_checkpoints(str(tmp_path / "fresh" / "jd"))
+
+
 def _checkpointed_life(config, n: int = 3) -> None:
     """Keyed send/receive pairs with a checkpoint after each send, then a
     crash: the last receive completes after the newest checkpoint."""

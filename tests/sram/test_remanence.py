@@ -64,23 +64,3 @@ def test_retention_probability_vectorized(model):
         assert p == pytest.approx(model.retention_probability(float(gap), t))
     with pytest.raises(ConfigurationError):
         model.retention_probability(np.array([0.1, -0.1]), t)
-
-
-def test_retained_masks_match_sequential_calls(model):
-    t = celsius_to_kelvin(25)
-    batched = model.retained_masks(256, 0.2, t, np.random.default_rng(11), 5)
-    rng = np.random.default_rng(11)
-    sequential = np.stack(
-        [model.retained_mask(256, 0.2, t, rng) for _ in range(5)]
-    )
-    assert batched.shape == (5, 256)
-    assert np.array_equal(batched, sequential)
-
-
-def test_retained_masks_extremes(model):
-    t = celsius_to_kelvin(25)
-    rng = np.random.default_rng(0)
-    assert model.retained_masks(16, 0.0, t, rng, 3).all()
-    assert not model.retained_masks(16, 1e6, t, rng, 3).any()
-    with pytest.raises(ConfigurationError):
-        model.retained_masks(16, 0.1, t, rng, 0)

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import contextlib
+import dataclasses
 import io
 import textwrap
 
@@ -57,3 +58,42 @@ def test_new_api_exported():
     assert callable(paper_end_to_end_scheme)
     assert hasattr(telemetry, "trace") and hasattr(telemetry, "add_sink")
     assert Captures is not None
+
+
+def test_configuration_surface_is_pinned():
+    """The settings a caller can pass.  A new option changes this test on
+    purpose; receiver policy (escalation, SLO limits, fsync batching)
+    lives in module constants."""
+    from repro.service import ServiceConfig
+
+    def names(cls) -> "list[str]":
+        return [f.name for f in dataclasses.fields(cls)]
+
+    assert names(repro.CodingScheme) == [
+        "key", "ecc", "frame", "n_captures", "decision",
+    ]
+    assert names(ServiceConfig) == [
+        "shards", "queue_depth", "max_batch", "device_name", "sram_kib",
+        "seed", "scheme", "fault_plan", "fault_shards", "host", "port",
+        "journal_dir", "checkpoint_every", "max_resident", "archive_dir",
+        "probe_interval_s", "readmit_after",
+    ]
+    assert repro.CodingScheme().describe() == {
+        "ecc": "identity",
+        "ecc_rate": 1.0,
+        "framed": True,
+        "n_captures": 5,
+        "capture_ceiling": 25,
+        "encrypted": False,
+        "decision": "hard",
+    }
+    paper = repro.paper_end_to_end_scheme(bytes(range(16)), copies=7)
+    assert paper.describe() == {
+        "ecc": "hamming(7,4)+repetition(x7,block)",
+        "ecc_rate": 0.081633,
+        "framed": True,
+        "n_captures": 5,
+        "capture_ceiling": 25,
+        "encrypted": True,
+        "decision": "hard",
+    }
