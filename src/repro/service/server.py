@@ -5,13 +5,13 @@ asyncio process that accepts typed :class:`~repro.api.SendRequest` /
 :class:`~repro.api.ReceiveRequest` jobs, routes each ``device_id`` to a
 sticky home lane (rendezvous hashing over the currently-healthy shards),
 queues it behind a bounded per-lane queue, and executes lane batches
-through the fleet capture kernel on the service's one lane thread.
+through the fleet capture kernel directly on the event loop.
 
-Lanes share that single thread: each keeps its own queue, fault
-injector and per-batch SLO verdict, but batches from different lanes
-take turns instead of running in one OS thread per lane.  The device
-work is GIL-bound numpy, so per-lane threads only traded the GIL back
-and forth (docs/service.md gives the measurement).
+Lanes are worker tasks, not threads: each keeps its own queue, fault
+injector and per-batch SLO verdict, and runs its batches inline, one
+batch per turn, yielding to the loop after each.  The device work is
+GIL-bound numpy, so threads bought no parallelism, only GIL hand-offs
+(docs/service.md gives the measurements).
 
 The control loop (docs/service.md):
 
@@ -36,14 +36,12 @@ registry), ``GET /healthz``, ``GET /stats``, ``POST /send``,
 from __future__ import annotations
 
 import asyncio
-import contextvars
-import functools
+import contextlib
 import json
 import logging
 import pathlib
 import signal
 import time
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 from .. import metrics, telemetry
@@ -115,6 +113,10 @@ MAX_REROUTES = 3
 #: The largest request body the HTTP frontend reads; a larger
 #: ``Content-Length`` is answered 413 without reading the body.
 MAX_BODY_BYTES = 1 << 20
+
+#: Seconds the HTTP frontend waits for a request's head and body; a
+#: client still sending past it is answered 408 and disconnected.
+REQUEST_READ_TIMEOUT_S = 10.0
 
 
 @dataclass(frozen=True)
@@ -236,9 +238,6 @@ class FleetService:
         self.queues: "dict[str, BoundedJobQueue]" = {}
         self._homes: "dict[str, str]" = {}
         self._workers: "list[asyncio.Task]" = []
-        #: The lane thread: every call that touches devices runs here,
-        #: one at a time, whichever lane issued it.
-        self._lane_thread: "ThreadPoolExecutor | None" = None
         self._prober_task: "asyncio.Task | None" = None
         self._bg_tasks: "set[asyncio.Task]" = set()
         self._http_server: "asyncio.AbstractServer | None" = None
@@ -264,9 +263,6 @@ class FleetService:
         metrics.registry.enable()
         self._pause = asyncio.Event()
         self._pause.set()
-        self._lane_thread = ThreadPoolExecutor(
-            max_workers=1, thread_name_prefix="repro-lane"
-        )
         self.queues = {
             name: BoundedJobQueue(self.config.queue_depth)
             for name in self.config.shard_names
@@ -320,15 +316,15 @@ class FleetService:
         """Crash simulation: stop dead, completing and flushing nothing.
 
         Queued jobs are dropped on the floor (their futures never
-        resolve — abandon the old submitters too); an in-flight batch's
+        resolve — abandon the old submitters too); a dequeued batch's
         futures fail with :class:`~repro.errors.ServiceStoppedError` as
         its worker is cancelled, with no journal completion written.
-        The lane thread finishes the call it is running (device work
-        cannot stop mid-call) and exits.  The journal's file handle
-        closes without a final fsync, no checkpoint is written.  What a
-        ``kill -9`` leaves behind, minus the process exit; the recovery
-        tests boot a fresh service on the same ``journal_dir``
-        afterwards.
+        Device calls run on the event loop, so none is running while
+        this runs: a batch is either done or never started.  The
+        journal's file handle closes without a final fsync, no
+        checkpoint is written.  What a ``kill -9`` leaves behind, minus
+        the process exit; the recovery tests boot a fresh service on the
+        same ``journal_dir`` afterwards.
         """
         if not self.started:
             return
@@ -337,14 +333,13 @@ class FleetService:
         await self._teardown(Journal.abandon, "service.aborted")
 
     async def _teardown(self, end_journal, event: str) -> None:
-        """What ``stop`` and ``abort`` share: cancel the workers, retire
-        the lane thread and the HTTP listener, end the journal with
-        ``end_journal``, restore the metrics registry."""
+        """What ``stop`` and ``abort`` share: cancel the workers, close
+        the HTTP listener, end the journal with ``end_journal``, restore
+        the metrics registry."""
         for worker in self._workers:
             worker.cancel()
         await asyncio.gather(*self._workers, return_exceptions=True)
         self._workers = []
-        await self._close_lane_thread()
         if self._http_server is not None:
             self._http_server.close()
             await self._http_server.wait_closed()
@@ -366,37 +361,6 @@ class FleetService:
         if tasks:
             await asyncio.gather(*tasks, return_exceptions=True)
         self._bg_tasks.clear()
-
-    def _on_lane_thread(self, fn, *args, **kwargs) -> "asyncio.Future":
-        """Run ``fn(*args, **kwargs)`` on the lane thread; await the result.
-
-        The call runs under a copy of the caller's context, as
-        ``asyncio.to_thread`` would, so trace context reaches lane spans.
-        """
-        if self._lane_thread is None:
-            raise ServiceStoppedError("the lane thread is not running")
-        ctx = contextvars.copy_context()
-        return asyncio.get_running_loop().run_in_executor(
-            self._lane_thread,
-            functools.partial(ctx.run, fn, *args, **kwargs),
-        )
-
-    async def _close_lane_thread(self) -> None:
-        """Let the lane thread finish its running call, then retire it.
-
-        Calls whose awaiting tasks were cancelled never start; the no-op
-        queues behind the one call that may still be running (a
-        cancelled batch keeps going in the thread), so the final join
-        returns at once instead of blocking the event loop.  The thread
-        is told to exit first, so a cancelled ``stop()`` cannot leak it.
-        """
-        lane, self._lane_thread = self._lane_thread, None
-        if lane is None:
-            return
-        idle = lane.submit(int)
-        lane.shutdown(wait=False)
-        await asyncio.wrap_future(idle)
-        lane.shutdown(wait=True)
 
     def _shed_queued(self) -> None:
         """Surface every still-queued job as an explicit shed.
@@ -425,11 +389,12 @@ class FleetService:
         the snapshot holds *exactly* the ledger's completed seqs; fsync
         the journal and mark the cut (:meth:`Journal.checkpoint`), so
         every completion the manifest names is on disk before the
-        manifest is; write every device + manifest; reopen the gate.
-        Then, on the lane thread with the gate open again, delete the
+        manifest is; write every device + manifest; delete the
         checkpoints the new one supersedes
-        (:func:`~repro.service.recovery.prune_checkpoints`).  Concurrent
-        calls coalesce (the second returns ``None``).
+        (:func:`~repro.service.recovery.prune_checkpoints`); reopen the
+        gate.  The snapshot and the prune run on the event loop, like
+        every device call.  Concurrent calls coalesce (the second
+        returns ``None``).
         """
         journal = self.ledger.journal
         if journal is None:
@@ -449,8 +414,7 @@ class FleetService:
             directory = checkpoints_root(self.config.journal_dir) / checkpoint_id
             completed = sorted(self.ledger.completed_seqs)
             journal.checkpoint(checkpoint_id)
-            await self._on_lane_thread(
-                self.host.snapshot,
+            self.host.snapshot(
                 directory,
                 extra={
                     "checkpoint": checkpoint_id,
@@ -461,11 +425,7 @@ class FleetService:
             self._since_checkpoint = 0
             _CHECKPOINTS_TOTAL.inc()
             telemetry.count("service.checkpoint")
-            # The prune deletes nothing a batch reads.
-            self._pause.set()
-            await self._on_lane_thread(
-                prune_checkpoints, self.config.journal_dir
-            )
+            prune_checkpoints(self.config.journal_dir)
             return {
                 "checkpoint": checkpoint_id,
                 "devices": self.host.n_devices,
@@ -539,9 +499,9 @@ class FleetService:
                 if loop.time() < next_due.get(name, 0.0):
                     continue
                 self.probes += 1
-                probe_ber = await self._on_lane_thread(
-                    self._probe_lane, name, self.probes
-                )
+                probe_ber = self._probe_lane(name, self.probes)
+                # One device call per turn, as for lane batches.
+                await asyncio.sleep(0)
                 clean = probe_ber <= RAW_BER_LIMIT
                 _PROBES_TOTAL.inc(
                     shard=name, outcome="clean" if clean else "dirty"
@@ -683,18 +643,23 @@ class FleetService:
             try:
                 await self._run_batch(name, queue, shard, batch)
             except asyncio.CancelledError:
-                # A no-drain stop (or abort) cancels workers mid-batch.
-                # These jobs were already dequeued, so ``_shed_queued``
-                # cannot see them — fail their unresolved futures here
-                # so concurrent submitters never hang.  No journal
-                # completion is written: the batch may have half-run in
-                # its thread, so the truthful durable record is the
-                # dangling admit, which recovery re-executes.
+                # A no-drain stop (or abort) cancels a worker whose batch
+                # is dequeued but held at the checkpoint gate.
+                # ``_shed_queued`` cannot see these jobs — fail their
+                # futures here so concurrent submitters never hang.  No
+                # journal completion is written: the truthful durable
+                # record is the dangling admit, which recovery
+                # re-executes.
                 self._fail_cancelled(batch)
                 raise
             finally:
                 for _ in batch:
                     queue.task_done()
+            # A non-empty queue's get does not yield, so without this a
+            # lane would run its whole queue back to back: yield after
+            # every batch, so lanes alternate and the loop reads
+            # connections between batches.
+            await asyncio.sleep(0)
 
     async def _run_batch(self, name, queue, shard, batch) -> None:
         # Checkpoint quiesce gate: no new batch starts while a
@@ -717,15 +682,7 @@ class FleetService:
             if not self.admission.is_healthy(name):
                 await self._reroute(batch, source=name)
                 return
-            handed_off = time.perf_counter()
-            started, (outcomes, reason) = await self._on_lane_thread(
-                _execute_timed, shard, batch
-            )
-            # Lanes take turns on the lane thread: the time this batch
-            # waited for another lane's call to finish.
-            for job in batch:
-                if job.phases is not None:
-                    job.phases["dispatch"] = started - handed_off
+            outcomes, reason = shard.execute_batch(batch)
             if reason is not None:
                 if self.admission.trip(name, reason):
                     telemetry.count("service.shard_tripped")
@@ -760,8 +717,9 @@ class FleetService:
             self._executing -= 1
 
     def _fail_cancelled(self, batch: "list[Job]") -> None:
-        """Resolve a cancelled in-flight batch's futures so submitters
-        don't wait forever on a stop that skipped the drain."""
+        """Resolve the futures of a dequeued batch that never ran (its
+        worker was cancelled at the checkpoint gate), so submitters don't
+        wait forever on a stop that skipped the drain."""
         for job in batch:
             self.ledger.release(job)
             if not job.future.done():
@@ -912,26 +870,41 @@ class FleetService:
     # -- HTTP frontend ------------------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
+        # One deadline for the head and body: a stalled read fails with
+        # ``TimeoutError`` instead of holding the handler.  A timer, not
+        # ``wait_for``, which costs a task per request before 3.12.
+        deadline = asyncio.get_running_loop().call_later(
+            REQUEST_READ_TIMEOUT_S, reader.set_exception, asyncio.TimeoutError()
+        )
         try:
             try:
                 head = await _read_head(reader)
+                if head is None:
+                    return
+                method, path, content_length, traceparent = head
+                if content_length > MAX_BODY_BYTES:
+                    error = f"body over {MAX_BODY_BYTES} bytes"
+                    await _respond(writer, 413, {"error": error})
+                    return
+                body = (
+                    await reader.readexactly(content_length)
+                    if content_length
+                    else b""
+                )
             except ValueError as exc:
                 await _respond(
                     writer, 400, {"error": f"malformed request: {exc}"}
                 )
                 return
-            if head is None:
+            except asyncio.TimeoutError:
+                error = f"request not read within {REQUEST_READ_TIMEOUT_S:g} s"
+                # ``drain`` re-raises the reader's timeout once the
+                # answer is written; closing the writer flushes it.
+                with contextlib.suppress(asyncio.TimeoutError):
+                    await _respond(writer, 408, {"error": error})
                 return
-            method, path, content_length, traceparent = head
-            if content_length > MAX_BODY_BYTES:
-                error = f"body over {MAX_BODY_BYTES} bytes"
-                await _respond(writer, 413, {"error": error})
-                return
-            body = (
-                await reader.readexactly(content_length)
-                if content_length
-                else b""
-            )
+            finally:
+                deadline.cancel()
             await self._dispatch(writer, method, path, body, traceparent)
         except (asyncio.IncompleteReadError, ConnectionError):
             pass
@@ -1031,11 +1004,6 @@ class FleetService:
     _shutdown_event: "asyncio.Event | None" = None
 
 
-def _execute_timed(shard: Shard, batch: "list[Job]"):
-    """Run a batch on the lane thread; also return when it started."""
-    return time.perf_counter(), shard.execute_batch(batch)
-
-
 async def _read_head(reader) -> "tuple[str, str, int, str | None] | None":
     """Parse a request head into ``(method, path, content_length,
     traceparent)``; ``None`` when the peer closed before sending one.
@@ -1084,8 +1052,9 @@ async def _respond_text(writer, status: int, text: str) -> None:
 
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
-            413: "Content Too Large", 429: "Too Many Requests",
-            500: "Internal Server Error", 503: "Service Unavailable"}
+            408: "Request Timeout", 413: "Content Too Large",
+            429: "Too Many Requests", 500: "Internal Server Error",
+            503: "Service Unavailable"}
 
 
 async def _respond_raw(writer, status: int, body: bytes, ctype: str) -> None:

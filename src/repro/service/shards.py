@@ -5,7 +5,7 @@ the shared :class:`FleetHost`, keyed by ``device_id`` and seeded purely
 by ``stable_seed(service_seed, device_id)``.  A shard is a harness lane:
 one queue, one fault domain, judged batch by batch on each batch's own
 raw BER and retry count.  Lanes are not threads: every lane's batches
-run on the service's single lane thread, one at a time.  Because device
+run on the service's event loop, one at a time.  Because device
 simulation never depends on which lane (or thread) touched it (and the
 fleet capture kernel preserves per-device RNG streams for any batch
 composition), rerouting a device's jobs from a tripped lane to a healthy
@@ -309,8 +309,7 @@ class FleetHost:
     on first use, and remembers the last staged payload bits per device
     (in RAM while it is resident, in its device file while it is cold)
     so receives can feed truth-referenced raw BER into the shard SLOs.
-    Thread-safe: the service's lane thread mutates it while the event
-    loop reads its stats.
+    Thread-safe, though the service touches it only from its event loop.
     """
 
     def __init__(
@@ -521,7 +520,7 @@ class FleetHost:
         older ones can be deleted.  Files are written under a temp name
         and ``os.replace``d into place, so re-cutting a checkpoint id
         never changes bytes another checkpoint links to.  The caller
-        quiesces the fleet first (the service's lane thread).
+        quiesces the fleet first (the service's checkpoint gate).
         """
         directory = pathlib.Path(directory)
         directory.mkdir(parents=True, exist_ok=True)
@@ -684,8 +683,8 @@ class Shard:
     """One compute lane: executes job batches and judges each one.
 
     ``execute_batch`` is synchronous numpy-heavy work — the service runs
-    every lane's batches on its one lane thread, so no two batches (of
-    this lane or any other) ever execute concurrently.  A batch that
+    every lane's batches on its event loop, so no two batches (of this
+    lane or any other) ever execute concurrently.  A batch that
     violates an SLO trips the lane in the admission controller; the
     registry keeps just the last batch's max raw BER and the running
     retry total.
@@ -721,12 +720,12 @@ class Shard:
         self.jobs_done = 0
         self.batches = 0
 
-    # -- execution (lane thread) -------------------------------------------------
+    # -- execution (on the event loop) --------------------------------------------
 
     def execute_batch(self, jobs: "list[Job]"):
         """Run a batch; returns ``([(job, result-or-exception)], reason)``.
 
-        Runs on the service's lane thread.  Sends run per-device (they
+        Runs on the service's event loop.  Sends run per-device (they
         create/age devices); receives are grouped into unique-device
         runs and measured through the fleet capture kernel in one
         stacked pass each.  Per-job :class:`~repro.errors.ReproError`

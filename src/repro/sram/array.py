@@ -740,7 +740,7 @@ class SRAMArray:
         sigma = self._effective_noise_sigma()
         cache = self._capture_cache
         if not self._capture_cache_valid(cache, sigma):
-            cache = self._refresh_capture_cache(sigma)
+            cache = self._refresh_capture_cache(sigma, lean=True)
         state = cache["decision_base"].copy()
         band = cache["band"]
         if band.size:
@@ -754,7 +754,7 @@ class SRAMArray:
         stats["captures"] += n_captures
         stats["band_cells"] += n_captures * int(band_size)
 
-    def _refresh_capture_cache(self, sigma: float) -> dict:
+    def _refresh_capture_cache(self, sigma: float, lean: bool = False) -> dict:
         """Rebuild the sampling cache at the current (flushed) aging state.
 
         The power-law magnitude ``k * t^n`` is evaluated once per inverter
@@ -764,18 +764,22 @@ class SRAMArray:
         collapse the recovered fraction to one scalar (the per-element
         double operations are unchanged).  A never-stressed bank skips the
         power law and the recovery altogether: its offsets are the
-        mismatch.  tests/sram/test_fleet_capture.py pins every cached
-        double against ``NBTIModel.dvth``.
+        mismatch.  With ``lean`` it also skips the relax clocks there,
+        which :meth:`_sample_power_on` does not read (a fresh send's
+        staging power-on, whose cache the stress that follows discards);
+        :meth:`plan_fleet_capture` adds them before a burst reads them.
+        tests/sram/test_fleet_capture.py pins every cached double against
+        ``NBTIModel.dvth``.
         """
         st1, st0 = self.age_when_1, self.age_when_0
         st1.flush_relax()
         st0.flush_relax()
         nbti = self._nbti
-        if self._never_stressed():
+        pristine = self._never_stressed()
+        if pristine:
             # Both power laws are exactly 0.0, so the offsets are the
             # mismatch (``m + 0.0 - 0.0`` differs only in the sign of a
             # zero, which neither ``> 0`` nor ``abs`` can see).
-            full1 = full0 = np.zeros_like(self.mismatch)
             offs = self.mismatch
         else:
             full1 = _locked_shift(nbti, st1.stress_seconds)
@@ -786,23 +790,44 @@ class SRAMArray:
                 - full1 * (1.0 - _recovered_fraction(nbti, st1.relax_seconds))
             )
         band = np.flatnonzero(np.abs(offs) < self.NOISE_TAIL_SIGMA * sigma)
-        self._capture_cache = {
+        cache = {
             "aging_epoch": self._aging_epoch,
             "flushes": (st1.flushes, st0.flushes),
             "sigma_ref": sigma,
             "decision_base": (offs > 0.0).astype(np.uint8),
             "band": band,
             "mismatch_b": self.mismatch[band],
-            "full1_b": full1[band],
-            "full0_b": full0[band],
-            "r1_b": st1.relax_seconds[band],
-            "r0_b": st0.relax_seconds[band],
-            "r1_min": float(st1.relax_seconds.min()) if self.n_bits else 0.0,
-            "r0_min": float(st0.relax_seconds.min()) if self.n_bits else 0.0,
-            "full_max": float(full1.max()) + float(full0.max()),
+            "full_max": 0.0,
         }
+        if not pristine:
+            cache.update(
+                full1_b=full1[band],
+                full0_b=full0[band],
+                full_max=float(full1.max()) + float(full0.max()),
+            )
+        if not (pristine and lean):
+            self._complete_capture_cache(cache)
+        self._capture_cache = cache
         self.capture_stats["cache_refreshes"] += 1
-        return self._capture_cache
+        return cache
+
+    def _complete_capture_cache(self, cache: dict) -> None:
+        """Add what the burst kernel and the drift bound read beyond the
+        band decisions: the band's relax clocks, both clocks' minima and,
+        for a never-stressed bank, its zero power laws.  The clocks are
+        still the ones the refresh flushed, since any later flush
+        invalidates the cache."""
+        st1, st0 = self.age_when_1, self.age_when_0
+        band = cache["band"]
+        if "full1_b" not in cache:
+            cache["full1_b"] = np.zeros(band.size, dtype=self.mismatch.dtype)
+            cache["full0_b"] = np.zeros(band.size, dtype=self.mismatch.dtype)
+        cache.update(
+            r1_b=st1.relax_seconds[band],
+            r0_b=st0.relax_seconds[band],
+            r1_min=float(st1.relax_seconds.min()) if self.n_bits else 0.0,
+            r0_min=float(st0.relax_seconds.min()) if self.n_bits else 0.0,
+        )
 
     # -- the stacked capture kernel (single array and repro.core.fleetcapture) --
 
@@ -840,6 +865,8 @@ class SRAMArray:
         cache = self._capture_cache
         if not self._capture_cache_valid(cache, sigma):
             cache = self._refresh_capture_cache(sigma)
+        elif "r1_b" not in cache:  # a lean staging cache
+            self._complete_capture_cache(cache)
         if not self._capture_cache_valid(
             cache, sigma, extra_relax=(n_captures - 1) * off
         ):

@@ -6,9 +6,8 @@ end to end.  The context is a :class:`contextvars.ContextVar`, so it
 
 - is private per asyncio task (concurrent workers sharing one event-loop
   thread no longer see each other's spans);
-- flows into the fleet service's lane thread automatically (every call
-  handed to it runs under ``contextvars.copy_context()``, as
-  ``asyncio.to_thread`` does);
+- follows a fleet-service job into its lane: the lane, a task on the
+  same loop, enters each job's context around that job's work;
 - does **not** leak into plain ``threading.Thread`` workers — they
   trace independently, exactly as the old thread-local stack behaved.
 

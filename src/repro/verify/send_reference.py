@@ -75,8 +75,11 @@ def reference_hold(array, seconds: float) -> None:
     array._bump_aging_epoch()
 
 
-def reference_refresh_capture_cache(array, sigma: float) -> dict:
-    """The capture-cache refresh without the never-stressed shortcut."""
+def reference_refresh_capture_cache(
+    array, sigma: float, lean: bool = False
+) -> dict:
+    """The capture-cache refresh without the never-stressed shortcut; it
+    builds every array whether or not ``lean`` asks for less."""
     st1, st0 = array.age_when_1, array.age_when_0
     st1.flush_relax()
     st0.flush_relax()

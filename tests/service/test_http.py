@@ -142,6 +142,28 @@ def test_malformed_head_is_answered(live_service, head, status):
     assert live_service.healthz()["status"] == "ok"
 
 
+def test_a_stalled_request_is_answered_408(live_service, monkeypatch, caplog):
+    """A client that promises 100 body bytes and sends 3 is answered 408
+    once the read deadline passes, the handler ends cleanly, and the
+    service keeps serving."""
+    import time
+
+    from repro.service import server
+
+    monkeypatch.setattr(server, "REQUEST_READ_TIMEOUT_S", 0.2)
+    address = (live_service.host, live_service.port)
+    started = time.monotonic()
+    with socket.create_connection(address, timeout=2) as sock:
+        sock.sendall(b"POST /send HTTP/1.1\r\nContent-Length: 100\r\n\r\nabc")
+        response = b""
+        while chunk := sock.recv(65536):
+            response += chunk
+    assert time.monotonic() - started < 2
+    assert response.startswith(b"HTTP/1.1 408 "), response
+    assert live_service.healthz()["status"] == "ok"
+    assert "Unhandled exception" not in caplog.text
+
+
 def test_shutdown_drains(live_service):
     # Ordered last by name? No — pytest runs in definition order; this
     # is the final test in the module, so the fixture teardown only has

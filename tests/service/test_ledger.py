@@ -9,7 +9,6 @@ count it.
 from __future__ import annotations
 
 import asyncio
-import threading
 
 import pytest
 
@@ -132,29 +131,23 @@ async def _reroute_with_lane_tripped(service):
 
 
 async def _reroute_to_saturated_queue(service):
-    # Hold the lane thread so shard-1's worker sits on its first job
-    # while a second fills shard-1's one-deep queue.
-    gate = threading.Event()
-    blocker = service._on_lane_thread(gate.wait)
-    tasks = [
-        asyncio.create_task(
-            service.submit(_send(_device_homed_at(service, "shard-1", i)))
-        )
-        for i in (0, 100)
-    ]
-    await _settle()
+    # Hold every lane at the checkpoint gate: shard-1's worker sits on
+    # its first job while a second fills shard-1's one-deep queue, and
+    # shard-0's worker sits on a job whose lane then trips.  Lanes yield
+    # after each batch, so shard-1's queue is still full when shard-0's
+    # worker reroutes, whichever of the two runs first.
     service._pause.clear()
-    tasks.append(
-        asyncio.create_task(
-            service.submit(_send(_device_homed_at(service, "shard-0")))
-        )
-    )
-    await _settle()
+    device_ids = [
+        _device_homed_at(service, "shard-1", 0),
+        _device_homed_at(service, "shard-1", 100),
+        _device_homed_at(service, "shard-0"),
+    ]
+    tasks = []
+    for device_id in device_ids:
+        tasks.append(asyncio.create_task(service.submit(_send(device_id))))
+        await _settle()
     service.admission.trip("shard-0", "test")
     service._pause.set()
-    await _settle()
-    gate.set()
-    await blocker
     return await asyncio.gather(*tasks, return_exceptions=True)
 
 

@@ -172,10 +172,11 @@ def test_stats_shape():
 
 
 @pytest.mark.parametrize("ending", ["stop", "abort"])
-def test_every_lane_runs_on_the_one_lane_thread(monkeypatch, ending):
-    """Two lanes, 64 requests in flight: every batch runs on one thread,
-    no two batches overlap, lane work sees its own job's trace, and the
-    lane thread exits when the service stops or aborts."""
+def test_every_lane_runs_on_the_event_loop(monkeypatch, ending):
+    """Two lanes, 64 requests in flight: every batch runs on the thread
+    that runs the loop, no lane thread exists, no two batches overlap,
+    lane work sees its own job's trace and leaves none behind in its
+    worker, and ``/stats`` reports no ``dispatch`` phase."""
     import threading
     import time
 
@@ -184,12 +185,16 @@ def test_every_lane_runs_on_the_one_lane_thread(monkeypatch, ending):
     from repro.telemetry import context as trace_ctx
 
     batches = []  # (thread, start, end)
+    ambient = []  # trace id current in the worker as each batch starts
+    thread_names = set()
     lane_calls = []  # (channel, trace id current inside the lane call)
     execute_batch = Shard.execute_batch
     send = InvisibleBits.send
     decode_state = InvisibleBits.decode_state
 
     def recording_execute_batch(self, jobs):
+        ambient.append(trace_ctx.current_trace_id())
+        thread_names.update(t.name for t in threading.enumerate())
         start = time.perf_counter()
         try:
             return execute_batch(self, jobs)
@@ -226,6 +231,7 @@ def test_every_lane_runs_on_the_one_lane_thread(monkeypatch, ending):
         assert got.message == message
 
     async def scenario():
+        loop_thread = threading.current_thread()
         await service.start()
         tasks = [asyncio.create_task(round_trip(d)) for d in traces]
         if ending == "stop":
@@ -233,7 +239,7 @@ def test_every_lane_runs_on_the_one_lane_thread(monkeypatch, ending):
             stats = service.stats()
             channels = dict(service.host._channels)
             await service.stop()
-            return stats, channels
+            return loop_thread, stats, channels
         # Abort mid-soak, with batches still queued and in flight.
         for _ in range(6000):
             if len(batches) >= 4:
@@ -244,16 +250,17 @@ def test_every_lane_runs_on_the_one_lane_thread(monkeypatch, ending):
         for task in tasks:
             task.cancel()
         await asyncio.gather(*tasks, return_exceptions=True)
-        return None, dict(service.host._channels)
+        return loop_thread, None, dict(service.host._channels)
 
     service = FleetService(ServiceConfig(shards=2, queue_depth=n))
-    stats, channels = run(scenario())
+    loop_thread, stats, channels = run(scenario())
 
-    threads = {thread for thread, _, _ in batches}
-    assert len(threads) == 1, "lanes ran on more than one thread"
+    assert {thread for thread, _, _ in batches} == {loop_thread}
+    assert not [name for name in thread_names if "repro-lane" in name]
     spans = sorted((start, end) for _, start, end in batches)
     for (_, end), (start, _) in zip(spans, spans[1:]):
         assert end <= start, "two batches overlapped"
+    assert set(ambient) == {None}, "lane work leaked a trace into its worker"
     device_of = {id(channel): device for device, channel in channels.items()}
     assert lane_calls
     for channel, trace_id in lane_calls:
@@ -262,10 +269,55 @@ def test_every_lane_runs_on_the_one_lane_thread(monkeypatch, ending):
         assert stats["completed"] == 2 * n
         busy = {name for name, q in stats["queues"].items() if q["enqueued"]}
         assert busy == {"shard-0", "shard-1"}
-        assert "dispatch" in stats["latency"]["phases"]
-    (lane_thread,) = threads
-    lane_thread.join(timeout=10)
-    assert not lane_thread.is_alive()
+        phases = stats["latency"]["phases"]
+        assert {"queue_wait", "encode", "capture", "decode"} <= set(phases)
+        assert "dispatch" not in phases
+
+
+def test_lanes_take_turns_batch_by_batch(monkeypatch):
+    """Two lanes with three queued batches each: execution alternates
+    between the lanes instead of one lane running its queue dry."""
+    from repro.service.shards import Shard
+
+    order = []
+    execute_batch = Shard.execute_batch
+
+    def recording_execute_batch(self, jobs):
+        order.append(self.name)
+        return execute_batch(self, jobs)
+
+    monkeypatch.setattr(Shard, "execute_batch", recording_execute_batch)
+
+    def homed_at(service, shard, count):
+        devices = (f"dev-{i}" for i in range(10_000))
+        healthy = service.admission.healthy
+        return [
+            d for d in devices if service.router.route(d, healthy) == shard
+        ][:count]
+
+    async def scenario():
+        service = FleetService(ServiceConfig(shards=2, max_batch=1))
+        await service.start()
+        # Hold both lanes at the checkpoint gate until every batch is
+        # queued: each worker holds one job, its queue the other two.
+        service._pause.clear()
+        tasks = [
+            asyncio.create_task(
+                service.submit(SendRequest(device_id=d, message=b"turn"))
+            )
+            for shard in ("shard-0", "shard-1")
+            for d in homed_at(service, shard, 3)
+        ]
+        await asyncio.sleep(0.05)
+        assert all(q.qsize() == 2 for q in service.queues.values())
+        service._pause.set()
+        await asyncio.gather(*tasks)
+        await service.stop()
+
+    run(scenario())
+    assert sorted(order) == ["shard-0"] * 3 + ["shard-1"] * 3
+    for previous, current in zip(order, order[1:]):
+        assert previous != current, order
 
 
 def test_client_rejects_bad_url():

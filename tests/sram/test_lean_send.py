@@ -136,7 +136,9 @@ def test_never_stressed_decisions_equal_the_full_expression():
 def test_never_stressed_bursts_equal_the_reference_loop():
     lean, reference = _array(7), _array(7)
     reference._refresh_capture_cache = (
-        lambda sigma: reference_refresh_capture_cache(reference, sigma)
+        lambda sigma, lean=False: reference_refresh_capture_cache(
+            reference, sigma
+        )
     )
     reference._band_decisions = (
         lambda cache, sigma, noise: reference_band_decisions(
@@ -146,5 +148,39 @@ def test_never_stressed_bursts_equal_the_reference_loop():
     stacked = lean.capture_power_on_states(5)
     loop = np.stack([reference.power_cycle() for _ in range(5)])
     assert np.array_equal(stacked, loop)
+    assert lean.capture_stats == reference.capture_stats
+    assert lean._rng.bit_generator.state == reference._rng.bit_generator.state
+
+
+def test_staging_power_on_skips_the_relax_clocks_until_a_burst_reads_them():
+    """A never-stressed bank's single power-on caches only what it reads;
+    a burst planned on that cache adds the rest, equal to the full
+    refresh's arrays, and samples the same bits."""
+    lean, reference = _array(8), _array(8)
+    reference._refresh_capture_cache = (
+        lambda sigma, lean=False: reference_refresh_capture_cache(
+            reference, sigma
+        )
+    )
+    assert np.array_equal(
+        lean.power_cycle(off_seconds=3600.0),
+        reference.power_cycle(off_seconds=3600.0),
+    )
+    assert "r1_b" not in lean._capture_cache
+    refreshed = set(reference._capture_cache)
+    assert np.array_equal(
+        lean.capture_power_on_states(5), reference.capture_power_on_states(5)
+    )
+    # The burst also memoises relax tables in the cache; compare what the
+    # refresh itself builds.
+    fast, full = lean._capture_cache, reference._capture_cache
+    assert refreshed <= set(fast)
+    for key in refreshed:
+        value = full[key]
+        if isinstance(value, np.ndarray):
+            assert fast[key].dtype == value.dtype, key
+            assert np.array_equal(fast[key], value), key
+        else:
+            assert fast[key] == value, key
     assert lean.capture_stats == reference.capture_stats
     assert lean._rng.bit_generator.state == reference._rng.bit_generator.state
