@@ -330,6 +330,55 @@ class LoadReport:
         }
 
 
+class _Tally:
+    """The outcome count both soaks share.
+
+    Each message ends completed (and perhaps mismatched), shed or
+    failed; the first ten error lines are kept.  A
+    :class:`~repro.errors.ServiceUnavailableError` (the HTTP soak out of
+    restart budget) is noted but left uncounted, so it surfaces as
+    ``lost``, which is what the zero-lost gate should trip on.  Locked,
+    for the threaded HTTP soak.
+    """
+
+    def __init__(self, messages: int):
+        self.messages = messages
+        self.counts = dict.fromkeys(
+            ("completed", "failed", "shed", "mismatched"), 0
+        )
+        self.errors: "list[str]" = []
+        self._lock = threading.Lock()
+
+    def record(self, device_id: str, message: bytes, outcome) -> None:
+        """Count one message: its receive result, or the error that
+        ended it."""
+        error = None
+        with self._lock:
+            if isinstance(outcome, ServiceUnavailableError):
+                error = f"unreachable: {outcome}"
+            elif isinstance(outcome, AdmissionError):
+                self.counts["shed"] += 1
+                error = f"shed: {outcome}"
+            elif isinstance(outcome, ReproError):
+                self.counts["failed"] += 1
+                error = f"{type(outcome).__name__}: {outcome}"
+            else:
+                self.counts["completed"] += 1
+                if outcome.message != message:
+                    self.counts["mismatched"] += 1
+                    error = "payload mismatch"
+            if error is not None and len(self.errors) < 10:
+                self.errors.append(f"{device_id}: {error}")
+
+    def report(self, elapsed_s: float) -> LoadReport:
+        return LoadReport(
+            messages=self.messages,
+            elapsed_s=elapsed_s,
+            errors=tuple(self.errors),
+            **self.counts,
+        )
+
+
 def _payload_for(seed: int, index: int, message_bytes: int) -> bytes:
     """Deterministic per-message payload: reproducible and self-checking."""
     out = b""
@@ -415,12 +464,9 @@ class LoadGenerator:
                 f"concurrency must be >= 1, got {concurrency}"
             )
         gate = asyncio.Semaphore(concurrency)
-        completed = failed = shed = mismatched = 0
-        errors: "list[str]" = []
-        lock = asyncio.Lock()
+        tally = _Tally(n_messages)
 
         async def one(index: int) -> None:
-            nonlocal completed, failed, shed, mismatched
             device_id = self.device_id(index)
             message = self.message(index)
             send_request, receive_request = self._requests(index)
@@ -432,40 +478,16 @@ class LoadGenerator:
                 ):
                     try:
                         await service.submit(send_request, wait=wait)
-                        result = await service.submit(receive_request, wait=wait)
-                    except AdmissionError as exc:
-                        async with lock:
-                            shed += 1
-                            if len(errors) < 10:
-                                errors.append(f"{device_id}: shed: {exc}")
-                        return
+                        outcome = await service.submit(
+                            receive_request, wait=wait
+                        )
                     except ReproError as exc:
-                        async with lock:
-                            failed += 1
-                            if len(errors) < 10:
-                                errors.append(
-                                    f"{device_id}: {type(exc).__name__}: {exc}"
-                                )
-                        return
-                    async with lock:
-                        completed += 1
-                        if result.message != message:
-                            mismatched += 1
-                            if len(errors) < 10:
-                                errors.append(f"{device_id}: payload mismatch")
+                        outcome = exc
+                    tally.record(device_id, message, outcome)
 
         start = time.perf_counter()
         await asyncio.gather(*(one(i) for i in range(n_messages)))
-        elapsed = time.perf_counter() - start
-        return LoadReport(
-            messages=n_messages,
-            completed=completed,
-            failed=failed,
-            shed=shed,
-            mismatched=mismatched,
-            elapsed_s=elapsed,
-            errors=tuple(errors),
-        )
+        return tally.report(time.perf_counter() - start)
 
     def run_remote(
         self,
@@ -499,9 +521,7 @@ class LoadGenerator:
                 "restart_retries needs idempotency=True — re-issuing "
                 "unkeyed jobs across a restart can execute them twice"
             )
-        counters = {"completed": 0, "failed": 0, "shed": 0, "mismatched": 0}
-        errors: "list[str]" = []
-        lock = threading.Lock()
+        tally = _Tally(n_messages)
 
         def call_through_restarts(fn):
             for attempt in range(restart_retries + 1):
@@ -526,48 +546,14 @@ class LoadGenerator:
             ):
                 try:
                     call_through_restarts(lambda: client.send(send_request))
-                    result = call_through_restarts(
+                    outcome = call_through_restarts(
                         lambda: client.receive(receive_request)
                     )
-                except ServiceUnavailableError as exc:
-                    # Out of restart budget: leave the op uncounted — it
-                    # surfaces as ``lost`` in the report, which is exactly
-                    # what the zero-lost CI gate should trip on.
-                    with lock:
-                        if len(errors) < 10:
-                            errors.append(f"{device_id}: unreachable: {exc}")
-                    return
-                except AdmissionError as exc:
-                    with lock:
-                        counters["shed"] += 1
-                        if len(errors) < 10:
-                            errors.append(f"{device_id}: shed: {exc}")
-                    return
                 except ReproError as exc:
-                    with lock:
-                        counters["failed"] += 1
-                        if len(errors) < 10:
-                            errors.append(
-                                f"{device_id}: {type(exc).__name__}: {exc}"
-                            )
-                    return
-                with lock:
-                    counters["completed"] += 1
-                    if result.message != message:
-                        counters["mismatched"] += 1
-                        if len(errors) < 10:
-                            errors.append(f"{device_id}: payload mismatch")
+                    outcome = exc
+                tally.record(device_id, message, outcome)
 
         start = time.perf_counter()
         with ThreadPoolExecutor(max_workers=concurrency) as pool:
             list(pool.map(one, range(n_messages)))
-        elapsed = time.perf_counter() - start
-        return LoadReport(
-            messages=n_messages,
-            completed=counters["completed"],
-            failed=counters["failed"],
-            shed=counters["shed"],
-            mismatched=counters["mismatched"],
-            elapsed_s=elapsed,
-            errors=tuple(errors),
-        )
+        return tally.report(time.perf_counter() - start)

@@ -6,7 +6,7 @@ Restart protocol (docs/service.md "Durability & recovery"):
    ``<journal_dir>/checkpoints/`` into a fresh :class:`FleetHost` — the
    manifest's ``completed_seqs`` lists exactly the journal sequence
    numbers whose silicon effects the snapshot contains (the service
-   quiesces its workers before snapshotting, so the frontier is exact).
+   cuts checkpoints only between lane batches, so the frontier is exact).
 2. **Replay** the journal into a :class:`~repro.service.ledger.Ledger`
    in sequence order.  Ops completed before the checkpoint only refill
    its idempotency cache and frontier; ops completed *after*

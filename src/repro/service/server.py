@@ -239,7 +239,6 @@ class FleetService:
         self._homes: "dict[str, str]" = {}
         self._workers: "list[asyncio.Task]" = []
         self._prober_task: "asyncio.Task | None" = None
-        self._bg_tasks: "set[asyncio.Task]" = set()
         self._http_server: "asyncio.AbstractServer | None" = None
         self.accepting = False
         self.started = False
@@ -250,9 +249,6 @@ class FleetService:
         self.checkpoints = 0
         self.probes = 0
         self._since_checkpoint = 0
-        self._executing = 0
-        self._checkpointing = False
-        self._pause: "asyncio.Event | None" = None
 
     # -- lifecycle ----------------------------------------------------------------
 
@@ -261,8 +257,6 @@ class FleetService:
             return self
         self._metrics_was_enabled = metrics.registry.enabled
         metrics.registry.enable()
-        self._pause = asyncio.Event()
-        self._pause.set()
         self.queues = {
             name: BoundedJobQueue(self.config.queue_depth)
             for name in self.config.shard_names
@@ -316,11 +310,9 @@ class FleetService:
         """Crash simulation: stop dead, completing and flushing nothing.
 
         Queued jobs are dropped on the floor (their futures never
-        resolve — abandon the old submitters too); a dequeued batch's
-        futures fail with :class:`~repro.errors.ServiceStoppedError` as
-        its worker is cancelled, with no journal completion written.
-        Device calls run on the event loop, so none is running while
-        this runs: a batch is either done or never started.  The
+        resolve — abandon the old submitters too).  A worker is
+        cancelled only while it waits for its next batch, so a batch is
+        either done or never dequeued.  The
         journal's file handle closes without a final fsync, no
         checkpoint is written.  What a ``kill -9`` leaves behind, minus
         the process exit; the recovery tests boot a fresh service on the
@@ -352,15 +344,10 @@ class FleetService:
         telemetry.count(event)
 
     async def _stop_background(self) -> None:
-        tasks = list(self._bg_tasks)
         if self._prober_task is not None:
-            tasks.append(self._prober_task)
+            self._prober_task.cancel()
+            await asyncio.gather(self._prober_task, return_exceptions=True)
             self._prober_task = None
-        for task in tasks:
-            task.cancel()
-        if tasks:
-            await asyncio.gather(*tasks, return_exceptions=True)
-        self._bg_tasks.clear()
 
     def _shed_queued(self) -> None:
         """Surface every still-queued job as an explicit shed.
@@ -381,21 +368,23 @@ class FleetService:
 
     # -- durability ---------------------------------------------------------------
 
-    async def checkpoint(self) -> "dict | None":
+    async def checkpoint(self) -> dict:
         """Cut a consistent fleet checkpoint; returns a small summary.
 
-        Quiesce protocol: clear the worker gate, wait until no batch is
-        executing (completions included — ``_executing`` spans them), so
-        the snapshot holds *exactly* the ledger's completed seqs; fsync
-        the journal and mark the cut (:meth:`Journal.checkpoint`), so
-        every completion the manifest names is on disk before the
+        Fsync the journal and mark the cut (:meth:`Journal.checkpoint`),
+        so every completion the manifest names is on disk before the
         manifest is; write every device + manifest; delete the
         checkpoints the new one supersedes
-        (:func:`~repro.service.recovery.prune_checkpoints`); reopen the
-        gate.  The snapshot and the prune run on the event loop, like
-        every device call.  Concurrent calls coalesce (the second
-        returns ``None``).
+        (:func:`~repro.service.recovery.prune_checkpoints`).  Neither
+        this nor a lane batch has an await point, so a checkpoint only
+        ever sees whole batches and the snapshot holds *exactly* the
+        ledger's completed seqs.  Workers cut the automatic ones
+        themselves, between batches.
         """
+        return self._cut_checkpoint()
+
+    def _cut_checkpoint(self) -> dict:
+        """:meth:`checkpoint`, callable from a worker between batches."""
         journal = self.ledger.journal
         if journal is None:
             raise ConfigurationError(
@@ -403,37 +392,41 @@ class FleetService:
             )
         if not self.started:
             raise ServiceStoppedError("checkpoint() needs a started service")
-        if self._checkpointing:
-            return None
-        self._checkpointing = True
-        self._pause.clear()
-        try:
-            while self._executing:
-                await asyncio.sleep(0.005)
-            checkpoint_id = f"ckpt-{journal.next_seq:08d}"
-            directory = checkpoints_root(self.config.journal_dir) / checkpoint_id
-            completed = sorted(self.ledger.completed_seqs)
-            journal.checkpoint(checkpoint_id)
-            self.host.snapshot(
-                directory,
-                extra={
-                    "checkpoint": checkpoint_id,
-                    "completed_seqs": completed,
-                },
-            )
-            self.checkpoints += 1
-            self._since_checkpoint = 0
-            _CHECKPOINTS_TOTAL.inc()
-            telemetry.count("service.checkpoint")
-            prune_checkpoints(self.config.journal_dir)
-            return {
+        checkpoint_id = f"ckpt-{journal.next_seq:08d}"
+        directory = checkpoints_root(self.config.journal_dir) / checkpoint_id
+        completed = sorted(self.ledger.completed_seqs)
+        journal.checkpoint(checkpoint_id)
+        self.host.snapshot(
+            directory,
+            extra={
                 "checkpoint": checkpoint_id,
-                "devices": self.host.n_devices,
-                "completed": len(completed),
-            }
-        finally:
-            self._pause.set()
-            self._checkpointing = False
+                "completed_seqs": completed,
+            },
+        )
+        self.checkpoints += 1
+        self._since_checkpoint = 0
+        _CHECKPOINTS_TOTAL.inc()
+        telemetry.count("service.checkpoint")
+        prune_checkpoints(self.config.journal_dir)
+        return {
+            "checkpoint": checkpoint_id,
+            "devices": self.host.n_devices,
+            "completed": len(completed),
+        }
+
+    async def _checkpoint_if_due(self) -> None:
+        """Cut the automatic checkpoint once ``checkpoint_every`` is due.
+        A failed cut is logged, not raised, so its lane keeps serving; the
+        count stays due and the next batch retries."""
+        every = self.config.checkpoint_every
+        if not every or self._since_checkpoint < every:
+            return
+        try:
+            await self.checkpoint()
+        except Exception:
+            _LOG.exception(
+                "automatic checkpoint failed; retrying after the next batch"
+            )
 
     # -- self-healing readmission -------------------------------------------------
 
@@ -639,38 +632,26 @@ class FleetService:
         queue = self.queues[name]
         shard = self.shards[name]
         while True:
+            # The only await before the batch runs: a worker cancelled
+            # here leaves its next jobs queued (``asyncio.Queue.get``
+            # takes nothing when cancelled), so no dequeued batch is
+            # ever left unrun.
             batch = await queue.get_batch(self.config.max_batch)
             try:
-                await self._run_batch(name, queue, shard, batch)
-            except asyncio.CancelledError:
-                # A no-drain stop (or abort) cancels a worker whose batch
-                # is dequeued but held at the checkpoint gate.
-                # ``_shed_queued`` cannot see these jobs — fail their
-                # futures here so concurrent submitters never hang.  No
-                # journal completion is written: the truthful durable
-                # record is the dangling admit, which recovery
-                # re-executes.
-                self._fail_cancelled(batch)
-                raise
+                self._run_batch(name, queue, shard, batch)
             finally:
                 for _ in batch:
                     queue.task_done()
+            # Between batches: the one place an automatic checkpoint is
+            # cut, so it only ever sees whole batches.
+            await self._checkpoint_if_due()
             # A non-empty queue's get does not yield, so without this a
             # lane would run its whole queue back to back: yield after
             # every batch, so lanes alternate and the loop reads
             # connections between batches.
             await asyncio.sleep(0)
 
-    async def _run_batch(self, name, queue, shard, batch) -> None:
-        # Checkpoint quiesce gate: no new batch starts while a
-        # snapshot is being cut.  ``_executing`` covers the whole
-        # batch *including* its completions, so when the
-        # checkpointer sees it reach zero, every executed seq is
-        # journaled and in the ledger's frontier — the manifest's
-        # frontier is exact.  (No await point between the gate and
-        # the increment, so the checkpointer cannot miss us.)
-        await self._pause.wait()
-        self._executing += 1
+    def _run_batch(self, name, queue, shard, batch) -> None:
         _QUEUE_DEPTH.set(queue.qsize(), shard=name)
         dequeued = time.perf_counter()
         for job in batch:
@@ -680,7 +661,7 @@ class FleetService:
                 job.phases["queue_wait"] = dequeued - job.enqueued_at
         try:
             if not self.admission.is_healthy(name):
-                await self._reroute(batch, source=name)
+                self._reroute(batch, source=name)
                 return
             outcomes, reason = shard.execute_batch(batch)
             if reason is not None:
@@ -699,7 +680,7 @@ class FleetService:
                 retriable = [
                     job for job, _ in outcomes if job.kind == "receive"
                 ]
-                await self._reroute(retriable, source=name)
+                self._reroute(retriable, source=name)
                 outcomes = [
                     (job, outcome)
                     for job, outcome in outcomes
@@ -707,28 +688,10 @@ class FleetService:
                 ]
             for job, outcome in outcomes:
                 self._finish(job, outcome)
-        except asyncio.CancelledError:
-            raise
         except Exception as exc:  # defensive: a worker must not die
             for job in batch:
                 if not job.future.done():
                     self._finish(job, exc)
-        finally:
-            self._executing -= 1
-
-    def _fail_cancelled(self, batch: "list[Job]") -> None:
-        """Resolve the futures of a dequeued batch that never ran (its
-        worker was cancelled at the checkpoint gate), so submitters don't
-        wait forever on a stop that skipped the drain."""
-        for job in batch:
-            self.ledger.release(job)
-            if not job.future.done():
-                job.future.set_exception(
-                    ServiceStoppedError(
-                        "service stopped mid-batch without draining; the "
-                        "journaled admit replays on restart"
-                    )
-                )
 
     def _finish(self, job: Job, outcome) -> None:
         if job.future.done():
@@ -756,18 +719,8 @@ class FleetService:
                 self._phase_counts[phase] = (
                     self._phase_counts.get(phase, 0) + 1
                 )
-        # checkpoint_every > 0 implies a journal (ServiceConfig checks).
-        if self.config.checkpoint_every > 0:
-            self._since_checkpoint += 1
-            if (
-                self._since_checkpoint >= self.config.checkpoint_every
-                and not self._checkpointing
-            ):
-                task = asyncio.get_running_loop().create_task(
-                    self.checkpoint()
-                )
-                self._bg_tasks.add(task)
-                task.add_done_callback(self._bg_tasks.discard)
+        # Counted only; the worker cuts the checkpoint after the batch.
+        self._since_checkpoint += 1
 
     def _shed(self, job: Job, exc: Exception) -> None:
         """Refuse a job that never touched a device: count it, journal
@@ -775,7 +728,7 @@ class FleetService:
         self.admission.count_shed()
         self._finish(job, exc)
 
-    async def _reroute(self, jobs: "list[Job]", *, source: str) -> None:
+    def _reroute(self, jobs: "list[Job]", *, source: str) -> None:
         healthy = self.admission.healthy - {source}
         for job in jobs:
             job.reroutes += 1

@@ -350,9 +350,10 @@ class FleetHost:
         #: device_id -> device file holding its state (LRU archive or a
         #: checkpoint); rehydrated lazily on next touch.
         self._cold: "dict[str, pathlib.Path]" = {}
-        #: device_id -> pin count; pinned devices are never evicted, so
-        #: a batch cannot archive its own earlier devices mid-batch.
-        self._pins: "dict[str, int]" = {}
+        #: Devices of the running batch; pinned devices are never
+        #: evicted, so a batch cannot archive its own earlier devices
+        #: mid-batch.  Batches never overlap, so a set suffices.
+        self._pins: "set[str]" = set()
         #: Resident device_id -> the checkpoint file holding its current
         #: state.  :meth:`channel` (the only way to reach a device),
         #: eviction and :meth:`restore` clear the entry.
@@ -417,20 +418,14 @@ class FleetHost:
     @contextmanager
     def pinned(self, device_ids):
         """Hold the named devices resident for the duration of a batch."""
-        ids = list(device_ids)
+        ids = set(device_ids)
         with self._lock:
-            for device_id in ids:
-                self._pins[device_id] = self._pins.get(device_id, 0) + 1
+            self._pins |= ids
         try:
             yield
         finally:
             with self._lock:
-                for device_id in ids:
-                    count = self._pins.get(device_id, 0) - 1
-                    if count <= 0:
-                        self._pins.pop(device_id, None)
-                    else:
-                        self._pins[device_id] = count
+                self._pins -= ids
                 # A fully-pinned batch can push residency over the cap;
                 # sweep now that these devices are evictable again.
                 self._maybe_evict()
@@ -520,7 +515,8 @@ class FleetHost:
         older ones can be deleted.  Files are written under a temp name
         and ``os.replace``d into place, so re-cutting a checkpoint id
         never changes bytes another checkpoint links to.  The caller
-        quiesces the fleet first (the service's checkpoint gate).
+        cuts it between batches: the service's lanes and checkpoints run
+        on one event loop, and a batch has no await point.
         """
         directory = pathlib.Path(directory)
         directory.mkdir(parents=True, exist_ok=True)

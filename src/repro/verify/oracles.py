@@ -579,7 +579,7 @@ def _soak_requests(generator, index):
     return generator._requests(index)
 
 
-def _journaled_config(journal_dir, seed: int, *, shards: int = 2):
+def _journaled_config(journal_dir, seed: int, *, shards: int = 2, **extra):
     from ..service import ServiceConfig
 
     return ServiceConfig(
@@ -588,6 +588,7 @@ def _journaled_config(journal_dir, seed: int, *, shards: int = 2):
         device_name=_DEVICE,
         sram_kib=0.25,
         journal_dir=str(journal_dir),
+        **extra,
     )
 
 
@@ -609,16 +610,28 @@ def service_crash_recovery(seed, n_messages):
     dead (``abort()`` — no drain, no final fsync) with the tail in
     flight, a fresh service boots on the same journal directory from the
     newest checkpoint, and the whole soak is resubmitted under the same
-    idempotency keys.  The recovered fleet must end in the same analog
-    state and serve the same results as the twin that never crashed.
-    Each device sees the same op sequence in both runs; only the order
-    across devices differs, and device state never depends on it.
+    idempotency keys.
+
+    Run C cuts its checkpoint the automatic way, mid-load: every send
+    is submitted at once to one lane (``max_batch`` 3,
+    ``checkpoint_every`` 2), so the worker cuts after its first batch
+    while later sends are still queued.  It is killed right after that
+    cut, and the restart must restore from it.
+
+    Each recovered fleet must end in the same analog state and serve
+    the same results as the twin that never crashed.  Each device sees
+    the same op sequence in every run; only the order across devices
+    differs, and device state never depends on it.
     """
     import asyncio
     import tempfile
 
     from ..service import FleetService, LoadGenerator, results_digest
-    from ..service.recovery import KEEP_CHECKPOINTS, complete_checkpoints
+    from ..service.recovery import (
+        KEEP_CHECKPOINTS,
+        complete_checkpoints,
+        latest_checkpoint,
+    )
 
     crash_at = n_messages // 2
 
@@ -689,11 +702,45 @@ def service_crash_recovery(seed, n_messages):
             task.cancel()
         await asyncio.gather(*tail, return_exceptions=True)
 
-        revived = FleetService(_journaled_config(journal_dir, seed))
+        return await revived_soak(
+            _journaled_config(journal_dir, seed),
+            generator,
+            newest["checkpoint"],
+        )
+
+    async def cut_mid_load_then_recovered(journal_dir):
+        config = _journaled_config(
+            journal_dir, seed, shards=1, max_batch=3, checkpoint_every=2
+        )
+        service = FleetService(config)
+        await service.start()
+        generator = LoadGenerator(seed=seed, message_bytes=4, idempotency=True)
+        sends = [
+            asyncio.create_task(
+                service.submit(_soak_requests(generator, index)[0])
+            )
+            for index in range(n_messages)
+        ]
+        while not service.checkpoints and not all(t.done() for t in sends):
+            await asyncio.sleep(0)
         check_that(
-            revived.ledger.report.checkpoint == newest["checkpoint"],
+            service.checkpoints == 1
+            and any(q.qsize() for q in service.queues.values()),
+            "the automatic checkpoint was not cut while sends were queued",
+        )
+        cut = latest_checkpoint(journal_dir).name
+        await service.abort()
+        for task in sends:
+            task.cancel()
+        await asyncio.gather(*sends, return_exceptions=True)
+        return await revived_soak(config, generator, cut)
+
+    async def revived_soak(config, generator, checkpoint):
+        revived = FleetService(config)
+        check_that(
+            revived.ledger.report.checkpoint == checkpoint,
             f"recovery restored {revived.ledger.report.checkpoint}, not the "
-            f"newest checkpoint {newest['checkpoint']}",
+            f"newest checkpoint {checkpoint}",
         )
         await revived.start()
         results: "list[dict]" = []
@@ -701,30 +748,37 @@ def service_crash_recovery(seed, n_messages):
         await revived.stop()
         return revived.host.state_digest(), results
 
-    with tempfile.TemporaryDirectory() as tmp_a:
-        state_a, results_a = asyncio.run(uninterrupted(tmp_a))
-    with tempfile.TemporaryDirectory() as tmp_b:
-        state_b, results_b = asyncio.run(crashed_then_recovered(tmp_b))
+    runs = {}
+    for run, leg in (
+        ("uninterrupted", uninterrupted),
+        ("crashed", crashed_then_recovered),
+        ("cut mid-load", cut_mid_load_then_recovered),
+    ):
+        with tempfile.TemporaryDirectory() as tmp:
+            runs[run] = asyncio.run(leg(tmp))
 
-    check_that(
-        state_a == state_b,
-        f"recovered fleet state digest {state_b} diverged from the "
-        f"uninterrupted run's {state_a}",
-    )
+    state_a, results_a = runs.pop("uninterrupted")
     # results_digest already excludes the ``shard`` field — provenance,
     # not physics: a crash-window op replays on the recovery lane while
     # the uninterrupted twin ran on its home shard.
     digest_a = results_digest(results_a)
-    digest_b = results_digest(results_b)
-    check_that(
-        digest_a == digest_b,
-        f"recovered results digest {digest_b} diverged from the "
-        f"uninterrupted run's {digest_a}",
-    )
-    check_that(
-        len(results_b) == n_messages,
-        f"recovered soak returned {len(results_b)} of {n_messages} results",
-    )
+    for run, (state_b, results_b) in runs.items():
+        check_that(
+            state_a == state_b,
+            f"{run} run: recovered fleet state digest {state_b} diverged "
+            f"from the uninterrupted run's {state_a}",
+        )
+        digest_b = results_digest(results_b)
+        check_that(
+            digest_a == digest_b,
+            f"{run} run: recovered results digest {digest_b} diverged "
+            f"from the uninterrupted run's {digest_a}",
+        )
+        check_that(
+            len(results_b) == n_messages,
+            f"{run} run: recovered soak returned {len(results_b)} of "
+            f"{n_messages} results",
+        )
 
 
 @oracle(
@@ -1670,6 +1724,28 @@ def _mutant_prune_newest_checkpoint(rng):
         service_crash_recovery(int(rng.integers(0, 2**31)), 4)
     finally:
         server.prune_checkpoints = pristine
+
+
+@mutant("service.crash_recovery", "checkpoint-inside-batch")
+def _mutant_checkpoint_inside_batch(rng):
+    """A checkpoint cut between two completions of one batch must be
+    caught: the batch has already run on silicon, so the snapshot holds
+    effects of seqs its frontier leaves out, and the restart replays them
+    a second time."""
+    from ..service.server import FleetService
+
+    pristine = FleetService._finish
+
+    def cuts_inside_batch(self, job, outcome):
+        pristine(self, job, outcome)
+        if self._since_checkpoint >= self.config.checkpoint_every > 0:
+            self._cut_checkpoint()  # the planted defect
+
+    FleetService._finish = cuts_inside_batch
+    try:
+        service_crash_recovery(int(rng.integers(0, 2**31)), 4)
+    finally:
+        FleetService._finish = pristine
 
 
 @mutant("stats.normal_vs_scipy", "tail-branch-at-4")

@@ -18,6 +18,8 @@ from repro.errors import AdmissionError, ServiceStoppedError
 from repro.service import FleetService, ServiceConfig, server
 from repro.telemetry import RingBufferSink
 
+from ._hold import hold_lanes
+
 SEED = 41
 
 T_FIRST = "ab" * 16
@@ -120,23 +122,22 @@ async def _no_healthy_lane(service):
 
 
 async def _reroute_with_lane_tripped(service):
-    """One job held at the checkpoint gate while its lane trips."""
-    service._pause.clear()
+    """One job held in its lane's queue while the lane trips."""
+    held = hold_lanes(service, "shard-0")
     device_id = _device_homed_at(service, "shard-0")
     job = asyncio.create_task(service.submit(_send(device_id)))
     await _settle()
     service.admission.trip("shard-0", "test")
-    service._pause.set()
+    held["shard-0"].set()
     return await asyncio.gather(job, return_exceptions=True)
 
 
 async def _reroute_to_saturated_queue(service):
-    # Hold every lane at the checkpoint gate: shard-1's worker sits on
-    # its first job while a second fills shard-1's one-deep queue, and
-    # shard-0's worker sits on a job whose lane then trips.  Lanes yield
-    # after each batch, so shard-1's queue is still full when shard-0's
-    # worker reroutes, whichever of the two runs first.
-    service._pause.clear()
+    # Hold both lanes: a first job fills shard-1's one-deep queue (a
+    # second waits to enter it), and shard-0 holds a job whose lane then
+    # trips.  Shard-0 is released first, so shard-1's queue is still full
+    # when shard-0's worker reroutes onto it.
+    held = hold_lanes(service, "shard-0", "shard-1")
     device_ids = [
         _device_homed_at(service, "shard-1", 0),
         _device_homed_at(service, "shard-1", 100),
@@ -147,12 +148,14 @@ async def _reroute_to_saturated_queue(service):
         tasks.append(asyncio.create_task(service.submit(_send(device_id))))
         await _settle()
     service.admission.trip("shard-0", "test")
-    service._pause.set()
+    held["shard-0"].set()
+    await _settle()
+    held["shard-1"].set()
     return await asyncio.gather(*tasks, return_exceptions=True)
 
 
 async def _stop_without_drain(service):
-    service._pause.clear()
+    hold_lanes(service, "shard-0")
     tasks = [
         asyncio.create_task(service.submit(_send(f"dev-{i}")))
         for i in range(4)
@@ -185,12 +188,10 @@ SHED_PATHS = {
         _reroute_with_lane_tripped,
         1,
     ),
-    # max_batch=1: the worker holds one job mid-batch (failed, not
-    # shed — it may have half-run), the other three are shed.
     "stop-without-drain": (
         dict(shards=1, max_batch=1, queue_depth=16),
         _stop_without_drain,
-        3,
+        4,
     ),
 }
 

@@ -37,6 +37,8 @@ from repro.service.recovery import (
 )
 from repro.service.queue import Job
 
+from ._hold import hold_lanes
+
 SEED = 31
 
 
@@ -425,6 +427,52 @@ class TestPrune:
         ledger.journal.close()
         assert host.state_digest() == state
 
+    def test_a_failed_auto_checkpoint_keeps_the_service_serving(
+        self, tmp_path, monkeypatch, caplog
+    ):
+        """A worker's automatic cut that raises is logged, not fatal: the
+        lane keeps serving, and the next batch cuts the checkpoint."""
+        config = _config(tmp_path, checkpoint_every=1)
+        snapshot = FleetHost.snapshot
+        failed = []
+
+        def fails_once(self, directory, **kwargs):
+            if not failed:
+                failed.append(directory)
+                raise OSError("no space left on device")
+            return snapshot(self, directory, **kwargs)
+
+        monkeypatch.setattr(FleetHost, "snapshot", fails_once)
+
+        async def life():
+            service = FleetService(config)
+            await service.start()
+            results = []
+            for index in range(3):
+                for request in _keyed_pair(index):
+                    results.append(await service.submit(request))
+            cut = service.checkpoints
+            state = service.host.state_digest()
+            await service.stop()
+            return results, cut, state
+
+        with caplog.at_level("ERROR", logger="repro.service.server"):
+            # Bounded: a lane killed by its cut would hang its queue.
+            results, cut, state = asyncio.run(asyncio.wait_for(life(), 60))
+        assert [r.device_id for r in results] == [
+            f"dev-{index}" for index in range(3) for _ in range(2)
+        ]
+        assert [r.message for r in results[1::2]] == [b"m0", b"m1", b"m2"]
+        assert len(failed) == 1
+        # Six one-job batches, each followed by a cut: the first failed.
+        assert cut == 5
+        logged = [r for r in caplog.records if r.exc_info is not None]
+        assert len(logged) == 1
+        assert isinstance(logged[0].exc_info[1], OSError)
+        host, ledger = recover_components(config)
+        ledger.journal.close()
+        assert host.state_digest() == state
+
 
 def _config(tmp_path, **overrides) -> ServiceConfig:
     base = dict(shards=1, seed=SEED, journal_dir=str(tmp_path / "jd"))
@@ -740,44 +788,41 @@ def test_markers_that_carry_completed_lists_recover_identically(tmp_path):
 
 
 def test_stop_without_drain_journals_queued_jobs_as_shed(tmp_path):
-    """Satellite: a no-drain stop leaves nothing dangling — every queued
-    job gets a journaled ``shed`` completion and a ServiceStoppedError,
-    the batch already held by a worker fails its future too (no journal
-    completion: its dangling admit replays on restart), and recovery
-    leaves the shed keys uncached."""
+    """A no-drain stop leaves nothing dangling: every queued job gets a
+    journaled ``shed`` completion and a ServiceStoppedError, and recovery
+    leaves the shed keys uncached.  A worker is cancelled only while it
+    waits for a batch, so no dequeued job is ever left unrun."""
     config = _config(tmp_path, max_batch=1, queue_depth=16)
 
     async def scenario():
         service = FleetService(config)
         await service.start()
-        service._pause.clear()  # stall the worker at the checkpoint gate
+        hold_lanes(service, "shard-0")  # keep every job queued
         tasks = []
         for index in range(5):
             send, _ = _keyed_pair(index)
             tasks.append(asyncio.create_task(service.submit(send)))
-        await asyncio.sleep(0.02)  # all admitted; worker holds one batch
+        await asyncio.sleep(0.02)  # all admitted and queued
         await service.stop(drain=False)
-        # Every submitter resolves — including the one whose job the
-        # stalled worker held in flight when its task was cancelled.
         done, pending = await asyncio.wait(tasks, timeout=5)
         assert not pending, "a submitter hung on a no-drain stop"
         return await asyncio.gather(*tasks, return_exceptions=True)
 
     outcomes = asyncio.run(scenario())
     stopped = [o for o in outcomes if isinstance(o, ServiceStoppedError)]
-    assert len(stopped) == 5  # four shed from queues + one mid-batch
+    assert len(stopped) == 5
 
     records, _ = read_journal(journal_path(config.journal_dir))
     shed = [
         r for r in records if r["op"] == "complete" and r["status"] == "shed"
     ]
-    assert len(shed) == 4  # the in-flight job journals no completion
+    assert len(shed) == 5
 
     host, ledger = recover_components(config)
     ledger.journal.close()
     report = ledger.report
-    assert report.shed == 4
-    assert report.replayed == 1  # the in-flight job's dangling admit
+    assert report.shed == 5
+    assert report.replayed == 0
     for record in shed:
         assert record["key"] not in ledger.cache
 

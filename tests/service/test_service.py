@@ -16,6 +16,8 @@ from repro.service import (
     ServiceClient,
 )
 
+from ._hold import hold_lanes
+
 
 def run(coro):
     return asyncio.run(coro)
@@ -298,9 +300,8 @@ def test_lanes_take_turns_batch_by_batch(monkeypatch):
     async def scenario():
         service = FleetService(ServiceConfig(shards=2, max_batch=1))
         await service.start()
-        # Hold both lanes at the checkpoint gate until every batch is
-        # queued: each worker holds one job, its queue the other two.
-        service._pause.clear()
+        # Hold both lanes until every batch is queued.
+        held = hold_lanes(service, "shard-0", "shard-1")
         tasks = [
             asyncio.create_task(
                 service.submit(SendRequest(device_id=d, message=b"turn"))
@@ -309,8 +310,9 @@ def test_lanes_take_turns_batch_by_batch(monkeypatch):
             for d in homed_at(service, shard, 3)
         ]
         await asyncio.sleep(0.05)
-        assert all(q.qsize() == 2 for q in service.queues.values())
-        service._pause.set()
+        assert all(q.qsize() == 3 for q in service.queues.values())
+        for event in held.values():
+            event.set()
         await asyncio.gather(*tasks)
         await service.stop()
 
