@@ -40,6 +40,18 @@ def _out_dir():
     return OUT_DIR
 
 
+@pytest.fixture(scope="session", autouse=True)
+def _scipy_stats_loaded():
+    """Import ``scipy.stats`` once, before any bench is timed.
+
+    The statistics helpers import it inside the functions that need it
+    (the serving path loads no scipy), so without this the first bench
+    to call one — ``test_ext_soft_decision`` in CI's smoke subset —
+    would time a ~1 s module import, not its own code.
+    """
+    import scipy.stats  # noqa: F401
+
+
 @pytest.fixture(autouse=True)
 def _global_metrics_isolated():
     """Zero the global metrics registry around every bench.

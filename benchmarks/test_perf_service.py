@@ -29,6 +29,7 @@ import asyncio
 import gc
 import json
 import os
+import pathlib
 import subprocess
 import sys
 import tempfile
@@ -175,8 +176,9 @@ def test_perf_checkpoint_incremental_speedup(record_metric, tmp_path):
     """An incremental ``FleetHost.snapshot`` is >= 4x cheaper than a full one.
 
     The full checkpoint serialises all 400 devices; each incremental one
-    follows a re-send to 25 of them, serialises those again and
-    hard-links the other 375 files from the checkpoint before.
+    follows a re-send to 25 of them, writes those as new generations and
+    names the other 375 at the generations already in the store (the
+    prune deletes what the kept checkpoints no longer name).
     ``checkpoint_incremental_speedup`` is the CPU-time ratio, full over
     the best of three incremental checkpoints.
     """
@@ -184,7 +186,9 @@ def test_perf_checkpoint_incremental_speedup(record_metric, tmp_path):
     from repro.service import FleetHost
 
     host = FleetHost(
-        scheme=paper_end_to_end_scheme(copies=7, n_captures=5), seed=11
+        scheme=paper_end_to_end_scheme(copies=7, n_captures=5),
+        seed=11,
+        store_dir=tmp_path,
     )
 
     def send(device_id: str, message: bytes) -> None:
@@ -197,7 +201,7 @@ def test_perf_checkpoint_incremental_speedup(record_metric, tmp_path):
 
     def timed_snapshot(name: str) -> float:
         start = time.process_time()
-        host.snapshot(tmp_path / name)
+        host.snapshot(name)
         return time.process_time() - start
 
     full_s = timed_snapshot("full")
@@ -225,18 +229,19 @@ def test_perf_checkpoint_incremental_speedup(record_metric, tmp_path):
     assert speedup >= 4.0
 
 
-# Durable state should follow the live fleet: with every superseded
-# checkpoint deleted and each payload stored once, in its device file,
-# doubling the soak (and so the fleet, one device per message) should
-# about double the checkpoint bytes.
+# Durable state should follow the live fleet: with every generation the
+# kept checkpoints no longer name deleted and each payload stored once,
+# in its device file, doubling the soak (and so the fleet, one device per
+# message) should about double the checkpoint bytes.
 N_DISK_MESSAGES = 500
 
 
 def _checkpoint_disk(journal_dir: str, n_messages: int) -> "tuple[int, float]":
     """Soak a journaled service (``checkpoint_every=50``) and stop it
-    gracefully; returns the bytes under ``checkpoints/``, each inode
-    counted once, and the newest manifest's bytes per device."""
-    from repro.service.recovery import checkpoints_root, latest_checkpoint
+    gracefully; returns the bytes of durable device state (the device
+    store and the checkpoint manifests), each inode counted once, and
+    the newest manifest's bytes per device."""
+    from repro.service import latest_checkpoint
 
     async def soak():
         service = FleetService(
@@ -255,11 +260,12 @@ def _checkpoint_disk(journal_dir: str, n_messages: int) -> "tuple[int, float]":
 
     asyncio.run(soak())
     sizes = {}
-    for path in checkpoints_root(journal_dir).rglob("*"):
-        if path.is_file():
-            st = path.stat()
-            sizes[(st.st_dev, st.st_ino)] = st.st_size
-    manifest = latest_checkpoint(journal_dir) / "manifest.json"
+    for part in ("devices", "checkpoints"):
+        for path in (pathlib.Path(journal_dir) / part).rglob("*"):
+            if path.is_file():
+                st = path.stat()
+                sizes[(st.st_dev, st.st_ino)] = st.st_size
+    manifest = latest_checkpoint(journal_dir)
     n_devices = len(json.loads(manifest.read_text())["devices"])
     return sum(sizes.values()), manifest.stat().st_size / n_devices
 
@@ -268,10 +274,10 @@ def test_perf_checkpoint_disk_growth(record_metric, tmp_path, frozen_heap):
     """Checkpoint storage grows linearly with the fleet, not with history.
 
     Two soaks of 500 and 1000 messages, one fresh device each.
-    ``checkpoint_disk_growth_x`` is the checkpoint bytes after 1000
-    messages over those after 500: about 2 when disk follows the live
-    fleet, and growing with the soak when every superseded checkpoint
-    stays on disk.  ``checkpoint_manifest_bytes_per_device`` is the
+    ``checkpoint_disk_growth_x`` is the durable device-state bytes after
+    1000 messages over those after 500: about 2 when disk follows the
+    live fleet, and growing with the soak when superseded generations
+    stay on disk.  ``checkpoint_manifest_bytes_per_device`` is the
     newest manifest's size per device (device id and the completed-seq
     frontier; each payload lives in its device file).
     """
@@ -294,6 +300,120 @@ def test_perf_checkpoint_disk_growth(record_metric, tmp_path, frozen_heap):
     )
     assert growth <= 2.2
     assert per_device <= 100
+
+
+# A cut should cost what changed since the last one: with every message
+# on a fresh device, the same ~25 devices change between any two cuts,
+# whether the fleet holds 500 devices or 4000.
+SCALING_FLEETS = (500, 4000)
+SCALING_WINDOW = 500
+SCALING_CLIENTS = 8
+
+
+def test_perf_checkpoint_cut_scaling(record_metric, tmp_path, monkeypatch):
+    """Checkpoint cut CPU per op stays flat as the fleet grows 8x.
+
+    Two in-process services share one event loop, each with 2 shards,
+    ``checkpoint_every=50`` and 8 clients; every message is a fresh
+    device (a send at 24 h stress, then a receive), so a fleet grows by
+    one device per message.  The large service is first grown to 3500
+    devices, untimed.  Then both take 500 messages at once: the small
+    service's fleet grows from 0 to 500 while the large one's grows from
+    3500 to 4000, over the same stretch of wall time, so drift in a
+    shared VM's speed cancels out of the ratio.  Every cut goes through
+    :meth:`FleetService.checkpoint` and is timed in the event loop
+    thread's CPU (the journal's fsync thread excluded).
+    ``checkpoint_cut_ms_per_op`` is cut CPU per completed op in the
+    window that ends at each fleet size, and
+    ``checkpoint_cut_scaling_x`` is fleet 4000 over fleet 500.
+    """
+    from repro.api import ReceiveRequest, SendRequest
+
+    small, large = SCALING_FLEETS
+    cuts: "dict[str, list[tuple[int, float]]]" = {}  # (ops done, CPU s)
+    pristine = FleetService.checkpoint
+
+    async def timed_checkpoint(self):
+        start = time.thread_time()
+        try:
+            return await pristine(self)
+        finally:
+            cuts.setdefault(self.config.journal_dir, []).append(
+                (self.completed + self.failed, time.thread_time() - start)
+            )
+
+    monkeypatch.setattr(FleetService, "checkpoint", timed_checkpoint)
+    failures = []
+
+    async def soak(service, first: int, last: int) -> None:
+        indices = iter(range(first, last))
+
+        async def client():
+            for index in indices:
+                device_id = f"scale-{index:05d}"
+                message = b"m%07d" % index
+                await service.submit(
+                    SendRequest(
+                        device_id=device_id, message=message, stress_hours=24.0
+                    )
+                )
+                result = await service.submit(
+                    ReceiveRequest(device_id=device_id)
+                )
+                if result.message != message:
+                    failures.append(device_id)
+
+        await asyncio.gather(*(client() for _ in range(SCALING_CLIENTS)))
+
+    async def run():
+        services = {}
+        for fleet in SCALING_FLEETS:
+            services[fleet] = FleetService(
+                ServiceConfig(
+                    shards=2,
+                    seed=43,
+                    journal_dir=str(tmp_path / f"fleet-{fleet}"),
+                    checkpoint_every=50,
+                )
+            )
+            await services[fleet].start()
+        await soak(services[large], 0, large - SCALING_WINDOW)
+        await asyncio.gather(
+            soak(services[small], 0, small),
+            soak(services[large], large - SCALING_WINDOW, large),
+        )
+        devices = {}
+        for fleet, service in services.items():
+            devices[fleet] = service.host.n_devices
+            await service.stop()
+        return devices
+
+    devices = asyncio.run(run())
+    assert devices == {fleet: fleet for fleet in SCALING_FLEETS}, devices
+    assert not failures, failures
+
+    def cut_ms_per_op(fleet: int) -> float:
+        first, last = 2 * (fleet - SCALING_WINDOW), 2 * fleet
+        seconds = sum(
+            s
+            for done, s in cuts[str(tmp_path / f"fleet-{fleet}")]
+            if first <= done < last
+        )
+        return seconds * 1e3 / (last - first)
+
+    small_ms, large_ms = cut_ms_per_op(small), cut_ms_per_op(large)
+    scaling = large_ms / small_ms
+    print(
+        f"\ncheckpoint cut: {small_ms:.3f} ms/op at fleet {small}, "
+        f"{large_ms:.3f} ms/op at fleet {large} -> {scaling:.2f}x"
+    )
+    record_metric(
+        "checkpoint_cut_ms_per_op", large_ms, better="lower", unit="ms"
+    )
+    record_metric(
+        "checkpoint_cut_scaling_x", scaling, better="lower", unit="x"
+    )
+    assert scaling <= 1.25
 
 
 N_WRITE_DEVICES = 100

@@ -901,7 +901,7 @@ def build_parser() -> argparse.ArgumentParser:
                        "completions (default 0 = only on graceful stop)")
     serve.add_argument("--max-resident", type=int, default=None,
                        help="LRU cap on in-memory simulated devices; "
-                       "overflow archives to the journal dir")
+                       "overflow moves to the journal dir's device store")
     serve.add_argument("--probe-interval", type=float, default=0.0,
                        help="re-probe tripped lanes with synthetic traffic "
                        "every this many seconds (default 0 = off)")

@@ -45,9 +45,9 @@ Record vocabulary (one JSON object per line, ``op`` discriminates):
 ``{"op": "checkpoint", "checkpoint": "ckpt-00000042"}``
 
 A checkpoint marker holds only the checkpoint's id: the checkpoint's
-``manifest.json`` (``completed_seqs``) is the one record of what it
-covers, and nothing reads markers back.  Older journals' markers also
-carry a ``completed`` list; it is ignored.
+manifest (``checkpoints/<id>.json``, ``completed_seqs``) is the one
+record of what it covers, and nothing reads markers back.  Older
+journals' markers also carry a ``completed`` list; it is ignored.
 """
 
 from __future__ import annotations

@@ -2,11 +2,12 @@
 
 Restart protocol (docs/service.md "Durability & recovery"):
 
-1. **Restore** the newest complete checkpoint under
-   ``<journal_dir>/checkpoints/`` into a fresh :class:`FleetHost` — the
-   manifest's ``completed_seqs`` lists exactly the journal sequence
-   numbers whose silicon effects the snapshot contains (the service
-   cuts checkpoints only between lane batches, so the frontier is exact).
+1. **Restore** the newest checkpoint (``<journal_dir>/checkpoints/``,
+   over the device store ``<journal_dir>/devices/``) into a fresh
+   :class:`FleetHost` — the manifest's ``completed_seqs`` lists exactly
+   the journal sequence numbers whose silicon effects the snapshot
+   contains (the service cuts checkpoints only between lane batches, so
+   the frontier is exact).
 2. **Replay** the journal into a :class:`~repro.service.ledger.Ledger`
    in sequence order.  Ops completed before the checkpoint only refill
    its idempotency cache and frontier; ops completed *after*
@@ -39,7 +40,6 @@ from __future__ import annotations
 import hashlib
 import json
 import pathlib
-import shutil
 from dataclasses import asdict, dataclass
 
 from .. import errors as errors_module
@@ -50,12 +50,11 @@ from ..errors import JournalError, ServiceError
 from .journal import Journal
 from .ledger import Ledger, journal_outcome, outcome_status
 from .queue import Job
-from .shards import FleetHost, Shard
+from .shards import FleetHost, Shard, latest_checkpoint
 
 __all__ = [
     "RecoveryReport",
     "latest_checkpoint",
-    "prune_checkpoints",
     "recover_components",
     "results_digest",
 ]
@@ -64,66 +63,9 @@ __all__ = [
 #: before it is overwritten with the journaled original's shard).
 REPLAY_SHARD = "replay"
 
-#: Complete checkpoints a prune keeps: the newest, and the one before it.
-KEEP_CHECKPOINTS = 2
-
-
-def checkpoints_root(journal_dir) -> pathlib.Path:
-    return pathlib.Path(journal_dir) / "checkpoints"
-
 
 def journal_path(journal_dir) -> pathlib.Path:
     return pathlib.Path(journal_dir) / "journal.jsonl"
-
-
-def complete_checkpoints(journal_dir) -> "list[pathlib.Path]":
-    """Every complete checkpoint directory, oldest first.
-
-    Checkpoint ids embed the journal frontier (``ckpt-<next_seq:08d>``)
-    so lexicographic order is creation order; a directory without a
-    ``manifest.json`` is an interrupted snapshot and is ignored — the
-    manifest is written atomically last.
-    """
-    root = checkpoints_root(journal_dir)
-    if not root.is_dir():
-        return []
-    return sorted(
-        path
-        for path in root.iterdir()
-        if path.is_dir() and (path / "manifest.json").exists()
-    )
-
-
-def latest_checkpoint(journal_dir) -> "pathlib.Path | None":
-    """The newest complete checkpoint directory, or ``None``."""
-    complete = complete_checkpoints(journal_dir)
-    return complete[-1] if complete else None
-
-
-def prune_checkpoints(journal_dir) -> "list[pathlib.Path]":
-    """Delete every checkpoint directory older than the
-    :data:`KEEP_CHECKPOINTS`-th newest complete one; returns them.
-
-    Directories newer than that one stay, an interrupted snapshot
-    included.  Hard links keep the device files a kept checkpoint shares
-    with a deleted one alive, and a host that has just snapshotted reads
-    only from its newest checkpoint.  Each manifest goes first, so a
-    prune cut short leaves an incomplete directory, never a checkpoint
-    with missing device files.
-    """
-    complete = complete_checkpoints(journal_dir)
-    if len(complete) < KEEP_CHECKPOINTS:
-        return []
-    oldest_kept = complete[-KEEP_CHECKPOINTS].name
-    doomed = sorted(
-        path
-        for path in checkpoints_root(journal_dir).iterdir()
-        if path.is_dir() and path.name < oldest_kept
-    )
-    for path in doomed:
-        (path / "manifest.json").unlink(missing_ok=True)
-        shutil.rmtree(path)
-    return doomed
 
 
 def results_digest(results: "list[dict]") -> str:
@@ -212,24 +154,22 @@ def recover_components(config) -> "tuple[FleetHost, Ledger]":
         scheme=config.resolved_scheme(),
         seed=config.seed,
         max_resident=config.max_resident,
-        archive_dir=config.resolved_archive_dir(),
+        store_dir=config.journal_dir,
     )
     if config.journal_dir is None:
         return host, Ledger()
-    journal_dir = pathlib.Path(config.journal_dir)
     report = RecoveryReport()
     completed_in_ckpt: "set[int]" = set()
 
-    ckpt = latest_checkpoint(journal_dir)
-    if ckpt is not None:
-        manifest = host.restore(ckpt)
+    manifest = host.restore()
+    if manifest is not None:
         completed_in_ckpt = set(manifest.get("completed_seqs", ()))
-        report.checkpoint = ckpt.name
+        report.checkpoint = manifest["checkpoint"]
 
     # Opening the journal is its one parse: it validates the file,
     # repairs a torn tail and resumes next_seq past everything on disk.
     # Replay takes the scanned records from it.
-    journal = Journal(journal_path(journal_dir))
+    journal = Journal(journal_path(config.journal_dir))
     records, journal.existing = journal.existing, []
     report.torn_tail = journal.torn_tail
     admits = [r for r in records if r["op"] == "admit"]

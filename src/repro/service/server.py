@@ -39,7 +39,6 @@ import asyncio
 import contextlib
 import json
 import logging
-import pathlib
 import signal
 import time
 from dataclasses import dataclass
@@ -61,7 +60,7 @@ from ..harness.controlboard import ControlBoard
 from .admission import AdmissionController
 from .journal import Journal
 from .queue import BoundedJobQueue, Job
-from .recovery import checkpoints_root, prune_checkpoints, recover_components
+from .recovery import recover_components
 from .shards import RAW_BER_LIMIT, Shard, ShardRouter, stable_seed
 
 _LOG = logging.getLogger(__name__)
@@ -140,10 +139,9 @@ class ServiceConfig:
     #: Auto-checkpoint after this many journaled completions (0 = only
     #: the final graceful-stop checkpoint).
     checkpoint_every: int = 0
-    #: LRU cap on simulated devices held in memory; overflow is archived
-    #: to disk and rehydrated bit-identically on next touch.
+    #: LRU cap on simulated devices held in memory; overflow moves to the
+    #: journal dir's device store, rehydrated bit-identically on touch.
     max_resident: "int | None" = None
-    archive_dir: "str | None" = None
     #: Self-healing: re-probe tripped lanes every this many seconds with
     #: synthetic traffic (0 = prober off); re-admit after this many
     #: consecutive probes inside the raw-BER SLO.
@@ -174,9 +172,9 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"max_resident must be >= 1, got {self.max_resident}"
             )
-        if self.max_resident is not None and self.resolved_archive_dir() is None:
+        if self.max_resident is not None and self.journal_dir is None:
             raise ConfigurationError(
-                "max_resident needs an archive_dir (or journal_dir)"
+                "max_resident needs a journal_dir to evict into"
             )
         if self.probe_interval_s < 0:
             raise ConfigurationError(
@@ -186,13 +184,6 @@ class ServiceConfig:
             raise ConfigurationError(
                 f"readmit_after must be >= 1, got {self.readmit_after}"
             )
-
-    def resolved_archive_dir(self) -> "str | None":
-        if self.archive_dir is not None:
-            return self.archive_dir
-        if self.journal_dir is not None:
-            return str(pathlib.Path(self.journal_dir) / "archive")
-        return None
 
     @property
     def shard_names(self) -> "tuple[str, ...]":
@@ -373,9 +364,9 @@ class FleetService:
 
         Fsync the journal and mark the cut (:meth:`Journal.checkpoint`),
         so every completion the manifest names is on disk before the
-        manifest is; write every device + manifest; delete the
-        checkpoints the new one supersedes
-        (:func:`~repro.service.recovery.prune_checkpoints`).  Neither
+        manifest is; write each changed device and the manifest, and
+        delete what the new checkpoint supersedes
+        (:meth:`~repro.service.shards.FleetHost.snapshot`).  Neither
         this nor a lane batch has an await point, so a checkpoint only
         ever sees whole batches and the snapshot holds *exactly* the
         ledger's completed seqs.  Workers cut the automatic ones
@@ -393,21 +384,13 @@ class FleetService:
         if not self.started:
             raise ServiceStoppedError("checkpoint() needs a started service")
         checkpoint_id = f"ckpt-{journal.next_seq:08d}"
-        directory = checkpoints_root(self.config.journal_dir) / checkpoint_id
         completed = sorted(self.ledger.completed_seqs)
         journal.checkpoint(checkpoint_id)
-        self.host.snapshot(
-            directory,
-            extra={
-                "checkpoint": checkpoint_id,
-                "completed_seqs": completed,
-            },
-        )
+        self.host.snapshot(checkpoint_id, extra={"completed_seqs": completed})
         self.checkpoints += 1
         self._since_checkpoint = 0
         _CHECKPOINTS_TOTAL.inc()
         telemetry.count("service.checkpoint")
-        prune_checkpoints(self.config.journal_dir)
         return {
             "checkpoint": checkpoint_id,
             "devices": self.host.n_devices,

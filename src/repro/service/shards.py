@@ -28,7 +28,6 @@ import hashlib
 import json
 import os
 import pathlib
-import shutil
 import threading
 import time
 import zlib
@@ -67,24 +66,28 @@ __all__ = ["FleetHost", "Shard", "ShardRouter", "stable_seed"]
 
 #: Fleet checkpoint manifest format tag (docs/service.md).
 CHECKPOINT_FORMAT = "invisible-bits/fleet-checkpoint"
-#: Version 3 device files carry the device's staged payload; version 1
-#: (``.npz``) and version 2 checkpoints are refused.
-CHECKPOINT_VERSION = 3
-#: Per-device checkpoint and LRU-archive file format tag.
+#: Version 4: each checkpoint is one manifest naming a generation of
+#: every device in a shared store.  Version 3 (a directory of device
+#: files per checkpoint), 2 and 1 (``.npz``) are refused.
+CHECKPOINT_VERSION = 4
+#: Device file format tag.
 DEVICE_FILE_FORMAT = "invisible-bits/device-file"
+#: Checkpoints a store keeps: the newest, and the one before it (the
+#: prune's one release list, for the older of the two, assumes two).
+KEEP_CHECKPOINTS = 2
 
 _EVICTED_TOTAL = metrics.counter(
     "repro_service_devices_evicted_total",
-    "Devices archived to disk by the FleetHost LRU",
+    "Devices moved out of memory into the device store by the FleetHost LRU",
 )
 _REHYDRATED_TOTAL = metrics.counter(
     "repro_service_devices_rehydrated_total",
-    "Devices restored from archive/checkpoint on first touch",
+    "Devices restored from the device store on first touch",
 )
 _CHECKPOINT_DEVICES_TOTAL = metrics.counter(
     "repro_service_checkpoint_devices_total",
-    "Device files placed in checkpoints: serialised again (written) or "
-    "linked from an unchanged earlier file (reused)",
+    "Devices named by checkpoints: serialised as a new generation "
+    "(written) or named unchanged from an earlier one (reused)",
     labelnames=("mode",),
 )
 
@@ -103,15 +106,26 @@ def stable_seed(*parts) -> int:
     return int.from_bytes(h.digest(), "big")
 
 
-def _temp_for(target: pathlib.Path) -> pathlib.Path:
-    """A fresh temp name beside ``target``.
+def complete_checkpoints(store_dir) -> "list[pathlib.Path]":
+    """Every checkpoint manifest in a store, oldest first (ids embed the
+    journal frontier, ``ckpt-<next_seq:08d>``, so name order is creation
+    order; a manifest is renamed into place, so each one is complete)."""
+    return sorted((pathlib.Path(store_dir) / "checkpoints").glob("*.json"))
 
-    A leftover from an interrupted write may be a hard link to a live
-    checkpoint file, so it is unlinked, never written through.
-    """
+
+def latest_checkpoint(store_dir) -> "pathlib.Path | None":
+    """The newest checkpoint manifest in a store, or ``None``."""
+    complete = complete_checkpoints(store_dir)
+    return complete[-1] if complete else None
+
+
+def _replace_with(target: pathlib.Path, blob: bytes) -> None:
+    """Write ``blob`` to ``target`` atomically, through a temp name
+    beside it: a reader sees the whole file or none."""
     tmp = target.with_name(target.name + ".tmp")
-    tmp.unlink(missing_ok=True)
-    return tmp
+    with open(tmp, "wb") as fh:
+        fh.write(blob)
+    os.replace(tmp, target)
 
 
 def _encode_device_file(arrays: dict, payload: "np.ndarray | None") -> bytes:
@@ -144,15 +158,8 @@ def _encode_device_file(arrays: dict, payload: "np.ndarray | None") -> bytes:
 
 
 def _write_device_file(target: pathlib.Path, arrays: dict, payload) -> None:
-    """Serialise a device and its staged payload to ``target`` on a new inode.
-
-    The old ``target`` may be linked from another checkpoint, so it is
-    replaced, never truncated.
-    """
-    tmp = _temp_for(target)
-    with open(tmp, "xb") as fh:
-        fh.write(_encode_device_file(arrays, payload))
-    os.replace(tmp, target)
+    """Serialise a device and its staged payload to ``target``, atomically."""
+    _replace_with(target, _encode_device_file(arrays, payload))
 
 
 def _read_device_file(path: pathlib.Path) -> dict:
@@ -244,26 +251,6 @@ def _load_device_file(path: pathlib.Path, device) -> "np.ndarray | None":
     return arrays["payload"]
 
 
-def _link_device_file(source: pathlib.Path, target: pathlib.Path) -> None:
-    """Place ``source``'s bytes at ``target``: a hard link, else a copy."""
-    try:
-        # A new checkpoint directory: one syscall, nothing to replace.
-        os.link(source, target)
-        return
-    except FileExistsError:
-        # Re-cutting the checkpoint a file came from: already in place.
-        if source.samefile(target):
-            return
-    except OSError:
-        pass  # links refused here; the copy below stands in
-    tmp = _temp_for(target)
-    try:
-        os.link(source, tmp)
-    except OSError:
-        shutil.copyfile(source, tmp)
-    os.replace(tmp, target)
-
-
 class ShardRouter:
     """Rendezvous (highest-random-weight) device→shard routing.
 
@@ -302,7 +289,7 @@ class ShardRouter:
 
 
 class FleetHost:
-    """The shared device store behind every shard.
+    """The shared device fleet behind every shard.
 
     Creates one simulated device + :class:`ControlBoard` +
     :class:`~repro.core.pipeline.InvisibleBits` channel per ``device_id``
@@ -310,6 +297,11 @@ class FleetHost:
     (in RAM while it is resident, in its device file while it is cold)
     so receives can feed truth-referenced raw BER into the shard SLOs.
     Thread-safe, though the service touches it only from its event loop.
+
+    With a ``store_dir``, device files live in its ``devices/`` as
+    ``dev-<id hash>-<generation>.state``, each written once, and every
+    checkpoint is one manifest in ``checkpoints/`` naming a generation
+    per device: LRU eviction and checkpoints share the one store.
     """
 
     def __init__(
@@ -320,7 +312,7 @@ class FleetHost:
         scheme,
         seed: int = 0,
         max_resident: "int | None" = None,
-        archive_dir=None,
+        store_dir=None,
     ):
         if sram_kib <= 0:
             raise ConfigurationError(f"sram_kib must be > 0, got {sram_kib}")
@@ -329,45 +321,81 @@ class FleetHost:
                 raise ConfigurationError(
                     f"max_resident must be >= 1, got {max_resident}"
                 )
-            if archive_dir is None:
+            if store_dir is None:
                 raise ConfigurationError(
-                    "max_resident needs an archive_dir to evict into"
+                    "max_resident needs a store_dir to evict into"
                 )
         self.device_name = device_name
         self.sram_kib = sram_kib
         self.scheme = scheme
         self.seed = seed
         self.max_resident = max_resident
-        self.archive_dir = (
-            pathlib.Path(archive_dir) if archive_dir is not None else None
-        )
+        self.store_dir = None
+        if store_dir is not None:
+            self.store_dir = pathlib.Path(store_dir)
+            self._devices_dir = self.store_dir / "devices"
+            self._devices_dir.mkdir(parents=True, exist_ok=True)
+            (self.store_dir / "checkpoints").mkdir(exist_ok=True)
         # Re-entrant: payload() rehydrates a cold device through channel().
         self._lock = threading.RLock()
         #: Resident channels in least-recently-used order (first = coldest).
         self._channels: "OrderedDict[str, InvisibleBits]" = OrderedDict()
         #: Resident device_id -> its staged payload bits.
         self._payloads: "dict[str, np.ndarray]" = {}
-        #: device_id -> device file holding its state (LRU archive or a
-        #: checkpoint); rehydrated lazily on next touch.
-        self._cold: "dict[str, pathlib.Path]" = {}
+        #: Evicted or restored device_id -> the generation holding its
+        #: state; rehydrated lazily on next touch.
+        self._cold: "dict[str, int]" = {}
         #: Devices of the running batch; pinned devices are never
-        #: evicted, so a batch cannot archive its own earlier devices
+        #: evicted, so a batch cannot evict its own earlier devices
         #: mid-batch.  Batches never overlap, so a set suffices.
         self._pins: "set[str]" = set()
-        #: Resident device_id -> the checkpoint file holding its current
-        #: state.  :meth:`channel` (the only way to reach a device),
-        #: eviction and :meth:`restore` clear the entry.
-        self._clean: "dict[str, pathlib.Path]" = {}
+        #: Resident devices changed since they were last stored (by
+        #: :meth:`channel`, the only way to reach a device, or
+        #: :meth:`store_payload`); the newest checkpoint names the rest.
+        self._dirty: "set[str]" = set()
+        #: The next generation number: no name is ever written twice.
+        self._next_generation = 0
+        #: ``(device_id, generation)`` written since the last checkpoint.
+        self._written: "list[tuple[str, int]]" = []
+        #: The newest checkpoint's device_id -> generation, and each pair
+        #: as its JSON member, so a cut encodes only what changed.
+        self._named: "dict[str, int]" = {}
+        self._members: "dict[str, str]" = {}
+        #: Kept checkpoint ids, oldest first, and the generations the
+        #: oldest names and the newest does not: they go with it.
+        self._kept: "list[str]" = []
+        self._released: "list[tuple[str, int]]" = []
         self.evicted = 0
         self.rehydrated = 0
-        #: Device files :meth:`snapshot` serialised vs. linked unchanged.
+        #: Devices :meth:`snapshot` serialised vs. named unchanged.
         self.checkpoint_written = 0
         self.checkpoint_reused = 0
 
-    def _device_file(self, device_id: str) -> str:
-        """A filesystem-safe, collision-free file name for a device."""
+    def _device_path(self, device_id: str, generation: int) -> pathlib.Path:
+        """Where one generation of a device's state lives in the store."""
         tag = hashlib.blake2b(device_id.encode(), digest_size=12).hexdigest()
-        return f"dev-{tag}.state"
+        return self._devices_dir / f"dev-{tag}-{generation}.state"
+
+    def _manifest_path(self, checkpoint_id: str) -> pathlib.Path:
+        return self.store_dir / "checkpoints" / f"{checkpoint_id}.json"
+
+    def _store(self, action: str) -> pathlib.Path:
+        if self.store_dir is None:
+            raise ConfigurationError(f"{action} needs a host with a store_dir")
+        return self.store_dir
+
+    def _write(self, device_id: str, channel: InvisibleBits) -> int:
+        """Serialise a resident device and its staged payload as a new
+        generation; returns the generation.  Caller holds the lock."""
+        generation = self._next_generation
+        self._next_generation += 1
+        _write_device_file(
+            self._device_path(device_id, generation),
+            device_state_arrays(channel.board.device),
+            self._payloads.get(device_id),
+        )
+        self._written.append((device_id, generation))
+        return generation
 
     def _fresh_channel(self, device_id: str) -> InvisibleBits:
         device = make_varied_device(
@@ -386,16 +414,13 @@ class FleetHost:
 
         The device RNG is seeded from ``(seed, device_id)`` only — never
         from the shard or batch — so results are identical no matter
-        which lane serves the device.  A device evicted to the archive
-        (or restored lazily from a checkpoint) is rebuilt from the same
-        seed and its snapshot applied on top — bit-identical to one that
-        never left memory, because snapshots carry the exact aging clocks
-        *and* the RNG stream position.
+        which lane serves the device.  A cold device (evicted, or
+        restored lazily from a checkpoint) is rebuilt from the same seed
+        and its stored generation applied on top — bit-identical to one
+        that never left memory, because device files carry the exact
+        aging clocks *and* the RNG stream position.
         """
         with self._lock:
-            # The caller may change the device; its last checkpoint file
-            # no longer vouches for it.
-            self._clean.pop(device_id, None)
             channel = self._channels.get(device_id)
             if channel is None:
                 channel = self._fresh_channel(device_id)
@@ -403,7 +428,8 @@ class FleetHost:
                 if cold is not None:
                     # A bad file raises and leaves the device cold: it
                     # never silently restarts as fresh silicon.
-                    payload = _load_device_file(cold, channel.board.device)
+                    path = self._device_path(device_id, cold)
+                    payload = _load_device_file(path, channel.board.device)
                     if payload is not None:
                         self._payloads[device_id] = payload
                     del self._cold[device_id]
@@ -411,6 +437,9 @@ class FleetHost:
                     _REHYDRATED_TOTAL.inc()
                     telemetry.count("service.device_rehydrated")
                 self._channels[device_id] = channel
+            # The caller may change the device; its stored generation no
+            # longer vouches for it.
+            self._dirty.add(device_id)
             self._channels.move_to_end(device_id)
             self._maybe_evict(keep=device_id)
             return channel
@@ -431,9 +460,11 @@ class FleetHost:
                 self._maybe_evict()
 
     def _maybe_evict(self, *, keep: "str | None" = None) -> None:
-        """Archive coldest unpinned devices down to ``max_resident``.
+        """Evict coldest unpinned devices down to ``max_resident``.
 
-        Caller holds the lock.  Pinned (mid-batch) devices are skipped —
+        Caller holds the lock.  A changed device is written to the store
+        as a new generation; an unchanged one keeps the generation that
+        already holds its state.  Pinned (mid-batch) devices are skipped —
         the fleet may transiently exceed the cap rather than lose
         in-flight aging state.
         """
@@ -451,21 +482,22 @@ class FleetHost:
             if victim is None:
                 return
             channel = self._channels.pop(victim)
-            self._clean.pop(victim, None)
-            self.archive_dir.mkdir(parents=True, exist_ok=True)
-            path = self.archive_dir / self._device_file(victim)
-            # Checkpoints link archive files: replace, never overwrite.
-            arrays = device_state_arrays(channel.board.device)
-            _write_device_file(path, arrays, self._payloads.pop(victim, None))
-            self._cold[victim] = path
+            if victim in self._dirty:
+                self._cold[victim] = self._write(victim, channel)
+                self._dirty.discard(victim)
+            else:
+                self._cold[victim] = self._named[victim]
+            self._payloads.pop(victim, None)
             self.evicted += 1
             _EVICTED_TOTAL.inc()
             telemetry.count("service.device_evicted")
 
     def store_payload(self, device_id: str, payload_bits: np.ndarray) -> None:
+        """Remember a resident device's staged payload (a send calls this
+        right after :meth:`channel`, with the device pinned)."""
         with self._lock:
-            # The device's last checkpoint file holds its old payload.
-            self._clean.pop(device_id, None)
+            # The device's stored generation holds its old payload.
+            self._dirty.add(device_id)
             self._payloads[device_id] = payload_bits
 
     def payload(self, device_id: str) -> "np.ndarray | None":
@@ -478,7 +510,7 @@ class FleetHost:
 
     @property
     def n_devices(self) -> int:
-        """Every device this host knows, resident or archived."""
+        """Every device this host knows, resident or cold."""
         with self._lock:
             return len(self._channels) + len(self._cold)
 
@@ -489,75 +521,61 @@ class FleetHost:
 
     # -- checkpoint / restore -----------------------------------------------------
 
-    def snapshot(self, directory, *, extra: "dict | None" = None) -> dict:
-        """Write the whole fleet's state under ``directory``; incremental.
+    def snapshot(
+        self, checkpoint_id: str, *, extra: "dict | None" = None
+    ) -> dict:
+        """Cut checkpoint ``checkpoint_id`` into the store; returns its
+        manifest.
 
-        One lean device file per device plus a ``manifest.json`` naming
-        the fleet parameters, the device ids (each device's file name is
-        a hash of its id), and any ``extra`` bookkeeping the caller wants
-        carried (the service puts its completed-sequence frontier here).
-        Returns the manifest.
-
-        A device file holds what changes over a device's life: its four
-        NBTI clock arrays and staged payload (one zlib stream), toggle
-        count and RNG stream position.  Its silicon (``mismatch``) is
-        fixed at manufacture and rebuilt from the device's seed on read,
-        so the file carries only a digest of it, which the reader checks
-        (~2.6 KB per 0.25 KiB device).
-
-        Only devices reached through :meth:`channel` or
-        :meth:`store_payload` since their last checkpoint are serialised
-        again.  Every other device's file is hard-linked (copied where
-        links are refused) from the checkpoint or LRU archive file that
-        already holds its state, so the cost scales with the devices
-        touched, not the fleet.  Each checkpoint directory stays
-        self-contained, and afterwards the host reads only this one, so
-        older ones can be deleted.  Files are written under a temp name
-        and ``os.replace``d into place, so re-cutting a checkpoint id
-        never changes bytes another checkpoint links to.  The caller
-        cuts it between batches: the service's lanes and checkpoints run
-        on one event loop, and a batch has no await point.
+        Writes a new generation of each device touched (through
+        :meth:`channel` or :meth:`store_payload`) since it was last
+        stored, then ``checkpoints/<checkpoint_id>.json``: the fleet
+        parameters, every device's generation and any ``extra`` the
+        caller carries (the service's completed-sequence frontier).
+        Untouched devices keep their generations, so the cost follows
+        the devices touched, not the fleet; :meth:`_prune` then retires
+        what the manifest supersedes.  The service cuts it between
+        batches, on the event loop that runs them.
         """
-        directory = pathlib.Path(directory)
-        directory.mkdir(parents=True, exist_ok=True)
+        self._store("snapshot()")
         with self._lock:
-            devices: "list[str]" = []
-            written = 0
-            for device_id, channel in self._channels.items():
-                target = directory / self._device_file(device_id)
-                clean = self._clean.get(device_id)
-                if clean is not None and clean.exists():
-                    _link_device_file(clean, target)
-                else:
-                    arrays = device_state_arrays(channel.board.device)
-                    payload = self._payloads.get(device_id)
-                    _write_device_file(target, arrays, payload)
-                    written += 1
-                self._clean[device_id] = target
-                devices.append(device_id)
-            for device_id, cold_path in self._cold.items():
-                target = directory / self._device_file(device_id)
-                _link_device_file(cold_path, target)
-                # Follow the newest copy, so deleting an older checkpoint
-                # never strands a device this host has yet to rehydrate.
-                self._cold[device_id] = target
-                devices.append(device_id)
+            for device_id in self._dirty:
+                self._write(device_id, self._channels[device_id])
+            written = len(self._dirty)
+            # A device's last write since the previous cut holds its
+            # state.  Each generation a write replaces was named by the
+            # previous manifest (released) or by none (unnamed).
+            devices, members = dict(self._named), dict(self._members)
+            released, unnamed = [], []
+            for device_id, generation in self._written:
+                stale = devices.get(device_id)
+                if stale is not None:
+                    named = stale == self._named.get(device_id)
+                    (released if named else unnamed).append((device_id, stale))
+                devices[device_id] = generation
+                members[device_id] = f"{json.dumps(device_id)}:{generation}"
             reused = len(devices) - written
-            self.checkpoint_written += written
-            self.checkpoint_reused += reused
             manifest = {
                 "format": CHECKPOINT_FORMAT,
                 "version": CHECKPOINT_VERSION,
+                "checkpoint": checkpoint_id,
                 "device_name": self.device_name,
                 "sram_kib": self.sram_kib,
                 "seed": self.seed,
-                "devices": devices,
                 **(extra or {}),
             }
-        tmp = directory / "manifest.json.tmp"
-        # Compact: the C encoder, ~10x faster than an indented dump.
-        tmp.write_text(json.dumps(manifest, sort_keys=True))
-        tmp.replace(directory / "manifest.json")
+            head = json.dumps(manifest, separators=(",", ":"))
+            body = ",".join(members.values())
+            _replace_with(
+                self._manifest_path(checkpoint_id),
+                f'{head[:-1]},"devices":{{{body}}}}}'.encode(),
+            )
+            manifest["devices"] = devices
+            self.checkpoint_written += written
+            self.checkpoint_reused += reused
+            self._dirty.clear()
+            self._named, self._members, self._written = devices, members, []
+            self._prune(checkpoint_id, released, unnamed)
         telemetry.count("service.checkpoint_devices", len(devices))
         telemetry.count("service.checkpoint_devices_written", written)
         telemetry.count("service.checkpoint_devices_reused", reused)
@@ -565,45 +583,107 @@ class FleetHost:
         _CHECKPOINT_DEVICES_TOTAL.inc(reused, mode="reused")
         return manifest
 
-    def restore(self, directory) -> dict:
-        """Adopt a :meth:`snapshot` directory; devices rehydrate lazily.
+    def _prune(self, checkpoint_id: str, released, unnamed) -> None:
+        """Keep the newest :data:`KEEP_CHECKPOINTS` checkpoints and delete
+        every generation none of them names and no cold device holds.
 
-        Validates the manifest against this host's fleet parameters and
-        records each device's file as a cold source — first touch
-        rebuilds the device and applies the snapshot, staged payload
-        included.  Every device file is read and checked here, so a
-        missing, truncated, corrupt or foreign one refuses the checkpoint
-        at restart, not at some later request.  Returns the manifest.
+        ``released`` (named by the previous newest manifest, not this
+        one) go with the older kept manifest; ``unnamed`` (written since
+        the last cut, named by none) go now.  A manifest goes before its
+        generations, so a prune cut short leaves unnamed files for
+        :meth:`restore` to sweep.  No directory is listed.
         """
-        directory = pathlib.Path(directory)
-        manifest_path = directory / "manifest.json"
-        if not manifest_path.exists():
-            raise JournalError(f"{directory}: no checkpoint manifest")
-        manifest = json.loads(manifest_path.read_text())
+        doomed = list(unnamed)
+        if checkpoint_id in self._kept[-1:]:
+            # A re-cut (no admit since the last cut) replaced the newest
+            # manifest: what only it named goes now.  Rare, so the older
+            # manifest is read rather than kept in memory.
+            older = {}
+            if len(self._kept) > 1:
+                path = self._manifest_path(self._kept[0])
+                older = self._read_manifest(path)["devices"]
+            doomed += [r for r in released if older.get(r[0]) != r[1]]
+            released = [r for r in released if older.get(r[0]) == r[1]]
+        else:
+            self._kept.append(checkpoint_id)
+        if len(self._kept) > KEEP_CHECKPOINTS:
+            self._manifest_path(self._kept.pop(0)).unlink(missing_ok=True)
+            doomed, self._released = doomed + self._released, []
+        self._released.extend(released)
+        for device_id, generation in doomed:
+            self._device_path(device_id, generation).unlink(missing_ok=True)
+
+    def _read_manifest(self, path: pathlib.Path) -> dict:
+        """A checkpoint manifest, checked against this host's fleet."""
+        manifest = json.loads(path.read_text())
         if manifest.get("format") != CHECKPOINT_FORMAT:
-            raise JournalError(f"{directory}: not a fleet checkpoint")
+            raise JournalError(f"{path}: not a fleet checkpoint")
         if manifest.get("version") != CHECKPOINT_VERSION:
             raise JournalError(
-                f"{directory}: unsupported checkpoint version "
+                f"{path}: unsupported checkpoint version "
                 f"{manifest.get('version')}"
             )
         for field in ("device_name", "sram_kib", "seed"):
-            ours = getattr(self, field)
-            theirs = manifest.get(field)
+            ours, theirs = getattr(self, field), manifest.get(field)
             if theirs != ours:
                 raise JournalError(
-                    f"{directory}: checkpoint {field}={theirs!r} does not "
+                    f"{path}: checkpoint {field}={theirs!r} does not "
                     f"match this host's {field}={ours!r}"
                 )
-        with self._lock:
-            for device_id in manifest["devices"]:
-                path = directory / self._device_file(device_id)
-                _read_device_file(path)  # raises on a missing or bad file
-                self._channels.pop(device_id, None)
-                self._clean.pop(device_id, None)
-                self._payloads.pop(device_id, None)
-                self._cold[device_id] = path
         return manifest
+
+    def restore(self) -> "dict | None":
+        """Become the store's newest checkpoint (returned; ``None`` when
+        there is none); devices rehydrate lazily.
+
+        Checks the kept manifests against this host's fleet and reads
+        every device file the newest names, so a bad one refuses the
+        checkpoint at restart, not at some later request.  Then one
+        sweep deletes what a crash left: older manifests, temp files and
+        every device file no kept manifest names.  A version 3 store (a
+        directory of device files per checkpoint) is refused.
+        """
+        root = self._store("restore()") / "checkpoints"
+        if any(path.is_dir() for path in root.iterdir()):
+            raise JournalError(
+                f"{root}: version 3 checkpoint directories (device files "
+                f"per checkpoint); only version {CHECKPOINT_VERSION} "
+                "manifests over one device store are read"
+            )
+        manifests = complete_checkpoints(self.store_dir)
+        kept = [self._read_manifest(p) for p in manifests[-KEEP_CHECKPOINTS:]]
+        newest = kept[-1]["devices"] if kept else {}
+        for device_id, generation in newest.items():
+            _read_device_file(self._device_path(device_id, generation))
+        named = {
+            self._device_path(device_id, generation).name
+            for manifest in kept
+            for device_id, generation in manifest["devices"].items()
+        }
+        for path in [
+            *manifests[:-KEEP_CHECKPOINTS],
+            *root.glob("*.tmp"),
+            *(p for p in self._devices_dir.iterdir() if p.name not in named),
+        ]:
+            path.unlink()
+        with self._lock:
+            self._channels.clear()
+            self._payloads.clear()
+            self._dirty.clear()
+            self._cold, self._named, self._written = dict(newest), newest, []
+            self._members = {
+                d: f"{json.dumps(d)}:{g}" for d, g in newest.items()
+            }
+            self._kept = [manifest["checkpoint"] for manifest in kept]
+            self._released = [
+                (d, g)
+                for d, g in (kept[0]["devices"] if kept else {}).items()
+                if newest.get(d) != g
+            ]
+            self._next_generation = 1 + max(
+                (g for m in kept for g in m["devices"].values()), default=-1
+            )
+        return kept[-1] if kept else None
 
     def state_digest(self) -> str:
         """A stable digest of every device's state, RNG position and payload.
@@ -624,7 +704,8 @@ class FleetHost:
                 arrays["silicon"] = silicon_digest(arrays["mismatch"])
                 arrays["payload"] = self._payloads.get(device_id)
                 entries.append((device_id, arrays))
-            for device_id, path in self._cold.items():
+            for device_id, generation in self._cold.items():
+                path = self._device_path(device_id, generation)
                 entries.append((device_id, _read_device_file(path)))
         h = hashlib.sha256()
         for device_id, arrays in sorted(entries):
@@ -745,7 +826,7 @@ class Shard:
             return channel
 
         # Pin the batch's devices: staging a later device must not make
-        # the host LRU archive an earlier one this batch still holds.
+        # the host LRU evict an earlier one this batch still holds.
         with self.host.pinned({job.request.device_id for job in jobs}):
             try:
                 for job in jobs:

@@ -604,13 +604,16 @@ def service_crash_recovery(seed, n_messages):
     Run A soaks a journaled service to completion.  Run B soaks the same
     traffic but cuts three checkpoints mid-soak: after the first send,
     after the other sends, and after some devices are read back
-    (touched, so serialised again) while one is left alone (its file is
-    reused from the second checkpoint).  The third cut prunes the first
-    checkpoint, whose files the second shares.  Run B is then killed
-    dead (``abort()`` — no drain, no final fsync) with the tail in
-    flight, a fresh service boots on the same journal directory from the
-    newest checkpoint, and the whole soak is resubmitted under the same
-    idempotency keys.
+    (touched, so written as a new generation) while one is left alone
+    (named at the generation the second checkpoint named).  The third
+    cut prunes the first checkpoint, and the device store must then hold
+    exactly the generations the two kept manifests name.  Run B is then
+    killed dead (``abort()`` — no drain, no final fsync) with the tail
+    in flight, a fresh service boots on the same journal directory from
+    the newest checkpoint, and the whole soak is resubmitted under the
+    same idempotency keys.  A copy of the killed run's directory without
+    its newest manifest must recover the same way from the second-newest
+    one, whose read-back devices the newest no longer names.
 
     Run C cuts its checkpoint the automatic way, mid-load: every send
     is submitted at once to one lane (``max_batch`` 3,
@@ -624,10 +627,14 @@ def service_crash_recovery(seed, n_messages):
     differs, and device state never depends on it.
     """
     import asyncio
+    import json
+    import pathlib
+    import shutil
     import tempfile
 
+    from ..errors import JournalError
     from ..service import FleetService, LoadGenerator, results_digest
-    from ..service.recovery import (
+    from ..service.shards import (
         KEEP_CHECKPOINTS,
         complete_checkpoints,
         latest_checkpoint,
@@ -641,16 +648,17 @@ def service_crash_recovery(seed, n_messages):
             await service.submit(send)
             results.append((await service.submit(receive)).to_dict())
 
-    async def uninterrupted(journal_dir):
-        service = FleetService(_journaled_config(journal_dir, seed))
+    async def uninterrupted(tmp):
+        service = FleetService(_journaled_config(tmp / "jd", seed))
         await service.start()
         generator = LoadGenerator(seed=seed, message_bytes=4, idempotency=True)
         results: "list[dict]" = []
         await soak(service, generator, results)
         await service.stop()
-        return service.host.state_digest(), results
+        return {"uninterrupted": (service.host.state_digest(), results)}
 
-    async def crashed_then_recovered(journal_dir):
+    async def crashed_then_recovered(tmp):
+        journal_dir = tmp / "jd"
         service = FleetService(_journaled_config(journal_dir, seed))
         await service.start()
         generator = LoadGenerator(seed=seed, message_bytes=4, idempotency=True)
@@ -669,12 +677,26 @@ def service_crash_recovery(seed, n_messages):
             _, receive = _soak_requests(generator, index)
             await service.submit(receive)
         newest = await service.checkpoint()
-        kept = [path.name for path in complete_checkpoints(journal_dir)]
+        manifests = complete_checkpoints(journal_dir)
+        kept = [path.stem for path in manifests]
         check_that(
             len(kept) == KEEP_CHECKPOINTS
             and kept[-1] == newest["checkpoint"],
             f"three checkpoints cut, {kept} left on disk: the prune must "
             f"keep exactly the newest {KEEP_CHECKPOINTS}",
+        )
+        named = {
+            service.host._device_path(device_id, generation).name
+            for path in manifests
+            for device_id, generation in json.loads(path.read_text())[
+                "devices"
+            ].items()
+        }
+        stored = {path.name for path in (journal_dir / "devices").iterdir()}
+        check_that(
+            stored == named,
+            f"the device store holds {sorted(stored - named)} that no kept "
+            f"manifest names and lacks {sorted(named - stored)} that one does",
         )
         check_that(
             service.host.checkpoint_reused > 0,
@@ -702,13 +724,22 @@ def service_crash_recovery(seed, n_messages):
             task.cancel()
         await asyncio.gather(*tail, return_exceptions=True)
 
-        return await revived_soak(
-            _journaled_config(journal_dir, seed),
-            generator,
-            newest["checkpoint"],
-        )
+        older = tmp / "older"
+        shutil.copytree(journal_dir, older)
+        (older / "checkpoints" / f"{kept[-1]}.json").unlink()
+        return {
+            "crashed": await revived_soak(
+                _journaled_config(journal_dir, seed),
+                generator,
+                newest["checkpoint"],
+            ),
+            "second-newest checkpoint": await revived_soak(
+                _journaled_config(older, seed), generator, kept[0]
+            ),
+        }
 
-    async def cut_mid_load_then_recovered(journal_dir):
+    async def cut_mid_load_then_recovered(tmp):
+        journal_dir = tmp / "jd"
         config = _journaled_config(
             journal_dir, seed, shards=1, max_batch=3, checkpoint_every=2
         )
@@ -728,15 +759,18 @@ def service_crash_recovery(seed, n_messages):
             and any(q.qsize() for q in service.queues.values()),
             "the automatic checkpoint was not cut while sends were queued",
         )
-        cut = latest_checkpoint(journal_dir).name
+        cut = latest_checkpoint(journal_dir).stem
         await service.abort()
         for task in sends:
             task.cancel()
         await asyncio.gather(*sends, return_exceptions=True)
-        return await revived_soak(config, generator, cut)
+        return {"cut mid-load": await revived_soak(config, generator, cut)}
 
     async def revived_soak(config, generator, checkpoint):
-        revived = FleetService(config)
+        try:
+            revived = FleetService(config)
+        except JournalError as exc:
+            check_that(False, f"restart from {checkpoint} refused: {exc}")
         check_that(
             revived.ledger.report.checkpoint == checkpoint,
             f"recovery restored {revived.ledger.report.checkpoint}, not the "
@@ -749,13 +783,10 @@ def service_crash_recovery(seed, n_messages):
         return revived.host.state_digest(), results
 
     runs = {}
-    for run, leg in (
-        ("uninterrupted", uninterrupted),
-        ("crashed", crashed_then_recovered),
-        ("cut mid-load", cut_mid_load_then_recovered),
-    ):
+    legs = (uninterrupted, crashed_then_recovered, cut_mid_load_then_recovered)
+    for leg in legs:
         with tempfile.TemporaryDirectory() as tmp:
-            runs[run] = asyncio.run(leg(tmp))
+            runs.update(asyncio.run(leg(pathlib.Path(tmp))))
 
     state_a, results_a = runs.pop("uninterrupted")
     # results_digest already excludes the ``shard`` field — provenance,
@@ -792,7 +823,7 @@ def service_device_file_roundtrip(seed, n_ops):
 
     A seeded history — a send to each device, then capture bursts,
     shelving and re-sends — runs on a host that keeps one device
-    resident, so every step evicts a device to the archive and
+    resident, so every step evicts a device to the device store and
     rehydrates another, and on an uncapped twin.  The two must digest
     equal, staged payloads included.  Then each device's file is
     read into a freshly seeded device: every
@@ -823,7 +854,7 @@ def service_device_file_roundtrip(seed, n_ops):
     with tempfile.TemporaryDirectory() as tmp:
         root = pathlib.Path(tmp)
         capped = FleetHost(
-            seed=seed, max_resident=1, archive_dir=root / "archive", **fleet
+            seed=seed, max_resident=1, store_dir=root / "store", **fleet
         )
         twin = FleetHost(seed=seed, **fleet)
         for step in range(n_ops):
@@ -844,7 +875,7 @@ def service_device_file_roundtrip(seed, n_ops):
                     channel.board.device.sram.shelve(hours * 3600.0)
         check_that(
             capped.evicted > 0 and capped.rehydrated > 0,
-            "the history never went through the archive",
+            "the history never went through the device store",
         )
         check_that(
             capped.state_digest() == twin.state_digest(),
@@ -854,7 +885,7 @@ def service_device_file_roundtrip(seed, n_ops):
         for device_id in ids:
             before = device_state_arrays(twin.channel(device_id).board.device)
             staged = twin.payload(device_id)
-            path = root / twin._device_file(device_id)
+            path = root / f"{device_id}.state"
             _write_device_file(path, before, staged)
             fresh = twin._fresh_channel(device_id).board.device
             payload = _load_device_file(path, fresh)
@@ -1629,21 +1660,21 @@ def _mutant_corrections_to_next_row(rng):
 def _mutant_touch_keeps_stale_file(rng):
     """A touched device that keeps its stale checkpoint file must diverge.
 
-    The planted defect: ``FleetHost.channel`` no longer clears the
-    device's clean-file mark, so the second checkpoint links the file
-    from before the read-back.  Recovery from it serves that read-back
-    from cache without its aging, and the fleet state digest diverges
-    from the run that never crashed.
+    The planted defect: ``FleetHost.channel`` no longer marks a resident
+    device dirty, so the third checkpoint names the generation from
+    before the read-back.  Recovery from it serves that read-back from
+    cache without its aging, and the fleet state digest diverges from
+    the run that never crashed.
     """
     from ..service.shards import FleetHost
 
     pristine = FleetHost.channel
 
     def keeps_stale_file(self, device_id):
-        clean = self._clean.get(device_id)
+        clean = device_id in self._channels and device_id not in self._dirty
         channel = pristine(self, device_id)
-        if clean is not None:
-            self._clean[device_id] = clean  # the planted defect
+        if clean:
+            self._dirty.discard(device_id)  # the planted defect
         return channel
 
     FleetHost.channel = keeps_stale_file
@@ -1706,24 +1737,42 @@ def _mutant_writer_drops_payload(rng):
 
 @mutant("service.crash_recovery", "prune-newest-checkpoint")
 def _mutant_prune_newest_checkpoint(rng):
-    """A prune that deletes the newest complete checkpoint must be caught:
-    a restart would then restore an older one, or none."""
-    import shutil
+    """A prune that deletes the newest checkpoint's manifest must be
+    caught: a restart would then restore an older one, or none."""
+    from ..service.shards import FleetHost
 
-    from ..service import recovery, server
+    pristine = FleetHost._prune
 
-    pristine = server.prune_checkpoints
+    def prunes_newest(self, checkpoint_id, released, unnamed):
+        pristine(self, checkpoint_id, released, unnamed)
+        self._manifest_path(checkpoint_id).unlink()  # the planted defect
 
-    def prunes_newest(journal_dir):
-        pruned = pristine(journal_dir)
-        shutil.rmtree(recovery.latest_checkpoint(journal_dir))  # the defect
-        return pruned
-
-    server.prune_checkpoints = prunes_newest
+    FleetHost._prune = prunes_newest
     try:
         service_crash_recovery(int(rng.integers(0, 2**31)), 4)
     finally:
-        server.prune_checkpoints = pristine
+        FleetHost._prune = pristine
+
+
+@mutant("service.crash_recovery", "prune-named-generation")
+def _mutant_prune_named_generation(rng):
+    """A prune that deletes the generations a new manifest stops naming
+    at once, while the second-newest manifest still names them, must be
+    caught: a restart from that manifest finds device files missing."""
+    from ..service.shards import FleetHost
+
+    pristine = FleetHost._prune
+
+    def prunes_named(self, checkpoint_id, released, unnamed):
+        # The planted defect: released generations go with the cut, not
+        # with the manifest that still names them.
+        pristine(self, checkpoint_id, [], [*unnamed, *released])
+
+    FleetHost._prune = prunes_named
+    try:
+        service_crash_recovery(int(rng.integers(0, 2**31)), 4)
+    finally:
+        FleetHost._prune = pristine
 
 
 @mutant("service.crash_recovery", "checkpoint-inside-batch")

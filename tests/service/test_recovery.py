@@ -27,14 +27,8 @@ from repro.service import (
     recover_components,
 )
 from repro.service.journal import _frame
-from repro.service.recovery import (
-    KEEP_CHECKPOINTS,
-    complete_checkpoints,
-    journal_path,
-    latest_checkpoint,
-    prune_checkpoints,
-    results_digest,
-)
+from repro.service.recovery import journal_path, results_digest
+from repro.service.shards import KEEP_CHECKPOINTS, complete_checkpoints
 from repro.service.queue import Job
 
 from ._hold import hold_lanes
@@ -46,10 +40,43 @@ def _host(tmp_path=None, **overrides) -> FleetHost:
     base = dict(
         scheme=ServiceConfig().resolved_scheme(),
         seed=SEED,
-        archive_dir=str(tmp_path / "archive") if tmp_path else None,
+        store_dir=str(tmp_path / "store") if tmp_path else None,
     )
     base.update(overrides)
     return FleetHost(**base)
+
+
+def _manifest(store, checkpoint_id: str) -> dict:
+    return json.loads((store / "checkpoints" / f"{checkpoint_id}.json").read_text())
+
+
+def _named_files(host: FleetHost) -> set:
+    """Every device file name the store's manifests name."""
+    return {
+        host._device_path(device_id, generation).name
+        for path in complete_checkpoints(host.store_dir)
+        for device_id, generation in json.loads(path.read_text())[
+            "devices"
+        ].items()
+    }
+
+
+def _stored_files(host: FleetHost) -> set:
+    return {path.name for path in (host.store_dir / "devices").iterdir()}
+
+
+def _restored_at(store, checkpoint_id: str, scratch) -> FleetHost:
+    """A host restored from an older checkpoint: a copy of the store
+    without the manifests cut after it."""
+    import shutil
+
+    shutil.copytree(store, scratch)
+    for path in complete_checkpoints(scratch):
+        if path.stem > checkpoint_id:
+            path.unlink()
+    host = _host(store_dir=scratch)
+    assert host.restore()["checkpoint"] == checkpoint_id
+    return host
 
 
 def _execute(host: FleetHost, requests) -> list:
@@ -78,34 +105,34 @@ def _traffic(n: int):
 
 class TestSnapshotRestore:
     def test_restore_is_bit_identical(self, tmp_path):
-        host = _host()
+        host = _host(tmp_path)
         _execute(host, _traffic(3))
-        manifest = host.snapshot(tmp_path / "ckpt", extra={"checkpoint": "c"})
+        manifest = host.snapshot("c", extra={"note": "n"})
         assert manifest["devices"] and manifest["checkpoint"] == "c"
 
-        twin = _host()
-        restored = twin.restore(tmp_path / "ckpt")
-        assert restored["checkpoint"] == "c"
+        twin = _host(tmp_path)
+        restored = twin.restore()
+        assert restored == manifest and restored["note"] == "n"
         assert twin.n_devices == host.n_devices
         assert twin.state_digest() == host.state_digest()
 
     def test_restore_rejects_a_mismatched_fleet(self, tmp_path):
-        host = _host()
+        host = _host(tmp_path)
         _execute(host, _traffic(1))
-        host.snapshot(tmp_path / "ckpt")
+        host.snapshot("ckpt")
         with pytest.raises(JournalError, match="seed"):
-            _host(seed=SEED + 1).restore(tmp_path / "ckpt")
+            _host(tmp_path, seed=SEED + 1).restore()
 
     def test_restore_rejects_an_unknown_format(self, tmp_path):
-        host = _host()
+        host = _host(tmp_path)
         _execute(host, _traffic(1))
-        host.snapshot(tmp_path / "ckpt")
-        manifest_path = tmp_path / "ckpt" / "manifest.json"
+        host.snapshot("ckpt")
+        manifest_path = host.store_dir / "checkpoints" / "ckpt.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["format"] = "somebody-elses-checkpoint"
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(JournalError, match="not a fleet checkpoint"):
-            _host().restore(tmp_path / "ckpt")
+            _host(tmp_path).restore()
 
     def test_lru_eviction_is_transparent(self, tmp_path):
         capped = _host(tmp_path, max_resident=2)
@@ -130,7 +157,7 @@ class TestSnapshotRestore:
 
     def test_a_batch_never_evicts_its_own_devices(self, tmp_path):
         """One receive group over 4 devices on a 2-resident host: the
-        batch pins all four, so staging the third cannot archive the
+        batch pins all four, so staging the third cannot evict the
         first while the capture is about to age it."""
         capped = _host(tmp_path, max_resident=2)
         uncapped = _host()
@@ -160,108 +187,125 @@ class TestSnapshotRestore:
         assert outcomes[id(capped)] == outcomes[id(uncapped)]
 
     def test_second_snapshot_rewrites_only_touched_devices(self, tmp_path):
-        host = _host()
+        host = _host(tmp_path)
         _execute(host, _traffic(4))
-        host.snapshot(tmp_path / "a")
+        first = host.snapshot("a")
         assert (host.checkpoint_written, host.checkpoint_reused) == (4, 0)
         _execute(host, [SendRequest(device_id="dev-1", message=b"again")])
-        manifest = host.snapshot(tmp_path / "b")
+        second = host.snapshot("b")
         assert (host.checkpoint_written, host.checkpoint_reused) == (5, 3)
-        for device_id in manifest["devices"]:
-            name = host._device_file(device_id)
-            shared = (tmp_path / "a" / name).samefile(tmp_path / "b" / name)
-            assert shared == (device_id != "dev-1"), device_id
+        for device_id, generation in second["devices"].items():
+            unchanged = generation == first["devices"][device_id]
+            assert unchanged == (device_id != "dev-1"), device_id
 
         # The same history, checkpointed once from scratch.
-        scratch = _host()
+        scratch = _host(tmp_path / "scratch")
         _execute(scratch, _traffic(4))
         _execute(scratch, [SendRequest(device_id="dev-1", message=b"again")])
-        scratch.snapshot(tmp_path / "scratch")
+        scratch.snapshot("s")
         assert scratch.checkpoint_written == 4
-        incremental, full = _host(), _host()
-        incremental.restore(tmp_path / "b")
-        full.restore(tmp_path / "scratch")
+        incremental, full = _host(tmp_path), _host(tmp_path / "scratch")
+        incremental.restore()
+        full.restore()
         assert incremental.state_digest() == full.state_digest()
         assert incremental.state_digest() == host.state_digest()
 
     def test_deleting_the_older_checkpoint_keeps_the_newer_restorable(
         self, tmp_path
     ):
-        import shutil
-
-        origin = _host()
+        origin = _host(tmp_path)
         _execute(origin, _traffic(3))
-        origin.snapshot(tmp_path / "a")
+        first = origin.snapshot("a")
         # A restarted host: every device cold in "a" until touched.
-        host = _host()
-        host.restore(tmp_path / "a")
+        host = _host(tmp_path)
+        host.restore()
         _execute(host, [ReceiveRequest(device_id="dev-0")])
-        host.snapshot(tmp_path / "b")
+        host.snapshot("b")
         assert (host.checkpoint_written, host.checkpoint_reused) == (1, 2)
-        shutil.rmtree(tmp_path / "a")
+        # "c" prunes "a" and dev-0's generation that only "a" named.
+        _execute(host, [ReceiveRequest(device_id="dev-1")])
+        host.snapshot("c")
+        assert [p.stem for p in complete_checkpoints(host.store_dir)] == [
+            "b",
+            "c",
+        ]
+        assert not host._device_path("dev-0", first["devices"]["dev-0"]).exists()
+        assert _stored_files(host) == _named_files(host)
 
-        twin = _host()
-        twin.restore(tmp_path / "b")
+        twin = _host(tmp_path)
+        twin.restore()
         assert twin.state_digest() == host.state_digest()
-        # The live host needs nothing from the deleted directory either:
-        # its cold devices now rehydrate from "b".
+        # The live host needs nothing from the deleted checkpoint either:
+        # its cold dev-2 still rehydrates from the generation "a" wrote.
         _execute(host, [ReceiveRequest(device_id="dev-2")])
-        host.snapshot(tmp_path / "c")
-        twin = _host()
-        twin.restore(tmp_path / "c")
+        host.snapshot("d")
+        twin = _host(tmp_path)
+        twin.restore()
         assert twin.state_digest() == host.state_digest()
 
     def test_a_same_id_recut_leaves_linked_files_unchanged(self, tmp_path):
-        host = _host()
+        """A restart that re-cuts its newest checkpoint's id replaces that
+        manifest, and never a file the older kept checkpoint names."""
+        host = _host(tmp_path)
         _execute(host, _traffic(3))
-        host.snapshot(tmp_path / "a")
+        host.snapshot("a")
         digest_a = host.state_digest()
         _execute(host, [ReceiveRequest(device_id="dev-0")])
-        host.snapshot(tmp_path / "b")
+        host.snapshot("b")
+        older = _manifest(host.store_dir, "a")["devices"]
         bytes_a = {
-            path.name: path.read_bytes() for path in (tmp_path / "a").iterdir()
+            device_id: host._device_path(device_id, generation).read_bytes()
+            for device_id, generation in older.items()
         }
 
-        # A restart restores "b" (two of whose files are "a"'s inodes),
-        # touches one of those devices and re-cuts "b" under the same id.
-        restarted = _host()
-        restarted.restore(tmp_path / "b")
-        _execute(restarted, [ReceiveRequest(device_id="dev-1")])
-        restarted.snapshot(tmp_path / "b")
+        # A restart restores "b" (two of whose generations "a" names too),
+        # touches one of those devices and dev-0 (whose "b" generation
+        # only "b" names) and re-cuts "b" under the same id.
+        restarted = _host(tmp_path)
+        restarted.restore()
+        _execute(
+            restarted,
+            [ReceiveRequest(device_id=d) for d in ("dev-0", "dev-1")],
+        )
+        recut = restarted.snapshot("b")
+        assert recut["devices"]["dev-1"] != older["dev-1"]
 
         assert {
-            path.name: path.read_bytes() for path in (tmp_path / "a").iterdir()
+            device_id: host._device_path(device_id, generation).read_bytes()
+            for device_id, generation in older.items()
         } == bytes_a
-        older = _host()
-        older.restore(tmp_path / "a")
-        assert older.state_digest() == digest_a
-        newer = _host()
-        newer.restore(tmp_path / "b")
+        assert _stored_files(host) == _named_files(host)
+        was = _restored_at(host.store_dir, "a", tmp_path / "at-a")
+        assert was.state_digest() == digest_a
+        newer = _host(tmp_path)
+        newer.restore()
         assert newer.state_digest() == restarted.state_digest()
 
     def test_an_evicted_then_touched_device_is_written_again(self, tmp_path):
-        capped = _host(tmp_path, max_resident=2)
-        uncapped = _host()
+        capped = _host(tmp_path / "capped", max_resident=2)
+        uncapped = _host(tmp_path / "uncapped")
         first = [SendRequest(device_id=f"dev-{i}", message=b"x") for i in (0, 1)]
         # dev-2's send evicts dev-0; the receive rehydrates and ages it.
         later = [
             SendRequest(device_id="dev-2", message=b"y"),
             ReceiveRequest(device_id="dev-0"),
         ]
-        for host, root in ((capped, "capped"), (uncapped, "uncapped")):
+        manifests = {}
+        for host in (capped, uncapped):
             _execute(host, first)
-            host.snapshot(tmp_path / root / "a")
+            a = host.snapshot("a")
             _execute(host, later)
-            host.snapshot(tmp_path / root / "b")
+            manifests[id(host)] = a, host.snapshot("b")
         assert capped.evicted >= 2 and capped.rehydrated == 1
-        name = capped._device_file("dev-0")
-        ckpt = tmp_path / "capped"
-        assert not (ckpt / "a" / name).samefile(ckpt / "b" / name)
-        # dev-0 and dev-2 serialised again; dev-1 linked from the archive.
+        a, b = manifests[id(capped)]
+        assert b["devices"]["dev-0"] != a["devices"]["dev-0"]
+        # dev-0 and dev-2 serialised again; dev-1 was evicted unchanged,
+        # so it keeps the generation "a" wrote: no second copy.
+        assert b["devices"]["dev-1"] == a["devices"]["dev-1"]
         assert (capped.checkpoint_written, capped.checkpoint_reused) == (4, 1)
 
-        restored = _host()
-        restored.restore(ckpt / "b")
+        restored = _host(tmp_path / "capped")
+        restored.restore()
         assert restored.state_digest() == uncapped.state_digest()
 
 
@@ -270,14 +314,13 @@ class TestPayloadInDeviceFile:
     while it is resident, in its device file while it is cold."""
 
     def test_the_manifest_lists_devices_and_holds_no_payloads(self, tmp_path):
-        host = _host()
+        host = _host(tmp_path)
         _execute(host, _traffic(3))
-        manifest = host.snapshot(tmp_path / "ckpt")
-        on_disk = json.loads((tmp_path / "ckpt" / "manifest.json").read_text())
-        assert on_disk == manifest
+        manifest = host.snapshot("ckpt")
+        assert _manifest(host.store_dir, "ckpt") == manifest
         assert sorted(manifest["devices"]) == ["dev-0", "dev-1", "dev-2"]
         assert "payloads" not in manifest and "use_firmware" not in manifest
-        assert manifest["version"] == 3
+        assert manifest["version"] == 4
 
     def test_the_payload_map_holds_resident_devices_only(self, tmp_path):
         capped = _host(tmp_path, max_resident=2)
@@ -330,80 +373,102 @@ class TestPayloadInDeviceFile:
     def test_restore_drops_the_payloads_of_devices_it_makes_cold(
         self, tmp_path
     ):
-        host = _host()
+        host = _host(tmp_path)
         _execute(host, _traffic(2))
-        host.snapshot(tmp_path / "ckpt")
+        host.snapshot("ckpt")
         _execute(host, [SendRequest(device_id="dev-0", message=b"later")])
-        host.restore(tmp_path / "ckpt")
+        host.restore()
         assert host._payloads == {} and host.n_resident == 0
-        twin = _host()
-        twin.restore(tmp_path / "ckpt")
+        twin = _host(tmp_path)
+        twin.restore()
         assert host.state_digest() == twin.state_digest()
         [mine] = _execute(host, [ReceiveRequest(device_id="dev-0")])
         assert mine.message == b"m0"  # the checkpoint's payload, not RAM's
 
     def test_a_new_payload_rewrites_a_clean_device_file(self, tmp_path):
-        host = _host()
+        host = _host(tmp_path)
         _execute(host, _traffic(2))
-        host.snapshot(tmp_path / "a")
+        host.snapshot("a")
         bits = host.payload("dev-0").copy()
         bits[0] ^= 1
         host.store_payload("dev-0", bits)
-        host.snapshot(tmp_path / "b")
+        host.snapshot("b")
         assert (host.checkpoint_written, host.checkpoint_reused) == (3, 1)
-        twin = _host()
-        twin.restore(tmp_path / "b")
+        twin = _host(tmp_path)
+        twin.restore()
         assert twin.payload("dev-0").tobytes() == bits.tobytes()
 
 
 class TestPrune:
-    @staticmethod
-    def _cut(host, journal_dir, name):
-        host.snapshot(journal_dir / "checkpoints" / name)
-        return prune_checkpoints(journal_dir)
-
     def test_only_the_newest_two_complete_checkpoints_stay(self, tmp_path):
-        host = _host()
-        for index in range(4):
+        host = _host(tmp_path)
+        names = [f"ckpt-{index:08d}" for index in range(4)]
+        for index, name in enumerate(names):
             _execute(host, _traffic(index + 1))
-            pruned = self._cut(host, tmp_path, f"ckpt-{index:08d}")
-            assert [path.name for path in pruned] == (
-                [f"ckpt-{index - 2:08d}"] if index >= 2 else []
+            host.snapshot(name)
+            assert [p.stem for p in complete_checkpoints(host.store_dir)] == (
+                names[max(0, index - 1) : index + 1]
             )
-        kept = complete_checkpoints(tmp_path)
+            # The store holds exactly what the kept manifests name.
+            assert _stored_files(host) == _named_files(host)
+        kept = complete_checkpoints(host.store_dir)
         assert len(kept) == KEEP_CHECKPOINTS
-        assert [path.name for path in kept] == [
-            "ckpt-00000002",
-            "ckpt-00000003",
-        ]
-        # The kept checkpoints shared inodes with pruned ones; every
-        # device file they name is still there.
-        for path in kept:
-            _host().restore(path)
-        twin = _host()
-        twin.restore(kept[-1])
+        # Both kept checkpoints restore; each names generations the
+        # pruned ones wrote.
+        older = _restored_at(host.store_dir, names[2], tmp_path / "older")
+        assert older.n_devices == 3
+        twin = _host(tmp_path)
+        assert twin.restore()["checkpoint"] == names[3]
         assert twin.state_digest() == host.state_digest()
 
     def test_interrupted_snapshots_newer_than_the_kept_ones_stay(
-        self, tmp_path
+        self, tmp_path, monkeypatch
     ):
-        host = _host()
-        _execute(host, _traffic(1))
-        root = tmp_path / "checkpoints"
-        (root / "ckpt-00000000").mkdir(parents=True)  # older, incomplete
-        self._cut(host, tmp_path, "ckpt-00000001")
-        (root / "ckpt-00000002").mkdir()  # between the kept two
-        (root / "ckpt-00000009").mkdir()  # newer than the newest
-        pruned = self._cut(host, tmp_path, "ckpt-00000003")
-        assert [path.name for path in pruned] == ["ckpt-00000000"]
-        assert prune_checkpoints(tmp_path) == []
-        assert sorted(path.name for path in root.iterdir()) == [
+        """A cut killed before its manifest is published leaves the kept
+        checkpoints whole; the generations it wrote are named by nothing,
+        and the next restore sweeps them and the manifest's temp file."""
+        import os
+        import shutil
+
+        host = _host(tmp_path)
+        _execute(host, _traffic(2))
+        host.snapshot("ckpt-00000001")
+        _execute(host, [ReceiveRequest(device_id="dev-0")])
+        host.snapshot("ckpt-00000002")
+        digest = host.state_digest()
+        _execute(host, [ReceiveRequest(device_id="dev-1")])
+        real_replace = os.replace
+
+        def dies_at_the_manifest(src, dst, *args, **kwargs):
+            if str(dst).endswith(".json"):
+                raise OSError("killed")
+            return real_replace(src, dst, *args, **kwargs)
+
+        monkeypatch.setattr(os, "replace", dies_at_the_manifest)
+        with pytest.raises(OSError, match="killed"):
+            host.snapshot("ckpt-00000003")
+        monkeypatch.undo()
+        assert [p.stem for p in complete_checkpoints(host.store_dir)] == [
             "ckpt-00000001",
             "ckpt-00000002",
-            "ckpt-00000003",
-            "ckpt-00000009",
         ]
-        assert latest_checkpoint(tmp_path).name == "ckpt-00000003"
+        orphans = _stored_files(host) - _named_files(host)
+        assert len(orphans) == 1  # dev-1's new generation
+
+        crashed = tmp_path / "crashed"
+        shutil.copytree(host.store_dir, crashed)
+        restarted = _host(store_dir=crashed)
+        assert restarted.restore()["checkpoint"] == "ckpt-00000002"
+        assert restarted.state_digest() == digest
+        assert _stored_files(restarted) == _named_files(restarted)
+        assert not list((crashed / "checkpoints").glob("*.tmp"))
+
+        # The live host retries the cut: the orphan becomes named.
+        host.snapshot("ckpt-00000003")
+        assert _stored_files(host) == _named_files(host)
+        twin = _host(tmp_path)
+        twin.restore()
+        assert twin.state_digest() == host.state_digest()
 
     def test_a_checkpointing_service_keeps_two_and_recovers_from_them(
         self, tmp_path
@@ -426,6 +491,7 @@ class TestPrune:
         host, ledger = recover_components(config)
         ledger.journal.close()
         assert host.state_digest() == state
+        assert _stored_files(host) == _named_files(host)
 
     def test_a_failed_auto_checkpoint_keeps_the_service_serving(
         self, tmp_path, monkeypatch, caplog
@@ -646,7 +712,7 @@ def test_checkpoint_device_counts_reach_stats_and_metrics(tmp_path):
         return durability, exposition
 
     durability, exposition = asyncio.run(scenario())
-    # Three new devices, then the one read back; two linked unchanged.
+    # Three new devices, then the one read back; two named unchanged.
     assert durability["checkpoint_devices_written"] == 4
     assert durability["checkpoint_devices_reused"] == 2
     for mode, count in (("written", 4), ("reused", 2)):
@@ -750,7 +816,7 @@ def test_checkpoint_makes_the_journal_durable_before_the_manifest(
             return real_fsync(fd)
 
         def replace(src, dst, *args, **kwargs):
-            if str(dst).endswith("manifest.json"):
+            if str(dst).endswith(".json"):
                 events.append(("manifest", journal._unsynced))
             return real_replace(src, dst, *args, **kwargs)
 
@@ -915,17 +981,16 @@ class TestBadDeviceFiles:
             await service.stop()  # leaves a final checkpoint behind
 
         asyncio.run(life())
-        ckpt = latest_checkpoint(config.journal_dir)
         # A host that adopted the checkpoint before the damage: its
         # device files are cold, so reads happen on demand.
-        host = _host()
-        host.restore(ckpt)
-        name = host._device_file("dev-0")
-        _spoil(ckpt / name, case)
-        pattern = name.replace(".", r"\.")
+        host = _host(store_dir=config.journal_dir)
+        host.restore()
+        path = host._device_path("dev-0", host._cold["dev-0"])
+        _spoil(path, case)
+        pattern = path.name.replace(".", r"\.")
 
         with pytest.raises(JournalError, match=pattern):
-            _host().restore(ckpt)
+            _host(store_dir=config.journal_dir).restore()
         with pytest.raises(JournalError, match=pattern):
             host.state_digest()
         for _ in range(2):  # a failed rehydration leaves the device cold
@@ -937,50 +1002,62 @@ class TestBadDeviceFiles:
     def test_a_file_from_other_silicon_is_refused(self, tmp_path):
         import shutil
 
-        host = _host()
+        host = _host(tmp_path)
         _execute(host, _traffic(2))
-        host.snapshot(tmp_path / "ckpt")
-        twin = _host()
-        twin.restore(tmp_path / "ckpt")
+        devices = host.snapshot("ckpt")["devices"]
+        twin = _host(tmp_path)
+        twin.restore()
         # dev-1's aging state under dev-0's name: a valid file, but cut
         # from silicon that dev-0's seed does not rebuild.
         shutil.copyfile(
-            tmp_path / "ckpt" / host._device_file("dev-1"),
-            tmp_path / "ckpt" / host._device_file("dev-0"),
+            host._device_path("dev-1", devices["dev-1"]),
+            host._device_path("dev-0", devices["dev-0"]),
         )
         with pytest.raises(JournalError, match="silicon digest"):
             twin.channel("dev-0")
 
     def test_a_v2_checkpoint_is_refused(self, tmp_path):
-        host = _host()
+        host = _host(tmp_path)
         _execute(host, _traffic(1))
-        host.snapshot(tmp_path / "ckpt")
-        manifest_path = tmp_path / "ckpt" / "manifest.json"
+        host.snapshot("ckpt")
+        manifest_path = host.store_dir / "checkpoints" / "ckpt.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["version"] = 2
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(JournalError, match="checkpoint version 2"):
-            _host().restore(tmp_path / "ckpt")
+            _host(tmp_path).restore()
 
     def test_a_v2_device_file_is_refused(self, tmp_path):
-        host = _host()
+        host = _host(tmp_path)
         _execute(host, _traffic(1))
-        host.snapshot(tmp_path / "ckpt")
-        path = tmp_path / "ckpt" / host._device_file("dev-0")
+        devices = host.snapshot("ckpt")["devices"]
+        path = host._device_path("dev-0", devices["dev-0"])
         head, _, body = path.read_bytes().partition(b"\n")
         header = json.loads(head)
         header["version"] = 2
         path.write_bytes(json.dumps(header).encode() + b"\n" + body)
         with pytest.raises(JournalError, match="device file version 2"):
-            _host().restore(tmp_path / "ckpt")
+            _host(tmp_path).restore()
 
     def test_a_v1_checkpoint_is_refused(self, tmp_path):
-        host = _host()
+        host = _host(tmp_path)
         _execute(host, _traffic(1))
-        host.snapshot(tmp_path / "ckpt")
-        manifest_path = tmp_path / "ckpt" / "manifest.json"
+        host.snapshot("ckpt")
+        manifest_path = host.store_dir / "checkpoints" / "ckpt.json"
         manifest = json.loads(manifest_path.read_text())
         manifest["version"] = 1
         manifest_path.write_text(json.dumps(manifest))
         with pytest.raises(JournalError, match="checkpoint version 1"):
-            _host().restore(tmp_path / "ckpt")
+            _host(tmp_path).restore()
+
+    def test_a_v3_checkpoint_directory_is_refused(self, tmp_path):
+        """A journal dir from the version 3 layout (a directory of device
+        files per checkpoint) is refused at restart, not read as empty."""
+        config = _config(tmp_path)
+        old = tmp_path / "jd" / "checkpoints" / "ckpt-00000004"
+        old.mkdir(parents=True)
+        (old / "manifest.json").write_text(
+            json.dumps({"format": "invisible-bits/fleet-checkpoint", "version": 3})
+        )
+        with pytest.raises(JournalError, match="version 3"):
+            recover_components(config)

@@ -75,7 +75,7 @@ def test_configuration_surface_is_pinned():
     assert names(ServiceConfig) == [
         "shards", "queue_depth", "max_batch", "device_name", "sram_kib",
         "seed", "scheme", "fault_plan", "fault_shards", "host", "port",
-        "journal_dir", "checkpoint_every", "max_resident", "archive_dir",
+        "journal_dir", "checkpoint_every", "max_resident",
         "probe_interval_s", "readmit_after",
     ]
     assert repro.CodingScheme().describe() == {
