@@ -398,12 +398,14 @@ def test_perf_fleet_decode_speedup(record_metric):
     24 h-stressed service devices (paper scheme, framed, 5 captures).
 
     Both sides do the same work per device: invert, header vote, ECC
-    decode, message bytes and counters.  The loop is the per-device
-    reference the ``fleet.decode_vs_device_loop`` oracle compares
-    against; that oracle pins bit-identity, this bench only the cost.
+    decode, message bytes and counters — the stacked decode alone, not
+    the ``DecodeResult``s ``decode_group`` then builds from its rows.
+    The loop is the per-device reference the
+    ``fleet.decode_vs_device_loop`` oracle compares against; that oracle
+    pins bit-identity, this bench only the cost.
     """
     from repro.core.fleetcapture import capture_fleet
-    from repro.core.pipeline import decode_group
+    from repro.core.pipeline import _stacked_decode, decode_group
     from repro.service import ServiceConfig
     from repro.verify.oracles import _reference_decode_state
 
@@ -420,7 +422,7 @@ def test_perf_fleet_decode_speedup(record_metric):
     lens = [None] * n_devices
 
     def stacked():
-        return decode_group(channels, fleet.states, message_lens=lens)
+        return _stacked_decode(channels, fleet.states, lens)
 
     def loop():
         return [
@@ -428,9 +430,13 @@ def test_perf_fleet_decode_speedup(record_metric):
             for channel, state in zip(channels, fleet.states)
         ]
 
-    rows, reference = stacked(), loop()
-    for row, (message, _, counts) in zip(rows, reference):
-        assert row.message == message and list(row.counts) == counts
+    _, outcomes, counts = stacked()
+    results, _ = decode_group(channels, fleet.states, message_lens=lens)
+    for outcome, result, row_counts, (message, _, loop_counts) in zip(
+        outcomes, results, counts, loop()
+    ):
+        assert outcome == result.message == message
+        assert list(row_counts) == loop_counts
 
     def best_of(fn, reps=30):
         best = float("inf")
@@ -501,6 +507,69 @@ def test_perf_fleet_group_capture_speedup(record_metric):
         "fleet_group_capture_us_per_device", t_group / n_devices * 1e6, unit="us"
     )
     assert speedup >= 1.5
+
+
+def test_perf_lane_receive_group(record_metric):
+    """One 16-receive batch through ``Shard.execute_batch`` must beat the
+    same 16 receives as 16 one-receive batches by >= 2.5x in CPU per
+    device, on 24 h-stressed service devices (paper scheme, 5 captures,
+    metrics on as in the service): the median ratio over 15 interleaved
+    one-by-one/grouped pairs.
+
+    The lane layer (ROADMAP north star, layer 3): capture, decode and
+    result building per receive group, around the kernels that
+    ``fleet_group_capture_speedup`` and ``fleet_decode_speedup`` time
+    alone.  Every receive must read its message back on the first pass.
+    With a sink attached (``REPRO_TRACE``) both sides also record every
+    job's spans, which do not stack, so the floor there is 1.5x.
+    """
+    from repro import metrics, telemetry
+    from repro.api import ReceiveRequest, SendRequest
+    from repro.service import ServiceConfig, Shard
+    from repro.service.queue import Job
+
+    n_devices, reps = 16, 5
+    shard = Shard("lane", FleetHost(scheme=ServiceConfig().resolved_scheme(), seed=5))
+    devices = [f"dev-{i}" for i in range(n_devices)]
+    messages = {d: b"msg %03d" % i for i, d in enumerate(devices)}
+    shard.execute_batch(
+        [
+            Job("send", SendRequest(device_id=d, message=messages[d], stress_hours=24.0), None)
+            for d in devices
+        ]
+    )
+
+    def receives(ids):
+        return [Job("receive", ReceiveRequest(device_id=d), None) for d in ids]
+
+    def grouped():
+        t0 = time.process_time()
+        for _ in range(reps):
+            outcomes, _ = shard.execute_batch(receives(devices))
+        elapsed = time.process_time() - t0
+        assert [o.message for _, o in outcomes] == [messages[d] for d in devices]
+        return elapsed
+
+    def one_by_one():
+        t0 = time.process_time()
+        for _ in range(reps):
+            for device in devices:
+                shard.execute_batch(receives([device]))
+        return time.process_time() - t0
+
+    metrics.enable()
+    grouped(), one_by_one()  # warm the capture caches and relax tables
+    pairs = [(one_by_one(), grouped()) for _ in range(15)]
+    speedup = statistics.median(single / group for single, group in pairs)
+    t_group = statistics.median(group for _, group in pairs) / reps
+    ratios = sorted(single / group for single, group in pairs)
+    print(f"\nlane receive group speedup: {speedup:.2f}x "
+          f"(pairs {ratios[0]:.2f}-{ratios[-1]:.2f}x; "
+          f"{t_group / n_devices * 1e6:.1f} us CPU per device grouped)")
+    assert shard.stats()["retry_attempts"] == 0
+    record_metric("lane_receive_group_speedup", speedup, better="higher", unit="x")
+    record_metric("lane_receive_us_per_device", t_group / n_devices * 1e6, unit="us")
+    assert speedup >= (1.5 if telemetry.enabled() else 2.5)
 
 
 def test_perf_fleet_send_speedup(record_metric):

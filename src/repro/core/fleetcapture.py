@@ -9,11 +9,12 @@ device-by-device leaves it bounded by per-device numpy overhead (a
 evaluates the tray in **stacked chunks**: every slot's band cells of all
 captures in one pass over ``captures x (concatenated bands)``.
 
-- Planning stays per slot: each board powers down, flashes the retention
-  program and stages a *stacking record*
+- Planning stays per slot: each board powers down, makes sure the
+  retention program is in Flash (a board that already holds it, with no
+  Flash write since, flashes nothing) and stages a *stacking record*
   (:meth:`~repro.sram.array.SRAMArray.plan_fleet_capture`): its cached
-  noise-band arrays, noise sigma, and both inverters' per-capture
-  ``pending_relax`` trajectories.
+  noise-band arrays, noise sigma, shelf gap and both inverters'
+  per-capture ``pending_relax`` trajectories.
 - Slots are grouped in slot order into chunks whose bands sum to at most
   :data:`STACK_BAND_CELLS`; a slot whose band alone exceeds the budget
   (a 64 KiB device carries ~55k band cells) runs as a chunk of one,
@@ -32,6 +33,11 @@ captures in one pass over ``captures x (concatenated bands)``.
   same bits: results are bit-identical to
   :meth:`ControlBoard.capture_power_on_states` for any device order or
   tray composition.
+- Each kernel slot then commits its burst in one step
+  (:meth:`~repro.sram.array.SRAMArray.commit_fleet_capture`: the end of
+  the planned relax trajectory, the same doubles ``n_captures`` shelf
+  gaps leave), and the tray ticks ``repro_captures_total`` once per
+  device name and ``repro_capture_cells_total`` once, with the sums.
 - Slots the kernel cannot take — a fault injector is attached, remanence
   could reach the first capture, or the drift bound cannot guarantee a
   refresh-free burst — fall back to the exact per-capture loop, which is
@@ -263,9 +269,7 @@ def capture_fleet(
             )
             for i, sram, state, count, error, stack in zip(chunk, srams, *burst):
                 states[i], ones[i], errors[i], frames[i] = state, count, error, stack
-                sram.commit_fleet_capture(
-                    n_captures, off_seconds, plans[i]["cache"]["band"].size
-                )
+                sram.commit_fleet_capture(plans[i])
                 vectorized[i] = True
 
         for i in range(n_slots):
@@ -294,23 +298,28 @@ def capture_fleet(
             if return_frames:
                 frames[i] = stack
 
+        # Fallback slots already ticked these inside
+        # capture_power_on_states; kernel slots tick here, once per
+        # device name with the tray's sum.
+        kernel_captures: "dict[str, int]" = {}
+        kernel_cells = 0
+        for board, kernel in zip(boards, vectorized):
+            if kernel:
+                name = board.device.spec.name
+                kernel_captures[name] = kernel_captures.get(name, 0) + n_captures
+                kernel_cells += n_captures * board.device.sram.n_bits
+        for name, count in kernel_captures.items():
+            _CAPTURES_TOTAL.inc(count, device=name)
+        if kernel_cells:
+            _CAPTURE_CELLS_TOTAL.inc(kernel_cells)
+
         per_device_ber = []
         for i in range(n_slots):
-            if states[i] is None:
+            if states[i] is None or payloads is None:
                 continue
-            board = boards[i]
-            name = board.device.spec.name
-            if vectorized[i]:
-                # Fallback slots already ticked these inside
-                # capture_power_on_states; kernel slots tick here.
-                _CAPTURES_TOTAL.inc(n_captures, device=name)
-                _CAPTURE_CELLS_TOTAL.inc(n_captures * board.device.sram.n_bits)
-            if payloads is not None:
-                if errors[i] is None:  # fallback slot, or a misshapen payload
-                    errors[i] = bit_error_rate(
-                        payloads[i], invert_bits(states[i])
-                    )
-                per_device_ber.append([name, errors[i]])
+            if errors[i] is None:  # fallback slot, or a misshapen payload
+                errors[i] = bit_error_rate(payloads[i], invert_bits(states[i]))
+            per_device_ber.append([boards[i].device.spec.name, errors[i]])
 
         span.set(
             vectorized=sum(1 for v in vectorized if v),

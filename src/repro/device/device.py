@@ -79,6 +79,8 @@ class Device:
         )
         self.external_v: float | None = None
         self._firmware: Program | None = None
+        #: ``flash.writes`` right after ``_firmware`` was programmed.
+        self._flashed_at = -1
         self._boot_enabled = False
 
         if serial is None:
@@ -185,11 +187,20 @@ class Device:
         :class:`Program` of the last ``FIRMWARE_CACHE_SIZE`` (32) sources
         is kept in a least-recently-used cache and shared by every device
         that loads the same text.
+
+        Loading the :class:`Program` that is already resident, with no
+        Flash erase or program since it was written, erases and programs
+        nothing: the part already holds that image, and re-flashing it
+        would only spend an endurance cycle of block 0 (a receive loads
+        the retention program every time).  A different program, a raw
+        image, or any Flash write in between re-flashes.
         """
         if self.powered:
             raise PowerError("power the device down before reflashing")
         if isinstance(program, str):
             program = _assemble_firmware(program)
+        if program is self._firmware and self.flash.writes == self._flashed_at:
+            return
         if isinstance(program, bytes):
             self.flash.load_firmware(program)
             self._firmware = None
@@ -203,6 +214,7 @@ class Device:
             )
         self.flash.load_firmware(program.image)
         self._firmware = program
+        self._flashed_at = self.flash.writes
         self._boot_enabled = True
         self.cpu.reset_pc = program.entry_point
 

@@ -12,6 +12,11 @@ Erasing a block drops its bytes (the endurance count still advances), and
 programming allocates a block at the first byte that clears a bit.  A
 device whose 64 KiB of Flash carries a few-word program so holds one
 block, not the whole part.
+
+Every erase and program call advances :attr:`OnChipFlash.writes`, so a
+programmer can tell whether the part still holds what it last wrote
+(:meth:`repro.device.device.Device.load_firmware` skips re-flashing an
+image that is already resident).
 """
 
 from __future__ import annotations
@@ -50,6 +55,9 @@ class OnChipFlash(MemoryRegion):
         #: erase; absent blocks read all-ones.
         self._blocks: dict[int, bytearray] = {}
         self.erase_counts = [0] * (size // block_size)
+        #: Erase and program calls so far: equal values mean no write in
+        #: between.
+        self.writes = 0
 
     def _read(self, offset: int, count: int) -> bytes:
         """``count`` bytes from ``offset``, erased blocks reading ``0xff``."""
@@ -94,6 +102,7 @@ class OnChipFlash(MemoryRegion):
                 f"({self.endurance_cycles} cycles)"
             )
         self.erase_counts[block_index] += 1
+        self.writes += 1
         self._blocks.pop(block_index, None)
 
     def erase_all(self) -> None:
@@ -117,6 +126,7 @@ class OnChipFlash(MemoryRegion):
                 f"exceeds size {self.size:#x}"
             )
         image = bytes(image)
+        self.writes += 1
         bs = self.block_size
         end = offset + len(image)
         position = offset

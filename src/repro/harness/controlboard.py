@@ -347,9 +347,12 @@ class ControlBoard:
         """Stage this board's slice of a fleet-stacked capture burst.
 
         Runs the exact preamble of :meth:`capture_power_on_states` —
-        power down, flash the retention program — then asks the array
-        for its stacking record at the rail the next power-on would
-        apply (see :meth:`SRAMArray.plan_fleet_capture`).  Returns
+        power down, load the retention program (which flashes nothing
+        when the device already holds it and no Flash write came since,
+        :meth:`Device.load_firmware`) — then asks the array for its
+        stacking record at the rail the next power-on would apply (see
+        :meth:`SRAMArray.plan_fleet_capture`); the fleet capture commits
+        the burst with :meth:`SRAMArray.commit_fleet_capture`.  Returns
         ``None`` when only the per-capture loop can measure this slot: a
         fault injector is attached (injected faults interleave with the
         per-capture reads), or the array itself declines the burst.

@@ -499,49 +499,122 @@ def _decode_group_rig(
 def fleet_decode_vs_device_loop(seed, n_devices, code, framed, keyed):
     """The stacked group decode equals the per-device decode loop: per
     row the message bytes or exception type, ``recovered_payload``, every
-    ECC counter in order, and the ``ecc_corrections`` and raw BER that
-    ``decode_state`` reports from the row."""
+    ECC counter in order, and the ``ecc_corrections`` and raw BER of the
+    ``DecodeResult`` the group builds from the row."""
     from ..bitutils import bit_error_rate, invert_bits
     from ..core.pipeline import decode_group
 
     channels, states, lens = _decode_group_rig(seed, n_devices, code, framed, keyed)
     truths = [invert_bits(state) for state in states]
     raw_errors = [float(index) / 64 for index in range(n_devices)]
-    rows = decode_group(channels, states, message_lens=lens, raw_errors=raw_errors)
-    check_that(len(rows) == n_devices, f"{len(rows)} rows for {n_devices} states")
-    for index, row in enumerate(rows):
-        expected, recovered, counts = _reference_decode_state(
+    results, counts = decode_group(
+        channels, states, message_lens=lens, raw_errors=raw_errors
+    )
+    check_that(
+        len(results) == len(counts) == n_devices,
+        f"{len(results)} results for {n_devices} states",
+    )
+    for index, (result, row_counts) in enumerate(zip(results, counts)):
+        expected, recovered, loop_counts = _reference_decode_state(
             channels[index], states[index], lens[index]
         )
-        got = row.message if row.error is None else row.error
+        got = result if isinstance(result, Exception) else result.message
         check_that(
             type(got) is type(expected)
             and (not isinstance(got, bytes) or got == expected),
             f"row {index}: stacked {got!r} != loop {expected!r}",
         )
         check_that(
-            np.array_equal(row.recovered, recovered),
+            list(row_counts) == loop_counts,
+            f"row {index}: counters {list(row_counts)} != loop {loop_counts}",
+        )
+        if isinstance(result, Exception):
+            continue
+        check_that(
+            np.array_equal(result.recovered_payload, recovered),
             f"row {index}: recovered payload diverged",
         )
-        check_that(
-            list(row.counts) == counts,
-            f"row {index}: counters {list(row.counts)} != loop {counts}",
+        corrections = sum(
+            v for name, v in loop_counts if name.endswith(".corrections")
         )
-        if row.error is not None:
-            continue
-        result = channels[index].decode_state(
-            states[index],
-            message_len=lens[index],
-            expected_payload=truths[index],
-            decoded=row,
-        )
-        corrections = sum(v for name, v in counts if name.endswith(".corrections"))
         check_that(
             result.ecc_corrections == corrections
-            and result.message == expected
             and result.raw_error_vs == raw_errors[index]
+            and result.n_captures == result.total_captures
+            == channels[index].n_captures
+            and result.power_on_state is states[index]
             and bit_error_rate(truths[index], result.recovered_payload) == 0.0,
-            f"row {index}: decode_state did not report its own row",
+            f"row {index}: the result does not report its own row",
+        )
+
+
+# -- firmware reload contract -------------------------------------------------
+
+
+@oracle(
+    "device.firmware_reload_vs_reflash",
+    gens=(g.seeds(), g.integers(4, 12, name="n_ops")),
+    examples=6,
+)
+def device_firmware_reload_vs_reflash(seed, n_ops):
+    """A load that skips a resident image equals one that always
+    re-flashes: after every step of a seeded history — loads of the
+    retention, camouflage and payload-writer programs and of a raw
+    image, block erases and programs between loads — both devices hold
+    the same Flash bytes, firmware, reset vector and boot flag; and
+    reloading the resident program with no Flash write since erases
+    nothing."""
+    from ..device.catalog import make_device
+    from ..isa.programs import (
+        camouflage_program,
+        payload_writer_program,
+        retention_program,
+    )
+
+    rng = np.random.default_rng(seed)
+    lean = make_device(_DEVICE, rng=seed, sram_kib=0.25)
+    ref = make_device(_DEVICE, rng=seed, sram_kib=0.25)
+    block = lean.flash.block_size
+    raw = bytes(rng.integers(0, 256, 64, dtype=np.uint8))
+    loads = {
+        "retention": retention_program(),
+        "camouflage": camouflage_program(words=16),
+        "writer": payload_writer_program(raw[:8]),
+        "raw": raw,
+    }
+    # Every history switches programs with no Flash write in between
+    # and repeats a resident one, then goes on at random.
+    ops = ["retention", "retention", "camouflage", "retention", "retention"]
+    ops += list(rng.choice(list(loads) + ["erase", "program"], size=n_ops))
+    loaded = None  # (program op, Flash writes) after the last load
+    for step, op in enumerate(ops):
+        if op == "erase":
+            index = int(rng.integers(0, 2))
+            for device in (lean, ref):
+                device.flash.erase_block(index)
+        elif op == "program":
+            for device in (lean, ref):
+                device.flash.erase_block(1)
+                device.flash.program(raw, block)
+        else:
+            resident = loaded == (op, lean.flash.writes) and op != "raw"
+            erased = lean.flash.erase_counts[0]
+            lean.load_firmware(loads[op])
+            ref._firmware = None  # the reference never knows what it holds
+            ref.load_firmware(loads[op])
+            loaded = (op, lean.flash.writes)
+            check_that(
+                lean.flash.erase_counts[0] == erased + (0 if resident else 1),
+                f"step {step} ({op}): "
+                + ("reloading the resident program erased Flash" if resident
+                   else "a needed re-flash was skipped"),
+            )
+        check_that(
+            lean.flash.dump(0, 2 * block) == ref.flash.dump(0, 2 * block)
+            and lean.firmware is ref.firmware
+            and lean.cpu.reset_pc == ref.cpu.reset_pc
+            and lean._boot_enabled == ref._boot_enabled,
+            f"step {step} ({op}): Flash or resident firmware diverged",
         )
 
 
@@ -1633,6 +1706,54 @@ def _mutant_misaligned_slot_repeat(rng):
     )
     check_that(bool(misaligned), "mutant needs slots with differing values")
     _check_fleet_against_loop(*rig)
+
+
+@mutant("fleet.capture_vs_device_loop", "commit-drops-one-gap")
+def _mutant_commit_drops_one_gap(rng):
+    """A one-step commit that leaves out the burst's last shelf gap must
+    break the committed pending relax against the per-device loop."""
+    from ..sram import array as sram_array
+
+    pristine = sram_array.SRAMArray.commit_fleet_capture
+
+    def short(self, plan):
+        pristine(self, plan)
+        self.age_when_1.pending_relax = plan["pend1"][-1]  # the defect
+        self.age_when_0.pending_relax = plan["pend0"][-1]
+
+    sram_array.SRAMArray.commit_fleet_capture = short
+    try:
+        rig = _mutated_fleet_capture(
+            rng, sram_array._stacked_decisions, n_devices=2, kib=0.25
+        )
+    finally:
+        sram_array.SRAMArray.commit_fleet_capture = pristine
+    _check_fleet_against_loop(*rig)
+
+
+@mutant("device.firmware_reload_vs_reflash", "reflash-skipped-for-other-program")
+def _mutant_reflash_skipped_for_other_program(rng):
+    """A load that skips whenever nothing wrote the Flash since the last
+    load, whatever program is resident, leaves the camouflage program in
+    Flash when the retention program is loaded over it."""
+    from ..device.device import Device
+
+    pristine = Device.load_firmware
+
+    def ignores_program(self, program):
+        if (
+            not self.powered
+            and self._firmware is not None
+            and self.flash.writes == self._flashed_at
+        ):
+            return  # the defect: any resident program counts as this one
+        pristine(self, program)
+
+    Device.load_firmware = ignores_program
+    try:
+        device_firmware_reload_vs_reflash(int(rng.integers(0, 2**31)), 4)
+    finally:
+        Device.load_firmware = pristine
 
 
 @mutant("fleet.decode_vs_device_loop", "corrections-to-next-row")

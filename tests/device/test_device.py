@@ -102,6 +102,54 @@ class TestFirmware:
             device.load_firmware(prog)
 
 
+class TestFlashWear:
+    """Reloading the resident program flashes nothing; anything that may
+    have changed the Flash since forces a re-flash."""
+
+    def test_reloading_the_resident_program_erases_nothing(self, device):
+        device.load_firmware(retention_program())
+        counts, writes = list(device.flash.erase_counts), device.flash.writes
+        for _ in range(3):
+            device.load_firmware(retention_program())
+        assert device.flash.erase_counts == counts
+        assert device.flash.writes == writes
+        device.power_on()
+        assert device.cpu.spinning
+
+    def test_another_program_in_between_reflashes(self, device):
+        device.load_firmware(retention_program())
+        device.load_firmware(camouflage_program(words=16))
+        counts = list(device.flash.erase_counts)
+        device.load_firmware(retention_program())
+        assert device.flash.erase_counts[0] == counts[0] + 1
+        image = device.firmware.image
+        assert device.flash.dump(0, len(image)) == image
+
+    def test_a_raw_image_in_between_reflashes(self, device):
+        device.load_firmware(retention_program())
+        image = device.firmware.image
+        device.load_firmware(image)  # the same bytes, loaded raw
+        assert device.firmware is None
+        counts = list(device.flash.erase_counts)
+        device.load_firmware(retention_program())
+        assert device.flash.erase_counts[0] == counts[0] + 1
+        assert device.firmware.image == image
+
+    @pytest.mark.parametrize("write", ["erase_block", "program"])
+    def test_a_flash_write_in_between_reflashes(self, device, write):
+        device.load_firmware(retention_program())
+        image = device.firmware.image
+        block = device.flash.block_size
+        if write == "erase_block":
+            device.flash.erase_block(0)
+        else:
+            device.flash.program(b"\x00" * 4, block)  # a block the image leaves erased
+        counts = list(device.flash.erase_counts)
+        device.load_firmware(retention_program())
+        assert device.flash.erase_counts[0] == counts[0] + 1
+        assert device.flash.dump(0, len(image)) == image
+
+
 class TestTime:
     def test_advance_powered_stresses(self, device):
         device.power_on()

@@ -194,6 +194,45 @@ def test_lane_state_does_not_grow_with_the_fleet():
     assert stats["retry_attempts"] == 0
 
 
+def test_lane_stats_report_the_last_batch_and_the_retry_total():
+    """``Shard.stats()``'s keys and values: the last batch's largest raw
+    BER (a float, 0.0 for a batch without receives) and the running
+    count of extra capture attempts (an int)."""
+    shard = _lane()
+    assert shard.stats() == {
+        "name": "shard-0",
+        "jobs_done": 0,
+        "batches": 0,
+        "faulted": False,
+        "active_alerts": [],
+        "raw_ber": 0.0,
+        "retry_attempts": 0,
+    }
+    devices = [f"dev-{i}" for i in range(4)]
+    shard.execute_batch(
+        [Job("send", SendRequest(device_id=d, message=b"lane"), None) for d in devices]
+    )
+    outcomes, _ = shard.execute_batch(
+        [Job("receive", ReceiveRequest(device_id=d), None) for d in devices]
+    )
+    stats = shard.stats()
+    assert stats == {
+        "name": "shard-0",
+        "jobs_done": 8,
+        "batches": 2,
+        "faulted": False,
+        "active_alerts": [],
+        "raw_ber": max(result.raw_ber for _, result in outcomes),
+        "retry_attempts": 0,
+    }
+    assert type(stats["raw_ber"]) is float and stats["raw_ber"] > 0.0
+    assert type(stats["retry_attempts"]) is int
+    shard.execute_batch(
+        [Job("send", SendRequest(device_id="dev-9", message=b"lane"), None)]
+    )
+    assert shard.stats()["raw_ber"] == 0.0
+
+
 def test_flaky_debug_port_trips_the_retry_slo(monkeypatch):
     """Retried debug-port reads count against the lane's retry budget;
     the page reroutes the batch's receives, so the flaky lane loses none.
