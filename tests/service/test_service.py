@@ -189,7 +189,7 @@ def test_every_lane_runs_on_the_event_loop(monkeypatch, ending):
     batches = []  # (thread, start, end)
     ambient = []  # trace id current in the worker as each batch starts
     thread_names = set()
-    lane_calls = []  # (channel, trace id current inside the lane call)
+    lane_calls = []  # (call, channel, trace id current inside the lane call)
     execute_batch = Shard.execute_batch
     send = InvisibleBits.send
     decode_state = InvisibleBits.decode_state
@@ -206,11 +206,11 @@ def test_every_lane_runs_on_the_event_loop(monkeypatch, ending):
             )
 
     def recording_send(self, *args, **kwargs):
-        lane_calls.append((self, trace_ctx.current_trace_id()))
+        lane_calls.append(("send", self, trace_ctx.current_trace_id()))
         return send(self, *args, **kwargs)
 
     def recording_decode_state(self, *args, **kwargs):
-        lane_calls.append((self, trace_ctx.current_trace_id()))
+        lane_calls.append(("decode_state", self, trace_ctx.current_trace_id()))
         return decode_state(self, *args, **kwargs)
 
     monkeypatch.setattr(Shard, "execute_batch", recording_execute_batch)
@@ -265,10 +265,13 @@ def test_every_lane_runs_on_the_event_loop(monkeypatch, ending):
     assert set(ambient) == {None}, "lane work leaked a trace into its worker"
     device_of = {id(channel): device for device, channel in channels.items()}
     assert lane_calls
-    for channel, trace_id in lane_calls:
+    for _, channel, trace_id in lane_calls:
         assert trace_id == traces[device_of[id(channel)]]
     if stats is not None:
         assert stats["completed"] == 2 * n
+        # Every send and every receive's first-pass decode was checked.
+        calls = [call for call, _, _ in lane_calls]
+        assert calls.count("send") == calls.count("decode_state") == n
         busy = {name for name, q in stats["queues"].items() if q["enqueued"]}
         assert busy == {"shard-0", "shard-1"}
         phases = stats["latency"]["phases"]
