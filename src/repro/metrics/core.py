@@ -179,12 +179,18 @@ class Instrument:
         return _Series(len(self.buckets) if self.buckets else 0)
 
     def _key(self, labels: dict) -> tuple:
-        if set(labels) != set(self.labelnames):
-            raise ConfigurationError(
-                f"{self.name} takes labels {self.labelnames}, "
-                f"got {tuple(sorted(labels))}"
-            )
-        return tuple(str(labels[name]) for name in self.labelnames)
+        # As many labels as names, each name found: the same label set,
+        # checked without building a set of either.
+        names = self.labelnames
+        if len(labels) == len(names):
+            try:
+                return tuple([str(labels[name]) for name in names])
+            except KeyError:
+                pass
+        raise ConfigurationError(
+            f"{self.name} takes labels {self.labelnames}, "
+            f"got {tuple(sorted(labels))}"
+        )
 
     def _get(self, labels: dict) -> _Series:
         key = self._key(labels)

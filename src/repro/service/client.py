@@ -71,6 +71,9 @@ def _traceparent_header() -> "str | None":
 BREAKER_THRESHOLD = 5
 #: Seconds an open circuit fails fast before admitting a probe call.
 BREAKER_COOLDOWN_S = 1.0
+#: Idle connections a :class:`ServiceClient` keeps for reuse; one
+#: handed back past this is closed.
+POOL_SIZE = 8
 
 
 class CircuitBreaker:
@@ -131,9 +134,17 @@ class CircuitBreaker:
 class ServiceClient:
     """Synchronous HTTP client for one service endpoint.
 
-    Each call opens a fresh connection (the server replies
-    ``Connection: close``); errors the service classified come back as
-    the matching :mod:`repro.errors` type — 429 →
+    Calls reuse kept-alive connections from a small pool that threads
+    share: each call takes an idle connection (or opens one) and hands
+    it back once the answer is read, unless the answer closed it.
+    ``close()``, or leaving a ``with`` block, closes the idle ones.  A
+    pooled connection the server closed while it sat idle (the idle
+    limit, a restart) fails before any answer arrives; that call is
+    re-sent at once on a fresh connection, which is neither a retry nor
+    a breaker failure.
+
+    Errors the service classified come back as the matching
+    :mod:`repro.errors` type — 429 →
     :class:`~repro.errors.AdmissionError`, 5xx →
     :class:`~repro.errors.ServiceError`, connection-level failures →
     :class:`~repro.errors.ServiceUnavailableError` (retried on the
@@ -163,27 +174,77 @@ class ServiceClient:
         self.breaker = breaker
         self._sleep = sleep
         self.retried = 0
+        self._idle: "list[HTTPConnection]" = []
+        self._pool_lock = threading.Lock()
+
+    def close(self) -> None:
+        """Close the idle pooled connections; a later call opens anew."""
+        with self._pool_lock:
+            idle, self._idle = self._idle, []
+        for conn in idle:
+            conn.close()
+
+    def __enter__(self) -> "ServiceClient":
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        self.close()
+
+    def _exchange(self, conn, method, path, body, headers, *, reused: bool):
+        """One request and its whole answer on ``conn``, which goes back
+        to the pool unless the answer closed it.  ``None`` when a
+        ``reused`` connection turned out stale: it failed before the
+        answer's status line."""
+        try:
+            try:
+                conn.request(method, path, body=body, headers=headers)
+                response = conn.getresponse()
+            except ConnectionError:
+                if not reused:
+                    raise
+                conn.close()
+                telemetry.count("client.stale_connections")
+                return None
+            raw = response.read()
+        except BaseException:
+            conn.close()
+            raise
+        if not response.will_close:
+            self._release(conn)
+        return response.status, raw
+
+    def _release(self, conn) -> None:
+        with self._pool_lock:
+            if len(self._idle) < POOL_SIZE:
+                self._idle.append(conn)
+                return
+        conn.close()
 
     def _request_once(
         self, method: str, path: str, payload: "dict | None" = None
     ):
         if self.breaker is not None:
             self.breaker.before_call()
-        conn = HTTPConnection(self.host, self.port, timeout=self.timeout)
         try:
-            try:
-                body = (
-                    json.dumps(payload).encode() if payload is not None else None
+            body = (
+                json.dumps(payload).encode() if payload is not None else None
+            )
+            headers = {"Content-Type": "application/json"} if body else {}
+            traceparent = _traceparent_header()
+            if traceparent is not None:
+                headers[trace_ctx.TRACEPARENT_HEADER] = traceparent
+            with self._pool_lock:
+                conn = self._idle.pop() if self._idle else None
+            result = None
+            if conn is not None:
+                result = self._exchange(
+                    conn, method, path, body, headers, reused=True
                 )
-                headers = {"Content-Type": "application/json"} if body else {}
-                traceparent = _traceparent_header()
-                if traceparent is not None:
-                    headers[trace_ctx.TRACEPARENT_HEADER] = traceparent
-                conn.request(method, path, body=body, headers=headers)
-                response = conn.getresponse()
-                raw = response.read()
-            finally:
-                conn.close()
+            if result is None:
+                result = self._exchange(
+                    HTTPConnection(self.host, self.port, timeout=self.timeout),
+                    method, path, body, headers, reused=False,
+                )
         except OSError as exc:
             if self.breaker is not None:
                 self.breaker.record_failure()
@@ -201,7 +262,7 @@ class ServiceClient:
             raise
         if self.breaker is not None:
             self.breaker.record_success()
-        return response.status, raw
+        return result
 
     def _request(self, method: str, path: str, payload: "dict | None" = None):
         """One logical request: retries connection-level failures.

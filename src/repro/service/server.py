@@ -30,7 +30,9 @@ The control loop (docs/service.md):
 The optional HTTP frontend is hand-rolled over ``asyncio.start_server``
 (stdlib only): ``GET /metrics`` (Prometheus text via the process
 registry), ``GET /healthz``, ``GET /stats``, ``POST /send``,
-``POST /receive``, ``POST /shutdown``.
+``POST /receive``, ``POST /shutdown``.  A connection carries many
+requests (HTTP/1.1 keep-alive) until an answer closes it or it idles
+out (docs/service.md).
 """
 
 from __future__ import annotations
@@ -116,6 +118,10 @@ MAX_BODY_BYTES = 1 << 20
 #: Seconds the HTTP frontend waits for a request's head and body; a
 #: client still sending past it is answered 408 and disconnected.
 REQUEST_READ_TIMEOUT_S = 10.0
+
+#: Seconds a kept-alive connection may wait for its next request; past
+#: it the frontend closes the connection without an answer.
+IDLE_TIMEOUT_S = 15.0
 
 
 @dataclass(frozen=True)
@@ -231,6 +237,11 @@ class FleetService:
         self._workers: "list[asyncio.Task]" = []
         self._prober_task: "asyncio.Task | None" = None
         self._http_server: "asyncio.AbstractServer | None" = None
+        #: Kept-alive connections waiting for their next request, each
+        #: with its handler task.
+        self._idle_connections: "dict[asyncio.StreamWriter, asyncio.Task]" = {}
+        self.http_connections = 0
+        self.http_requests = 0
         self.accepting = False
         self.started = False
         self._metrics_was_enabled = False
@@ -325,6 +336,15 @@ class FleetService:
         self._workers = []
         if self._http_server is not None:
             self._http_server.close()
+            # Close the idle kept-alive connections and let their
+            # handlers end: from Python 3.12 ``wait_closed`` also waits
+            # for every open connection.
+            idle = list(self._idle_connections.items())
+            for writer, _ in idle:
+                writer.close()
+            await asyncio.gather(
+                *(task for _, task in idle), return_exceptions=True
+            )
             await self._http_server.wait_closed()
             self._http_server = None
         if self.ledger.journal is not None:
@@ -763,6 +783,10 @@ class FleetService:
             "resident_devices": self.host.n_resident,
             "evicted_devices": self.host.evicted,
             "admission": self.admission.stats(),
+            "http": {
+                "connections": self.http_connections,
+                "requests": self.http_requests,
+            },
             "latency": {
                 "requests": self._latency_n,
                 "mean_ms": (
@@ -806,42 +830,31 @@ class FleetService:
     # -- HTTP frontend ------------------------------------------------------------
 
     async def _handle_connection(self, reader, writer) -> None:
-        # One deadline for the head and body: a stalled read fails with
-        # ``TimeoutError`` instead of holding the handler.  A timer, not
-        # ``wait_for``, which costs a task per request before 3.12.
-        deadline = asyncio.get_running_loop().call_later(
-            REQUEST_READ_TIMEOUT_S, reader.set_exception, asyncio.TimeoutError()
-        )
+        """Answer one connection's requests in turn (HTTP/1.1 keep-alive)
+        until an answer closes it, the peer leaves, or it idles out."""
+        self.http_connections += 1
+        loop = asyncio.get_running_loop()
+        task = asyncio.current_task()
         try:
-            try:
-                head = await _read_head(reader)
-                if head is None:
+            while True:
+                # Idle: wait for the next request's first byte.  The
+                # idle limit, or ``_teardown``, closes the connection
+                # without an answer; the read then sees EOF.
+                self._idle_connections[writer] = task
+                idle = loop.call_later(IDLE_TIMEOUT_S, writer.close)
+                try:
+                    first = await reader.read(1)
+                finally:
+                    idle.cancel()
+                    del self._idle_connections[writer]
+                if not first:
                     return
-                method, path, content_length, traceparent = head
-                if content_length > MAX_BODY_BYTES:
-                    error = f"body over {MAX_BODY_BYTES} bytes"
-                    await _respond(writer, 413, {"error": error})
+                self.http_requests += 1
+                keep_alive = await self._answer(reader, writer, first)
+                # Checked after the answer is written: a service that
+                # stopped accepting meanwhile takes no idle connections.
+                if not (keep_alive and self.accepting):
                     return
-                body = (
-                    await reader.readexactly(content_length)
-                    if content_length
-                    else b""
-                )
-            except ValueError as exc:
-                await _respond(
-                    writer, 400, {"error": f"malformed request: {exc}"}
-                )
-                return
-            except asyncio.TimeoutError:
-                error = f"request not read within {REQUEST_READ_TIMEOUT_S:g} s"
-                # ``drain`` re-raises the reader's timeout once the
-                # answer is written; closing the writer flushes it.
-                with contextlib.suppress(asyncio.TimeoutError):
-                    await _respond(writer, 408, {"error": error})
-                return
-            finally:
-                deadline.cancel()
-            await self._dispatch(writer, method, path, body, traceparent)
         except (asyncio.IncompleteReadError, ConnectionError):
             pass
         finally:
@@ -851,48 +864,88 @@ class FleetService:
             except ConnectionError:
                 pass
 
+    async def _answer(self, reader, writer, first: bytes) -> bool:
+        """Read and answer one request whose first byte is ``first``;
+        ``True`` when the connection may carry another."""
+        # One deadline for the head and body: a stalled read fails with
+        # ``TimeoutError`` instead of holding the handler.  A timer, not
+        # ``wait_for``, which costs a task per request before 3.12.
+        deadline = asyncio.get_running_loop().call_later(
+            REQUEST_READ_TIMEOUT_S, reader.set_exception, asyncio.TimeoutError()
+        )
+        try:
+            method, path, content_length, traceparent, keep_alive = (
+                await _read_head(reader, first)
+            )
+            if content_length > MAX_BODY_BYTES:
+                error = f"body over {MAX_BODY_BYTES} bytes"
+                await _respond(writer, *_json(413, {"error": error}), False)
+                return False
+            body = (
+                await reader.readexactly(content_length)
+                if content_length
+                else b""
+            )
+        except ValueError as exc:
+            error = f"malformed request: {exc}"
+            await _respond(writer, *_json(400, {"error": error}), False)
+            return False
+        except asyncio.TimeoutError:
+            error = f"request not read within {REQUEST_READ_TIMEOUT_S:g} s"
+            # ``drain`` re-raises the reader's timeout once the answer
+            # is written; closing the writer flushes it.
+            with contextlib.suppress(asyncio.TimeoutError):
+                await _respond(writer, *_json(408, {"error": error}), False)
+            return False
+        finally:
+            deadline.cancel()
+        status, body, ctype = await self._dispatch(
+            method, path, body, traceparent
+        )
+        # ``accepting`` is read after the route ran: ``POST /shutdown``
+        # and a stopping service answer with ``Connection: close``.
+        keep_alive = keep_alive and status != 400 and self.accepting
+        await _respond(writer, status, body, ctype, keep_alive)
+        return keep_alive
+
     async def _dispatch(
         self,
-        writer,
         method: str,
         path: str,
         body: bytes,
         traceparent: "str | None" = None,
-    ):
+    ) -> "tuple[int, bytes, str]":
+        """Route one request; returns its answer's status, body and type."""
         if method == "GET" and path == "/metrics":
-            await _respond_text(writer, 200, metrics.registry.expose())
-        elif method == "GET" and path == "/healthz":
+            return 200, metrics.registry.expose().encode(), _PROMETHEUS_TEXT
+        if method == "GET" and path == "/healthz":
             healthy = self.admission.healthy
             status = "ok" if self.accepting and healthy else "draining"
-            await _respond(
-                writer,
+            return _json(
                 200 if status == "ok" else 503,
                 {"status": status, "healthy_shards": sorted(healthy)},
             )
-        elif method == "GET" and path == "/stats":
-            await _respond(writer, 200, self.stats())
-        elif method == "POST" and path in ("/send", "/receive"):
-            await self._handle_job(writer, path, body, traceparent)
-        elif method == "POST" and path == "/shutdown":
-            asyncio.get_running_loop().call_soon(self.request_shutdown)
-            await _respond(writer, 200, {"status": "draining"})
-        else:
-            await _respond(writer, 404, {"error": f"no route {method} {path}"})
+        if method == "GET" and path == "/stats":
+            return _json(200, self.stats())
+        if method == "POST" and path in ("/send", "/receive"):
+            return await self._handle_job(path, body, traceparent)
+        if method == "POST" and path == "/shutdown":
+            self.request_shutdown()
+            return _json(200, {"status": "draining"})
+        return _json(404, {"error": f"no route {method} {path}"})
 
     async def _handle_job(
         self,
-        writer,
         path: str,
         body: bytes,
         traceparent: "str | None" = None,
-    ) -> None:
+    ) -> "tuple[int, bytes, str]":
         try:
             payload = json.loads(body.decode() or "{}")
             cls = SendRequest if path == "/send" else ReceiveRequest
             request = cls.from_dict(payload)
         except (ValueError, KeyError, TypeError, ReproError) as exc:
-            await _respond(writer, 400, {"error": str(exc)})
-            return
+            return _json(400, {"error": str(exc)})
         # Ingress context: the traceparent header wins (its span id lets
         # the server span parent under the client's), then the request
         # body's trace_id, then a fresh trace for bare curl-style calls.
@@ -907,28 +960,21 @@ class FleetService:
             try:
                 result = await self.submit(request)
             except AdmissionError as exc:
-                await _respond(
-                    writer, 429, {"error": str(exc), "shard": exc.shard}
-                )
+                return _json(429, {"error": str(exc), "shard": exc.shard})
             except ServiceStoppedError as exc:
-                await _respond(writer, 503, {"error": str(exc)})
+                return _json(503, {"error": str(exc)})
             except ReproError as exc:
-                await _respond(
-                    writer,
-                    500,
-                    {"error": str(exc), "type": type(exc).__name__},
+                return _json(
+                    500, {"error": str(exc), "type": type(exc).__name__}
                 )
             except Exception as exc:
                 # A defect, not a refusal: still answer, so the client
                 # sees a failed request rather than a dropped connection.
                 _LOG.exception("%s job failed", path)
-                await _respond(
-                    writer,
-                    500,
-                    {"error": str(exc), "type": type(exc).__name__},
+                return _json(
+                    500, {"error": str(exc), "type": type(exc).__name__}
                 )
-            else:
-                await _respond(writer, 200, result.to_dict())
+            return _json(200, result.to_dict())
 
     def request_shutdown(self) -> None:
         """Signal-safe shutdown request: stops admission, sets the event
@@ -940,27 +986,35 @@ class FleetService:
     _shutdown_event: "asyncio.Event | None" = None
 
 
-async def _read_head(reader) -> "tuple[str, str, int, str | None] | None":
+async def _read_head(
+    reader, first: bytes
+) -> "tuple[str, str, int, str | None, bool]":
     """Parse a request head into ``(method, path, content_length,
-    traceparent)``; ``None`` when the peer closed before sending one.
+    traceparent, keep_alive)``; ``first`` is the request's first byte,
+    already read.
 
-    Raises :class:`ValueError` for a malformed request line, a
+    ``keep_alive`` is HTTP/1.1 without ``Connection: close``, or
+    HTTP/1.0 with ``Connection: keep-alive``.  Raises
+    :class:`ValueError` for a malformed request line, a
     ``Content-Length`` that is not a non-negative integer, or a line past
     the stream limit (asyncio's ``readline`` raises it).
     """
-    request_line = await reader.readline()
-    if not request_line:
-        return None
+    request_line = first if first == b"\n" else first + await reader.readline()
     parts = request_line.decode("latin-1").split(" ", 2)
     if len(parts) != 3:
         raise ValueError("bad request line")
-    method, path, _ = parts
+    method, path, version = parts
     content_length = 0
     traceparent = None
+    connection = ""
     while True:
         line = await reader.readline()
         if line in (b"\r\n", b"\n", b""):
-            return method, path, content_length, traceparent
+            if version.rstrip() == "HTTP/1.1":
+                keep_alive = "close" not in connection
+            else:
+                keep_alive = "keep-alive" in connection
+            return method, path, content_length, traceparent, keep_alive
         header = line.decode("latin-1")
         lowered = header.lower()
         if lowered.startswith("content-length:"):
@@ -970,21 +1024,15 @@ async def _read_head(reader) -> "tuple[str, str, int, str | None] | None":
             content_length = int(value)
         elif lowered.startswith(trace_ctx.TRACEPARENT_HEADER + ":"):
             traceparent = header.split(":", 1)[1].strip()
+        elif lowered.startswith("connection:"):
+            connection = lowered.split(":", 1)[1]
 
 
-async def _respond(writer, status: int, payload: dict) -> None:
-    await _respond_raw(
-        writer,
-        status,
-        json.dumps(payload).encode(),
-        "application/json",
-    )
+_PROMETHEUS_TEXT = "text/plain; version=0.0.4"
 
 
-async def _respond_text(writer, status: int, text: str) -> None:
-    await _respond_raw(
-        writer, status, text.encode(), "text/plain; version=0.0.4"
-    )
+def _json(status: int, payload: dict) -> "tuple[int, bytes, str]":
+    return status, json.dumps(payload).encode(), "application/json"
 
 
 _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
@@ -993,13 +1041,16 @@ _REASONS = {200: "OK", 400: "Bad Request", 404: "Not Found",
             503: "Service Unavailable"}
 
 
-async def _respond_raw(writer, status: int, body: bytes, ctype: str) -> None:
+async def _respond(
+    writer, status: int, body: bytes, ctype: str, keep_alive: bool
+) -> None:
     reason = _REASONS.get(status, "OK")
+    connection = "keep-alive" if keep_alive else "close"
     head = (
         f"HTTP/1.1 {status} {reason}\r\n"
         f"Content-Type: {ctype}\r\n"
         f"Content-Length: {len(body)}\r\n"
-        "Connection: close\r\n\r\n"
+        f"Connection: {connection}\r\n\r\n"
     )
     writer.write(head.encode("latin-1") + body)
     await writer.drain()

@@ -87,6 +87,40 @@ class TestCounter:
         with pytest.raises(ConfigurationError):
             counter.inc(1)
 
+    @pytest.mark.parametrize(
+        "labels",
+        [
+            {},
+            {"device": "a"},
+            {"device": "a", "lane": "1"},
+            {"device": "a", "slot": "1", "lane": "2"},
+        ],
+        ids=["none", "missing", "renamed", "extra"],
+    )
+    def test_every_update_rejects_a_wrong_label_set(self, registry, labels):
+        names = ("device", "slot")
+        counter = registry.counter("c_total", labelnames=names)
+        gauge = registry.gauge("g", labelnames=names)
+        hist = registry.histogram("h", labelnames=names, buckets=(1.0,))
+        updates = (
+            lambda: counter.inc(1, **labels),
+            lambda: gauge.set(1, **labels),
+            lambda: hist.observe(0.5, **labels),
+            lambda: counter.labels(**labels),
+        )
+        for update in updates:
+            with pytest.raises(ConfigurationError, match="takes labels"):
+                update()
+        assert not counter.series() and not gauge.series()
+        assert not hist.series()
+
+    def test_label_order_and_value_types_key_one_series(self, registry):
+        counter = registry.counter("c_total", labelnames=("device", "slot"))
+        counter.inc(1, device="a", slot=3)
+        counter.inc(2, slot="3", device="a")
+        assert list(counter.series()) == [("a", "3")]
+        assert 'c_total{device="a",slot="3"} 3' in registry.expose()
+
 
 class TestGauge:
     def test_set_overwrites_inc_accumulates(self, registry):

@@ -2,6 +2,9 @@
 
 from __future__ import annotations
 
+import threading
+from http.server import BaseHTTPRequestHandler, ThreadingHTTPServer
+
 import pytest
 
 from repro.api import SendRequest
@@ -199,6 +202,71 @@ class TestIdempotencyKeys:
         send, receive = LoadGenerator(seed=9)._requests(3)
         assert send.idempotency_key is None
         assert receive.idempotency_key is None
+
+
+@pytest.fixture
+def paired_server():
+    """A keep-alive HTTP/1.1 server that holds its first two answers until
+    both requests are in flight; yields its URL and the client port of
+    every request."""
+    peers: "list[int]" = []
+    both_in_flight = threading.Barrier(2)
+
+    class Handler(BaseHTTPRequestHandler):
+        protocol_version = "HTTP/1.1"
+
+        def do_GET(self):
+            peers.append(self.client_address[1])
+            if len(peers) <= 2:
+                both_in_flight.wait(timeout=10)
+            self.send_response(200)
+            self.send_header("Content-Type", "application/json")
+            self.send_header("Content-Length", "2")
+            self.end_headers()
+            self.wfile.write(b"{}")
+
+        def log_message(self, *args) -> None:
+            pass
+
+    httpd = ThreadingHTTPServer(("127.0.0.1", 0), Handler)
+    thread = threading.Thread(target=httpd.serve_forever, daemon=True)
+    thread.start()
+    yield f"http://127.0.0.1:{httpd.server_port}", peers
+    httpd.shutdown()
+    httpd.server_close()
+    thread.join(timeout=10)
+
+
+def _two_calls_at_once(client: ServiceClient) -> None:
+    threads = [threading.Thread(target=client.stats) for _ in range(2)]
+    for thread in threads:
+        thread.start()
+    for thread in threads:
+        thread.join(timeout=15)
+
+
+class TestConnectionPool:
+    def test_two_threads_each_get_their_own_connection(self, paired_server):
+        url, peers = paired_server
+        client = ServiceClient(url, timeout=10)
+        _two_calls_at_once(client)
+        assert len(set(peers)) == 2
+        pooled = list(client._idle)
+        assert len(pooled) == 2
+        client.stats()  # a later call reuses one of the two
+        assert len(set(peers)) == 2 and len(peers) == 3
+        client.close()
+        assert client._idle == []
+        assert all(conn.sock is None for conn in pooled)
+
+    def test_the_context_manager_releases_the_pool(self, paired_server):
+        url, _ = paired_server
+        with ServiceClient(url, timeout=10) as client:
+            _two_calls_at_once(client)
+            pooled = list(client._idle)
+        assert len(pooled) == 2
+        assert client._idle == []
+        assert all(conn.sock is None for conn in pooled)
 
 
 def test_restart_retries_require_idempotency():

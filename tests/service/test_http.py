@@ -2,26 +2,34 @@
 
 from __future__ import annotations
 
+import asyncio
 import json
 import socket
+import sys
 import threading
+import time
 from http.client import HTTPConnection
 
 import pytest
 
 from repro.api import ReceiveRequest, SendRequest
 from repro.errors import ServiceError
+from repro.faults import RetryPolicy
 from repro.service import (
+    CircuitBreaker,
+    FleetService,
     LoadGenerator,
     ServiceClient,
     ServiceConfig,
     serve_forever,
 )
+from repro.service import client as client_module
+from repro.service import server
 
 
-@pytest.fixture(scope="module")
-def live_service():
-    """One serve_forever loop in a thread for the whole module."""
+def _serve_in_thread(config: ServiceConfig, duration: float = 120):
+    """Start ``serve_forever(config)`` in a daemon thread; return the
+    thread and the running service."""
     ready = threading.Event()
     box: dict = {}
 
@@ -31,18 +39,26 @@ def live_service():
 
     thread = threading.Thread(
         target=serve_forever,
-        args=(ServiceConfig(shards=2, port=0),),
-        kwargs={"duration": 120, "on_ready": on_ready},
+        args=(config,),
+        kwargs={"duration": duration, "on_ready": on_ready},
         daemon=True,
     )
     thread.start()
     assert ready.wait(timeout=15), "service never came up"
-    client = ServiceClient(f"http://127.0.0.1:{box['service'].port}")
+    return thread, box["service"]
+
+
+@pytest.fixture(scope="module")
+def live_service():
+    """One serve_forever loop in a thread for the whole module."""
+    thread, service = _serve_in_thread(ServiceConfig(shards=2, port=0))
+    client = ServiceClient(f"http://127.0.0.1:{service.port}")
     yield client
     try:
         client.shutdown()
     except (ServiceError, OSError):
         pass  # already shut down by the shutdown test
+    client.close()
     thread.join(timeout=30)
     assert not thread.is_alive(), "serve_forever failed to drain and exit"
 
@@ -164,6 +180,186 @@ def test_a_stalled_request_is_answered_408(live_service, monkeypatch, caplog):
     assert "Unhandled exception" not in caplog.text
 
 
+def _read_answer(sock) -> "tuple[int, dict, bytes]":
+    """Read one answer off ``sock``: its status, headers (lower-cased
+    names) and body, by its ``Content-Length``."""
+    data = b""
+    while b"\r\n\r\n" not in data:
+        chunk = sock.recv(65536)
+        assert chunk, data
+        data += chunk
+    head, _, body = data.partition(b"\r\n\r\n")
+    status_line, *lines = head.decode("latin-1").split("\r\n")
+    headers = {
+        name.lower(): value
+        for name, value in (line.split(": ", 1) for line in lines)
+    }
+    length = int(headers["content-length"])
+    while len(body) < length:
+        chunk = sock.recv(65536)
+        assert chunk, body
+        body += chunk
+    assert len(body) == length, "bytes past the answer's body"
+    return int(status_line.split()[1]), headers, body
+
+
+@pytest.mark.parametrize(
+    "version",
+    [b"HTTP/1.1", b"HTTP/1.0\r\nConnection: keep-alive"],
+    ids=["http-1.1", "http-1.0-keep-alive"],
+)
+def test_one_connection_carries_many_requests(live_service, version):
+    """Two requests on one socket are both answered, and the frontend
+    counts one connection and two requests for them."""
+    before = live_service.stats()["http"]
+    address = (live_service.host, live_service.port)
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(b"GET /healthz " + version + b"\r\n\r\n")
+        health = _read_answer(sock)
+        sock.sendall(b"GET /stats " + version + b"\r\n\r\n")
+        stats = _read_answer(sock)
+    assert health[0] == stats[0] == 200
+    assert health[1]["connection"] == stats[1]["connection"] == "keep-alive"
+    assert json.loads(health[2])["status"] == "ok"
+    assert json.loads(stats[2])["http"] == {
+        "connections": before["connections"] + 1,
+        "requests": before["requests"] + 2,
+    }
+
+
+@pytest.mark.parametrize(
+    "head",
+    [
+        b"GET /healthz HTTP/1.1\r\nConnection: close\r\n\r\n",
+        b"GET /healthz HTTP/1.0\r\n\r\n",
+    ],
+    ids=["connection-close", "http-1.0"],
+)
+def test_a_request_can_end_its_connection(live_service, head):
+    address = (live_service.host, live_service.port)
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(head)
+        status, headers, _ = _read_answer(sock)
+        assert sock.recv(65536) == b"", "connection left open"
+    assert status == 200
+    assert headers["connection"] == "close"
+
+
+def test_an_idle_connection_is_closed_without_an_answer(
+    live_service, monkeypatch
+):
+    monkeypatch.setattr(server, "IDLE_TIMEOUT_S", 0.2)
+    address = (live_service.host, live_service.port)
+    with socket.create_connection(address, timeout=5) as sock:
+        sock.sendall(b"GET /healthz HTTP/1.1\r\n\r\n")
+        status, headers, _ = _read_answer(sock)
+        answered = time.monotonic()
+        assert sock.recv(65536) == b"", "an idle connection got an answer"
+        idled = time.monotonic() - answered
+    assert status == 200 and headers["connection"] == "keep-alive"
+    assert 0.1 < idled < 2
+    assert live_service.healthz()["status"] == "ok"
+
+
+@pytest.mark.parametrize("ending", ["stop", "abort"])
+def test_stopping_closes_idle_kept_alive_connections(ending):
+    """``stop()`` and ``abort()`` close a connection that waits for its
+    next request, return at once and leave no handler task behind."""
+
+    async def scenario():
+        service = FleetService(ServiceConfig(shards=1, port=0))
+        await service.start()
+        reader, writer = await asyncio.open_connection(
+            "127.0.0.1", service.port
+        )
+        writer.write(b"GET /healthz HTTP/1.1\r\n\r\n")
+        head = await reader.readuntil(b"\r\n\r\n")
+        assert b"Connection: keep-alive" in head
+        started = time.monotonic()
+        await asyncio.wait_for(getattr(service, ending)(), 1.0)
+        elapsed = time.monotonic() - started
+        left = asyncio.all_tasks() - {asyncio.current_task()}
+        rest = await asyncio.wait_for(reader.read(), 1.0)
+        writer.close()
+        await writer.wait_closed()
+        return elapsed, left, rest
+
+    elapsed, left, rest = asyncio.run(scenario())
+    assert elapsed < 1.0
+    assert left == set()
+    assert json.loads(rest)["status"] == "ok"  # the body, then EOF
+
+
+def test_threads_sharing_a_client_never_share_a_connection(live_service):
+    """More threads than cores hammer one client with a short switch
+    interval: a connection handed to two threads at once would garble
+    its answers, and the pool never holds more than its cap."""
+    n_threads, n_calls = 12, 15
+    before = live_service.stats()["http"]["requests"]
+    statuses: "list[int]" = []
+    lock = threading.Lock()
+
+    def hammer() -> None:
+        for _ in range(n_calls):
+            status = live_service.healthz()["http_status"]
+            with lock:
+                statuses.append(status)
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=hammer) for _ in range(n_threads)]
+        for thread in threads:
+            thread.start()
+        for thread in threads:
+            thread.join(timeout=60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(thread.is_alive() for thread in threads)
+    assert statuses == [200] * (n_threads * n_calls)
+    assert len(live_service._idle) <= client_module.POOL_SIZE
+    after = live_service.stats()["http"]["requests"]
+    assert after - before == n_threads * n_calls + 1
+
+
+def test_a_connection_made_stale_by_a_restart_is_replaced_at_once():
+    """A pooled connection the restarted service no longer knows fails
+    before any answer; the call goes out again on a fresh connection
+    without a retry sleep, a retry count or a breaker failure."""
+    with socket.socket() as probe:
+        probe.bind(("127.0.0.1", 0))
+        port = probe.getsockname()[1]
+    config = ServiceConfig(shards=1, port=port)
+    sleeps: "list[float]" = []
+    failures: "list[None]" = []
+    breaker = CircuitBreaker()
+    breaker.record_failure = lambda: failures.append(None)
+    url = f"http://127.0.0.1:{port}"
+    thread, _ = _serve_in_thread(config, 60)
+    with ServiceClient(
+        url,
+        retry=RetryPolicy(max_attempts=3, base_delay_s=0.01, max_delay_s=0.01),
+        breaker=breaker,
+        sleep=sleeps.append,
+    ) as client:
+        assert client.healthz()["http_status"] == 200
+        (stale,) = client._idle
+        with ServiceClient(url) as other:
+            other.shutdown()
+        thread.join(timeout=30)
+        thread, service = _serve_in_thread(config, 60)
+        try:
+            assert client.healthz()["http_status"] == 200
+            assert stale.sock is None
+            assert len(client._idle) == 1 and client._idle[0] is not stale
+            assert service.stats()["http"] == {"connections": 1, "requests": 1}
+        finally:
+            client.shutdown()
+            thread.join(timeout=30)
+    assert not thread.is_alive()
+    assert sleeps == [] and client.retried == 0 and failures == []
+
+
 def test_shutdown_drains(live_service):
     # Ordered last by name? No — pytest runs in definition order; this
     # is the final test in the module, so the fixture teardown only has
@@ -184,22 +380,8 @@ def test_a_job_that_raises_a_non_repro_error_is_answered_500(
     def broken(self, group, outcomes, lane):
         raise TypeError("receive path defect")
 
-    ready = threading.Event()
-    box: dict = {}
-
-    def on_ready(service) -> None:
-        box["service"] = service
-        ready.set()
-
-    thread = threading.Thread(
-        target=serve_forever,
-        args=(ServiceConfig(shards=1, port=0),),
-        kwargs={"duration": 60, "on_ready": on_ready},
-        daemon=True,
-    )
-    thread.start()
-    assert ready.wait(timeout=15), "service never came up"
-    port = box["service"].port
+    thread, service = _serve_in_thread(ServiceConfig(shards=1, port=0), 60)
+    port = service.port
     client = ServiceClient(f"http://127.0.0.1:{port}")
     try:
         client.send(SendRequest(device_id="dev", message=b"hi"))
@@ -229,5 +411,6 @@ def test_a_job_that_raises_a_non_repro_error_is_answered_500(
     finally:
         monkeypatch.undo()
         client.shutdown()
+        client.close()
         thread.join(timeout=30)
     assert not thread.is_alive()

@@ -112,6 +112,7 @@ def live_service(tmp_path_factory):
         client.shutdown()
     except (ServiceError, OSError):
         pass
+    client.close()
     thread.join(timeout=30)
     assert not thread.is_alive(), "serve_forever failed to drain and exit"
 
